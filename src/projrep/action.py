@@ -541,7 +541,7 @@ def operator_matrix(op, V, k, shift=None):
             img = act(op, GradedElement(k, {lab: 1}), V)
             for tlab, v in img.coords.items():
                 ent[(dst.index[tlab], c)] = v
-    m = Matrix(dst.dim, src.dim, ent, row_labels=dst.labels, col_labels=src.labels)
+    m = Matrix(dst.dim, src.dim, ent, col_labels=src.labels)
     with _cache_lock:
         cache["matrix"][key] = m
     return m

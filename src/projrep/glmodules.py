@@ -119,8 +119,10 @@ def weyl_dimension(mu):
         for j in range(i + 1, n):
             num *= int(mu[i] - mu[j]) + j - i
             den *= j - i
-    assert num % den == 0
-    return num // den
+    q, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyViolationError(f"Weyl dimension {num}/{den} is not an integer")
+    return q
 
 
 def pieri_index_set(mu, j):
@@ -325,7 +327,10 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             action[i][j] = Matrix(dim, dim, ent)
 
     mod = GlModule(labels, basis_weights, action, highest_index=0)
-    assert mod.highest_weight == mu
+    if mod.highest_weight != mu:
+        raise ConsistencyViolationError(
+            "built module's highest weight differs from the requested labels"
+        )
     return mod
 
 

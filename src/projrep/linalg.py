@@ -5,11 +5,12 @@ graded rank checks) reduces to questions about matrices with Fraction
 entries.  All arithmetic here is exact: scalars are Python ints or
 ``fractions.Fraction``; floats are rejected on input.
 
-Matrix products carry an internal fast path that rescales both factors to
-int64 and multiplies through scipy.sparse / numpy.  The path is taken only
-when an a-priori bound (computed with unbounded Python ints) proves that
-no intermediate value can overflow, so the result is always exact; the
-big-int fallback handles everything else.
+A matrix is a dict of its nonzero entries.  There is one product: a
+pure-Python sparse loop over cached column maps, exact at every size
+because Python ints and Fractions are unbounded.  The public ``Matrix(...)``
+constructor validates and normalizes its entries; the results of the
+module's own exact operations are clean by construction and are wrapped by
+``Matrix._trusted`` without that second pass.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-import scipy.sparse as sp
+from .errors import ConsistencyViolationError
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -34,12 +34,7 @@ __all__ = [
     "kron",
     "parse_rational",
     "rank",
-    "vstack",
 ]
-
-# Largest value allowed to appear during an int64 sparse product, with
-# headroom for one addition.
-_INT64_SAFE = 2 ** 62
 
 
 class DegenerateSpectrumError(ValueError):
@@ -70,7 +65,12 @@ def _norm(v):
 
 def parse_rational(text):
     """Parse '3', '-7' or 'num/den' into a Fraction (exact, never float)."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"invalid rational {text!r}: expected an integer or num/den") from None
 
 
 def format_rational(v):
@@ -88,13 +88,11 @@ class Matrix:
     returns a fresh Matrix, so concurrent reads are safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "_colmap", "_rowmap")
+    __slots__ = ("rows", "cols", "entries", "col_labels", "_colmap", "_rowmap")
 
-    def __init__(self, rows, cols, entries=None, row_labels=None, col_labels=None):
+    def __init__(self, rows, cols, entries=None, col_labels=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        if row_labels is not None and len(row_labels) != rows:
-            raise ValueError("row_labels length mismatch")
         if col_labels is not None and len(col_labels) != cols:
             raise ValueError("col_labels length mismatch")
         self.rows = rows
@@ -109,12 +107,24 @@ class Matrix:
                 if v != 0:
                     clean[(r, c)] = v
         self.entries = clean
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
         self._colmap = None
         self._rowmap = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries, col_labels=None):
+        """Wrap entries that are already clean: in range, nonzero, exact,
+        integral values stored as ints.  Only for results computed here."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m.col_labels = col_labels
+        m._colmap = None
+        m._rowmap = None
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -182,41 +192,41 @@ class Matrix:
         return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
 
     def __add__(self, other):
-        self._shape_match(other)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, 0) + v
-            if s == 0:
-                ent.pop(k, None)
-            else:
-                ent[k] = s
-        return Matrix(self.rows, self.cols, ent, self.row_labels, self.col_labels)
+        return self._merge(other, other.entries.items())
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, ((k, -v) for k, v in other.entries.items()))
+
+    def _merge(self, other, items):
+        """self plus `items`, the (position, value) entries of a matrix shaped like `other`."""
+        self._shape_match(other)
+        ent = dict(self.entries)
+        for k, v in items:
+            s = ent.get(k, 0) + v
+            if s == 0:
+                del ent[k]
+            else:
+                ent[k] = _norm(s)
+        return Matrix._trusted(self.rows, self.cols, ent, self.col_labels)
 
     def __neg__(self):
-        return Matrix(
-            self.rows, self.cols,
-            {k: -v for k, v in self.entries.items()},
-            self.row_labels, self.col_labels,
+        return Matrix._trusted(
+            self.rows, self.cols, {k: -v for k, v in self.entries.items()}, self.col_labels
         )
 
     def scale(self, s):
         _check_scalar(s)
         if s == 0:
             return Matrix.zeros(self.rows, self.cols)
-        return Matrix(
+        return Matrix._trusted(
             self.rows, self.cols,
             {k: _norm(v * s) for k, v in self.entries.items()},
-            self.row_labels, self.col_labels,
+            self.col_labels,
         )
 
     def transpose(self):
-        return Matrix(
-            self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-            self.col_labels, self.row_labels,
+        return Matrix._trusted(
+            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
     def is_zero(self):
@@ -252,24 +262,20 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        fast = _matmul_int64(self, other)
-        if fast is not None:
-            ent = fast
-        else:
-            ent = {}
-            cm = self.colmap()
-            for j, col in other.colmap().items():
-                acc = {}
-                for k, x in col.items():
-                    inner = cm.get(k)
-                    if inner is None:
-                        continue
-                    for r, a in inner.items():
-                        acc[r] = acc.get(r, 0) + a * x
-                for r, v in acc.items():
-                    if v != 0:
-                        ent[(r, j)] = _norm(v)
-        return Matrix(self.rows, other.cols, ent, self.row_labels, other.col_labels)
+        ent = {}
+        cm = self.colmap()
+        for j, col in other.colmap().items():
+            acc = {}
+            for k, x in col.items():
+                inner = cm.get(k)
+                if inner is None:
+                    continue
+                for r, a in inner.items():
+                    acc[r] = acc.get(r, 0) + a * x
+            for r, v in acc.items():
+                if v != 0:
+                    ent[(r, j)] = _norm(v)
+        return Matrix._trusted(self.rows, other.cols, ent, other.col_labels)
 
     def to_dense(self):
         return [[self.entries.get((r, c), 0) for c in range(self.cols)] for r in range(self.rows)]
@@ -283,50 +289,16 @@ class Matrix:
 
 
 def _int_scale(m):
-    """Common-denominator integer form: (D, max_abs, entries) with D*m integral."""
+    """Common-denominator integer form: (D, entries) with D*m integral."""
     den = 1
     for v in m.entries.values():
         if isinstance(v, Fraction):
             den = den * v.denominator // math.gcd(den, v.denominator)
-    ent = {}
-    mx = 0
-    for k, v in m.entries.items():
-        iv = int(v * den) if den != 1 or isinstance(v, Fraction) else v
-        ent[k] = iv
-        a = -iv if iv < 0 else iv
-        if a > mx:
-            mx = a
-    return den, mx, ent
-
-
-def _matmul_int64(a, b):
-    """Certified int64 sparse product, or None when the bound can't be proven."""
-    if not a.entries or not b.entries:
-        return {}
-    da, ma, ea = _int_scale(a)
-    db, mb, eb = _int_scale(b)
-    if a.cols * ma * mb >= _INT64_SAFE:
-        return None
-    ra, ca = zip(*ea.keys())
-    sa = sp.csr_matrix(
-        (np.fromiter(ea.values(), dtype=np.int64, count=len(ea)),
-         (np.array(ra), np.array(ca))),
-        shape=(a.rows, a.cols),
-    )
-    rb, cb = zip(*eb.keys())
-    sb = sp.csr_matrix(
-        (np.fromiter(eb.values(), dtype=np.int64, count=len(eb)),
-         (np.array(rb), np.array(cb))),
-        shape=(b.rows, b.cols),
-    )
-    prod = (sa @ sb).tocoo()
-    scale = da * db
-    ent = {}
-    for r, c, v in zip(prod.row, prod.col, prod.data):
-        if v:
-            iv = int(v)
-            ent[(int(r), int(c))] = iv if scale == 1 else _norm(Fraction(iv, scale))
-    return ent
+    ent = {
+        k: int(v * den) if den != 1 or isinstance(v, Fraction) else v
+        for k, v in m.entries.items()
+    }
+    return den, ent
 
 
 def hstack(mats):
@@ -343,20 +315,7 @@ def hstack(mats):
         if has_labels:
             labels.extend(m.col_labels)
         off += m.cols
-    return Matrix(rows, off, ent, mats[0].row_labels, labels if has_labels else None)
-
-
-def vstack(mats):
-    cols = mats[0].cols
-    ent = {}
-    off = 0
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column count mismatch in vstack")
-        for (r, c), v in m.entries.items():
-            ent[(r + off, c)] = v
-        off += m.rows
-    return Matrix(off, cols, ent, None, mats[0].col_labels)
+    return Matrix._trusted(rows, off, ent, tuple(labels) if has_labels else None)
 
 
 def kron(a, b):
@@ -365,7 +324,7 @@ def kron(a, b):
     for (i, j), av in a.entries.items():
         for (k, l), bv in b.entries.items():
             ent[(i * b.rows + k, j * b.cols + l)] = _norm(av * bv)
-    return Matrix(a.rows * b.rows, a.cols * b.cols, ent)
+    return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, ent)
 
 
 # -- elimination kernels ----------------------------------------------------
@@ -548,7 +507,7 @@ def eval_operator_polynomial(op, roots):
                 break
         for i, v in w.items():
             ent[(i, j)] = _norm(v)
-    return Matrix(n, n, ent, op.row_labels, op.col_labels)
+    return Matrix._trusted(n, n, ent, op.col_labels)
 
 
 def idempotent_from_spectrum(op, target, others):
@@ -664,7 +623,7 @@ def charpoly(m):
     n = m.rows
     if n == 0:
         return [Fraction(1)]
-    den, _, ent = _int_scale(m)
+    den, ent = _int_scale(m)
     a = [[0] * n for _ in range(n)]
     for (r, c), v in ent.items():
         a[r][c] = v
@@ -676,8 +635,9 @@ def charpoly(m):
             for i in range(n)
         ]
         tr = sum(am[i][i] for i in range(n))
-        ck = -tr // k
-        assert ck * k == -tr, "Faddeev-LeVerrier division must be exact"
+        ck, rem = divmod(-tr, k)
+        if rem:
+            raise ConsistencyViolationError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
         mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
     # coeffs are for den*m; char_m(x) = char_{den*m}(den*x) / den^n.

@@ -152,3 +152,13 @@ def test_consistency_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "jordan_holder", boom)
     code, _, err = run(capsys, "analyze", "-n", "2", "-a", "0", "-b", "0")
     assert code == 2 and "consistency violation" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator"),
+    ("x/2", "expected an integer or num/den"),
+])
+def test_bad_scalar_exit_code(capsys, text, message):
+    code, _, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", text)
+    assert code == 1
+    assert f"invalid rational {text!r}: {message}" in err

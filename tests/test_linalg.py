@@ -113,7 +113,7 @@ def test_matmul_matches_dense():
 
 
 def test_matmul_huge_entries_fallback():
-    # entries far beyond int64 force the big-int path; result must stay exact
+    # entries far beyond int64: the product uses unbounded ints and stays exact
     big = 2 ** 80
     a = Matrix.from_rows([[big, 1], [0, big]])
     b = Matrix.from_rows([[big, 0], [1, 1]])
@@ -264,3 +264,45 @@ def test_echelon_span_membership_and_coords(rows):
                 else:
                     rebuilt[i] = s
         assert rebuilt == vec
+
+
+sparse_scalar = st.one_of(st.just(0), small_frac)
+
+
+def sparse_matrix(rows, cols):
+    row = st.lists(sparse_scalar, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(Matrix.from_rows)
+
+
+@st.composite
+def matmul_triple(draw, max_dim=5):
+    """(a, a2, b) with a, a2 of one shape and b composable on the right."""
+    rows, inner, cols = (draw(st.integers(1, max_dim)) for _ in range(3))
+    return draw(sparse_matrix(rows, inner)), draw(sparse_matrix(rows, inner)), draw(
+        sparse_matrix(inner, cols)
+    )
+
+
+def assert_clean(m):
+    # what the validating constructor would store: nonzero, ints for integers
+    for v in m.entries.values():
+        assert v != 0
+        assert type(v) is int or (type(v) is F and v.denominator > 1)
+    assert Matrix(m.rows, m.cols, m.entries).entries == m.entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(matmul_triple(), small_frac.filter(lambda x: x != 0))
+def test_exact_operations_match_dense_and_store_clean_entries(mats, s):
+    a, a2, b = mats
+    ad, a2d, bd = a.to_dense(), a2.to_dense(), b.to_dense()
+    prod, total, diff = a @ b, a + a2, a - a2
+    assert prod.to_dense() == [
+        [sum(ad[i][t] * bd[t][j] for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    assert total.to_dense() == [[x + y for x, y in zip(r, r2)] for r, r2 in zip(ad, a2d)]
+    assert diff.to_dense() == [[x - y for x, y in zip(r, r2)] for r, r2 in zip(ad, a2d)]
+    assert diff == a + (-a2)
+    for m in (prod, total, diff, -a, a.scale(s), a.transpose(), kron(a, b)):
+        assert_clean(m)
