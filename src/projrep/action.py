@@ -3,8 +3,15 @@
 The Lie algebra spanned by the derivatives, the scalings x_i d_j, and the
 pseudo-translations p_i = x_i * sum_j x_j d_j is a copy of sl(n+1) inside the
 polynomial vector fields.  Twisting by a gl(n)-module V turns the polynomial
-space tensor V into a representation of that copy; every operator here is
-realized as an exact sparse matrix per graded degree.
+space tensor V into a representation of that copy.
+
+On x^m tensor V each operator of the span acts as a polynomial move times
+Id_V plus shifted copies of the generator matrices E_{i,j} = V.e(i, j).
+`operator_matrix` uses that structure: it splits the operator once
+(`projective_components`) and assembles its exact sparse matrix on a graded
+piece block by block, one dim(V)-square block per monomial.  `act` applies an
+operator to one graded element term by term; the matrix path never calls it,
+and it serves as the independent oracle the tests compare every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -14,14 +21,13 @@ comes first); inside one monomial the module basis index runs in order.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UnsupportedOperatorError
-from .linalg import Matrix
+from .glmodules import module_memo
+from .linalg import Matrix, _check_scalar, _norm, add_into
 
 __all__ = [
     "ChevalleySet",
@@ -45,14 +51,6 @@ __all__ = [
 ]
 
 
-def _norm(v):
-    if isinstance(v, float):
-        raise TypeError(f"inexact scalar {v!r}; use int or Fraction")
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    return v
-
-
 # -- symbolic vector fields ----------------------------------------------------
 
 
@@ -69,7 +67,7 @@ class WittElement:
         clean = {}
         if terms:
             for (mono, i), v in terms.items():
-                v = _norm(v)
+                v = _norm(_check_scalar(v))
                 if v == 0:
                     continue
                 if len(mono) != n or not (0 <= i < n):
@@ -91,14 +89,7 @@ class WittElement:
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k, 0) + v
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return WittElement(self.n, terms)
+        return WittElement(self.n, add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return WittElement(self.n, {k: -v for k, v in self.terms.items()})
@@ -133,12 +124,11 @@ class WittElement:
             acc = {}
             for j in range(n):
                 if j in a and i in b:
-                    _poly_acc(acc, _poly_mul(a[j], _poly_diff(b[i], j)), 1)
+                    add_into(acc, _poly_mul(a[j], _poly_diff(b[i], j)).items())
                 if j in b and i in a:
-                    _poly_acc(acc, _poly_mul(b[j], _poly_diff(a[i], j)), -1)
+                    add_into(acc, _poly_mul(b[j], _poly_diff(a[i], j)).items(), -1)
             for mono, v in acc.items():
-                if v != 0:
-                    out[(mono, i)] = v
+                out[(mono, i)] = v
         return WittElement(n, out)
 
     def __repr__(self):
@@ -161,13 +151,7 @@ def _by_direction(op):
 def _poly_mul(p, q):
     out = {}
     for ma, va in p.items():
-        for mb, vb in q.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, 0) + va * vb
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        add_into(out, ((tuple(x + y for x, y in zip(ma, mb)), vb) for mb, vb in q.items()), va)
     return out
 
 
@@ -180,29 +164,23 @@ def _poly_diff(p, j):
     return out
 
 
-def _poly_acc(acc, p, sign):
-    for m, v in p.items():
-        s = acc.get(m, 0) + sign * v
-        if s == 0:
-            acc.pop(m, None)
-        else:
-            acc[m] = s
-
-
 def _unit(n, i):
     return tuple(1 if t == i else 0 for t in range(n))
 
 
+@functools.cache
 def derivative_op(n, i):
     """d_{x_{i+1}} (argument 0-based)."""
     return WittElement(n, {((0,) * n, i): 1})
 
 
+@functools.cache
 def scaling_op(n, i, j):
     """x_{i+1} d_{x_{j+1}} (arguments 0-based)."""
     return WittElement(n, {(_unit(n, i), j): 1})
 
 
+@functools.cache
 def pseudo_translation_op(n, i):
     """p_{i+1} = x_{i+1} * sum_j x_j d_j (argument 0-based)."""
     terms = {}
@@ -304,7 +282,7 @@ class GradedElement:
         clean = {}
         if coords:
             for (mono, j), v in coords.items():
-                v = _norm(v)
+                v = _norm(_check_scalar(v))
                 if v == 0:
                     continue
                 if sum(mono) != degree:
@@ -380,7 +358,7 @@ class GradedBasis:
         return GradedElement(self.degree, {self.labels[t]: v for t, v in vec.items()})
 
 
-# -- the action ------------------------------------------------------------------
+# -- the action, one basis vector at a time (the oracle) ---------------------------
 
 
 def _shift_mono(mono, up=None, down=None):
@@ -458,7 +436,9 @@ def act(op, element, V):
     """Apply a projective-span operator to a graded element.
 
     The operator must have a uniform degree shift (all spanning elements and
-    their brackets do); the result lives in degree k+shift.
+    their brackets do); the result lives in degree k+shift.  This is the
+    independent oracle for `operator_matrix`, which assembles whole matrices
+    block by block instead.
     """
     if op.n != V.n:
         raise ValueError("dimension mismatch between operator and module")
@@ -485,30 +465,65 @@ def act(op, element, V):
     return GradedElement(element.degree + shift, out)
 
 
-# -- per-degree matrices (cached) -------------------------------------------------
-
-_cache_lock = threading.Lock()
-_caches = weakref.WeakKeyDictionary()
-
-
-def _cache_for(V):
-    with _cache_lock:
-        cache = _caches.get(V)
-        if cache is None:
-            cache = _caches[V] = {"basis": {}, "matrix": {}}
-        return cache
+# -- per-degree matrices, assembled block by block (cached) -----------------------
 
 
 def graded_basis(V, k):
     """Ordered basis of the degree-k piece (monomial descending-lex, then index)."""
-    cache = _cache_for(V)
-    with _cache_lock:
-        gb = cache["basis"].get(k)
-    if gb is None:
-        gb = GradedBasis(V, k)
-        with _cache_lock:
-            cache["basis"][k] = gb
-    return gb
+    return module_memo(V, "basis", k, lambda: GradedBasis(V, k))
+
+
+def _twist(coeffs, V):
+    """sum of c * E_{i+1,j+1} over {(i, j): c}, as {(row, col): value}."""
+    out = {}
+    for (i, j), c in coeffs.items():
+        add_into(out, V.e(i, j).entries.items(), c)
+    return out
+
+
+def _pseudo_twist(pseudo, V):
+    """Generator part of sum_i c_i p_i: {j: sum_i c_i E_{i,j}}, the block that
+    carries x^m tensor V to x^(m + e_j) tensor V."""
+    return {j: _twist({(i, j): c for i, c in pseudo.items()}, V) for j in range(V.n)}
+
+
+def _assemble(op, V, src, dst):
+    """Entries of op's matrix from the basis `src` to `dst`.
+
+    Each operator acts on x^m tensor V as a polynomial move times Id_V plus
+    generator blocks: d_i moves m to m - e_i (weight m_i); x_i d_j moves m to
+    m + e_i - e_j (weight m_j) and adds E_{i,j} on the block of m; p_i moves m
+    to m + e_i (weight |m| + b) and adds E_{i,j} on the block of m + e_j.  The
+    block of (m, t) starts at the position of (m, 0).
+    """
+    deriv, gl, pseudo = projective_components(op)
+    k, d = src.degree, V.dim
+    # (coefficient, index raised, index lowered) of each polynomial move
+    moves = [(c, None, i) for i, c in deriv.items()]
+    moves += [(c, i, j) for (i, j), c in gl.items()]
+    moves += [(c * (k + V.b), i, None) for i, c in pseudo.items()]
+    # (index raised, generator block) on the target block of m
+    blocks = [(None, _twist(gl, V))] if gl else []
+    if pseudo:
+        blocks += list(_pseudo_twist(pseudo, V).items())
+    # keys take their positions from these lists, so the cached entries share
+    # one int object per position instead of holding fresh sums
+    rows, cols = list(range(dst.dim)), list(range(src.dim))
+    ent = {}
+    for col in range(0, src.dim, d):
+        mono = src.labels[col][0]
+        poly = {}
+        for c, up, down in moves:
+            weight = 1 if down is None else mono[down]
+            if weight:
+                add_into(poly, [(_shift_mono(mono, up, down), c * weight)])
+        for m, s in poly.items():
+            row = dst.index[(m, 0)]
+            add_into(ent, (((rows[row + t], cols[col + t]), s) for t in range(d)))
+        for up, twist in blocks:
+            row = dst.index[(_shift_mono(mono, up), 0)]
+            add_into(ent, (((rows[row + r], cols[col + t]), a) for (r, t), a in twist.items()))
+    return ent
 
 
 def operator_matrix(op, V, k, shift=None):
@@ -517,34 +532,25 @@ def operator_matrix(op, V, k, shift=None):
     `shift` is only consulted for the zero operator, whose target degree is
     otherwise undetermined.
     """
-    cache = _cache_for(V)
-    key = (op, k, shift)
-    with _cache_lock:
-        m = cache["matrix"].get(key)
-    if m is not None:
-        return m
-    if op.is_zero():
-        if shift is None:
-            raise ValueError("zero operator needs an explicit degree shift")
-        op_shift = shift
-    else:
-        op_shift = op.degree_shift()
-        if op_shift is None:
-            raise UnsupportedOperatorError("operator mixes degree shifts")
-        if shift is not None and shift != op_shift:
-            raise ValueError("declared shift contradicts the operator")
-    src = graded_basis(V, k)
-    dst = graded_basis(V, k + op_shift)
-    ent = {}
-    if not op.is_zero():
-        for c, lab in enumerate(src.labels):
-            img = act(op, GradedElement(k, {lab: 1}), V)
-            for tlab, v in img.coords.items():
-                ent[(dst.index[tlab], c)] = v
-    m = Matrix(dst.dim, src.dim, ent, col_labels=src.labels)
-    with _cache_lock:
-        cache["matrix"][key] = m
-    return m
+
+    def build():
+        if op.n != V.n:
+            raise ValueError("dimension mismatch between operator and module")
+        if op.is_zero():
+            if shift is None:
+                raise ValueError("zero operator needs an explicit degree shift")
+            op_shift = shift
+        else:
+            op_shift = op.degree_shift()
+            if op_shift is None:
+                raise UnsupportedOperatorError("operator mixes degree shifts")
+            if shift is not None and shift != op_shift:
+                raise ValueError("declared shift contradicts the operator")
+        src = graded_basis(V, k)
+        dst = graded_basis(V, k + op_shift)
+        return Matrix._trusted(dst.dim, src.dim, _assemble(op, V, src, dst), src.labels)
+
+    return module_memo(V, "matrix", (op, k, shift), build)
 
 
 def operator_matrix_json(op, V, k, shift=None):

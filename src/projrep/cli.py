@@ -22,7 +22,7 @@ from .charident import (
     sigma2_tilde,
     tensor_projector,
 )
-from .errors import ConsistencyViolationError, DimensionCapError
+from .errors import ConsistencyViolationError, DimensionCapError, MultiplicityAnomalyError
 from .glmodules import (
     DEFAULT_DIM_CAP,
     DominantLabels,
@@ -38,7 +38,7 @@ from .irreducibility import (
     q_coefficient,
     up_submodule_rank,
 )
-from .linalg import format_rational, parse_rational, rank
+from .linalg import DegenerateSpectrumError, format_rational, parse_rational, rank
 from .action import graded_dimension
 from .selfcheck import run_selfcheck
 
@@ -55,6 +55,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least(lo):
+    """argparse type: an integer no smaller than `lo`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_labels(text, n):
@@ -86,8 +101,6 @@ def _emit(doc, as_json, table_lines):
 
 
 def cmd_analyze(args):
-    if args.degree_cap < 1:
-        raise ValueError("--degree-cap must be at least 1")
     V = _build(args)
     mu = V.highest_weight
     wit = criterion(mu)
@@ -259,7 +272,7 @@ def cmd_selfcheck(args):
 
 
 def _add_module_args(p):
-    p.add_argument("-n", type=int, required=True, help="rank of the acting matrices")
+    p.add_argument("-n", type=_at_least(1), required=True, help="rank of the acting matrices")
     p.add_argument("-a", type=str, default="", help="comma-separated Dynkin labels (n-1 of them)")
     p.add_argument("-b", type=str, required=True, help="central scalar, integer or num/den")
     p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, help="refuse larger modules")
@@ -272,12 +285,12 @@ def main(argv=None):
 
     p_an = sub.add_parser("analyze", help="full irreducibility report for one module")
     _add_module_args(p_an)
-    p_an.add_argument("--degree-cap", type=int, default=4)
+    p_an.add_argument("--degree-cap", type=_at_least(1), default=4)
     p_an.set_defaults(fn=cmd_analyze)
 
     p_de = sub.add_parser("decompose", help="tensor summand table at one degree")
     _add_module_args(p_de)
-    p_de.add_argument("-k", type=int, default=1, help="degree of the symmetric factor")
+    p_de.add_argument("-k", type=_at_least(0), default=1, help="degree of the symmetric factor")
     p_de.set_defaults(fn=cmd_decompose)
 
     p_vi = sub.add_parser("verify-identity", help="characteristic identity checks")
@@ -285,8 +298,8 @@ def main(argv=None):
     p_vi.set_defaults(fn=cmd_verify_identity)
 
     p_sc = sub.add_parser("selfcheck", help="run the invariant sweep")
-    p_sc.add_argument("--n-max", type=int, default=2)
-    p_sc.add_argument("--degree-cap", type=int, default=4)
+    p_sc.add_argument("--n-max", type=_at_least(1), default=2)
+    p_sc.add_argument("--degree-cap", type=_at_least(0), default=4)
     p_sc.add_argument("--seed", type=int, default=0)
     p_sc.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     p_sc.add_argument("--json", action="store_true")
@@ -295,12 +308,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    # internal inconsistencies first: DegenerateSpectrumError is a ValueError
+    except (ConsistencyViolationError, DegenerateSpectrumError, MultiplicityAnomalyError) as exc:
+        print(f"projrep: consistency violation: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except (DimensionCapError, ValueError) as exc:
         print(f"projrep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConsistencyViolationError as exc:
-        print(f"projrep: consistency violation: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
 
 
 if __name__ == "__main__":

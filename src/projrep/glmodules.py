@@ -14,11 +14,20 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import EchelonSpan, Matrix, format_rational, kernel_basis, kron, parse_rational
+from .linalg import (
+    EchelonSpan,
+    Matrix,
+    add_into,
+    format_rational,
+    joint_kernel,
+    kron,
+    parse_rational,
+)
 
 __all__ = [
     "DominantLabels",
@@ -27,6 +36,7 @@ __all__ = [
     "dominant_gaps",
     "highest_weight_vectors",
     "module_from_json",
+    "module_memo",
     "module_to_json",
     "pieri_index_set",
     "tensor_generator",
@@ -397,33 +407,11 @@ def highest_weight_vectors(space_dim, raising_ops, weight_projector):
             base.append(col)
     if not base:
         return []
-    if not raising_ops:
-        coeff_kernel = [
-            tuple(Fraction(1) if t == s else Fraction(0) for t in range(len(base)))
-            for s in range(len(base))
-        ]
-    else:
-        ent = {}
-        off = 0
-        for op in raising_ops:
-            for c, vec in enumerate(base):
-                img = op.apply(vec)
-                for r, v in img.items():
-                    ent[(off + r, c)] = v
-            off += space_dim
-        coeff_kernel = kernel_basis(Matrix(off, len(base), ent))
     out = []
-    for coeffs in coeff_kernel:
+    for coeffs in joint_kernel(raising_ops, base):
         acc = {}
         for x, vec in zip(coeffs, base):
-            if x == 0:
-                continue
-            for r, v in vec.items():
-                s = acc.get(r, 0) + x * v
-                if s == 0:
-                    acc.pop(r, None)
-                else:
-                    acc[r] = s
+            add_into(acc, vec.items(), x)
         dense = [Fraction(0)] * space_dim
         for r, v in acc.items():
             dense[r] = Fraction(v)
@@ -490,10 +478,28 @@ def module_from_json(doc):
     return GlModule(labels, weights, action, highest_index=doc["highest_index"])
 
 
-# -- cache of constructed modules (sweep helper) --------------------------------
+# -- caches: constructed modules, and memo tables per module ---------------------
 
 _module_cache = {}
 _module_cache_lock = threading.Lock()
+_memos = weakref.WeakKeyDictionary()
+_memo_lock = threading.Lock()
+
+
+def module_memo(V, table, key, compute):
+    """compute(), memoized under `key` in V's memo table named `table`.
+
+    The tables are freed with V.  Two threads missing the same key may both
+    compute; the first result stored is the one every caller gets.
+    """
+    with _memo_lock:
+        memo = _memos.setdefault(V, {}).setdefault(table, {})
+        hit = memo.get(key)
+    if hit is None:
+        hit = compute()
+        with _memo_lock:
+            hit = memo.setdefault(key, hit)
+    return hit
 
 
 def cached_module(n, dynkin, b, dim_cap=DEFAULT_DIM_CAP):

@@ -10,8 +10,6 @@ two-step composition series and the residual quotient data are reported.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,11 +26,12 @@ from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
     format_rational,
+    module_memo,
     pieri_index_set,
     weight_add,
     weyl_dimension,
 )
-from .linalg import Matrix, hstack, kernel_basis, rank
+from .linalg import Matrix, add_into, hstack, joint_kernel, rank
 
 __all__ = [
     "CriterionWitness",
@@ -157,39 +156,19 @@ def residual_summands(mu, j):
 
 # -- brute force ---------------------------------------------------------------
 
-_cache_lock = threading.Lock()
-_caches = weakref.WeakKeyDictionary()
-
-
-def _cache_for(V):
-    with _cache_lock:
-        cache = _caches.get(V)
-        if cache is None:
-            cache = _caches[V] = {}
-        return cache
-
-
 def _p_chain_vector(V, c, q):
     """Sparse coordinates of p^c applied to the degree-zero basis vector q,
     expressed in the degree-|c| basis.  Outermost factor has the lowest index."""
-    cache = _cache_for(V)
-    key = ("pvec", c, q)
-    with _cache_lock:
-        hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if sum(c) == 0:
-        zero = graded_basis(V, 0)
-        vec = {zero.index[(c, q)]: 1}
-    else:
+
+    def build():
+        if sum(c) == 0:
+            return {graded_basis(V, 0).index[(c, q)]: 1}
         i = next(t for t, x in enumerate(c) if x)
         prev = c[:i] + (c[i] - 1,) + c[i + 1:]
-        sub = _p_chain_vector(V, prev, q)
         pm = operator_matrix(pseudo_translation_op(V.n, i), V, sum(c) - 1)
-        vec = pm.apply(sub)
-    with _cache_lock:
-        cache[key] = vec
-    return vec
+        return pm.apply(_p_chain_vector(V, prev, q))
+
+    return module_memo(V, "pvec", (c, q), build)
 
 
 def up_submodule_matrix(V, k):
@@ -258,15 +237,7 @@ def maximal_vector(V, c):
         for a in range(V.n)
         for b in range(a + 1, V.n)
     ]
-    ent = {}
-    off = 0
-    for op in raisers:
-        cm = op.colmap()
-        for t, pos in enumerate(support):
-            for r, v in cm.get(pos, {}).items():
-                ent[(off + r, t)] = v
-        off += op.rows
-    kern = kernel_basis(Matrix(off, len(support), ent))
+    kern = joint_kernel(raisers, [{pos: 1} for pos in support])
     if len(kern) != 1:
         raise MultiplicityAnomalyError(
             f"maximal vector space for shift {tuple(c)} has dimension {len(kern)}"
@@ -293,12 +264,7 @@ def phi_image(V, element):
     gb = graded_basis(V, j)
     acc = {}
     for (mono, q), val in element.coords.items():
-        for pos, v in _p_chain_vector(V, mono, q).items():
-            s = acc.get(pos, 0) + val * v
-            if s == 0:
-                acc.pop(pos, None)
-            else:
-                acc[pos] = s
+        add_into(acc, _p_chain_vector(V, mono, q).items(), val)
     return gb.from_vector(acc)
 
 

@@ -24,12 +24,14 @@ __all__ = [
     "DegenerateSpectrumError",
     "EchelonSpan",
     "Matrix",
+    "add_into",
     "charpoly",
     "eval_operator_polynomial",
     "format_rational",
     "hstack",
     "idempotent_from_spectrum",
     "invert",
+    "joint_kernel",
     "kernel_basis",
     "kron",
     "parse_rational",
@@ -61,6 +63,21 @@ def _norm(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
     return v
+
+
+def add_into(acc, items, scale=1):
+    """Sparse accumulation: acc[key] += scale * value for each (key, value).
+
+    A key whose sum is zero is dropped and integral sums are stored as ints,
+    so `acc` stays a clean sparse vector.  Returns `acc`.
+    """
+    for k, v in items:
+        s = acc.get(k, 0) + scale * v
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = _norm(s)
+    return acc
 
 
 def parse_rational(text):
@@ -420,14 +437,7 @@ def _rref(m):
                 rv = row.get(col)
                 if rv is None:
                     continue
-                new = dict(row)
-                for c, v in piv.items():
-                    w = new.get(c, 0) - rv * v
-                    if w == 0:
-                        new.pop(c, None)
-                    else:
-                        new[c] = _norm(w)
-                other[i] = new
+                other[i] = add_into(dict(row), piv.items(), -rv)
         rows = [r for r in rows if r]
         reduced.append(piv)
         pivots.append(col)
@@ -453,6 +463,19 @@ def kernel_basis(m):
             vec = [v / lead for v in vec]
         basis.append(tuple(vec))
     return basis
+
+
+def joint_kernel(ops, vectors):
+    """Basis of the coefficient tuples x with sum_t x[t] * op.apply(vectors[t])
+    = 0 for every op: the kernel of the op images, stacked op by op."""
+    ent = {}
+    off = 0
+    for op in ops:
+        for c, vec in enumerate(vectors):
+            for r, v in op.apply(vec).items():
+                ent[(off + r, c)] = v
+        off += op.rows
+    return kernel_basis(Matrix(off, len(vectors), ent))
 
 
 def invert(m):
@@ -561,18 +584,8 @@ class EchelonSpan:
             c, idx = hit
             f = vec[c]
             rvec, rcomb = self._rows[idx]
-            for cc, v in rvec.items():
-                w = vec.get(cc, 0) - f * v
-                if w == 0:
-                    vec.pop(cc, None)
-                else:
-                    vec[cc] = _norm(w)
-            for cc, v in rcomb.items():
-                w = comb.get(cc, 0) - f * v
-                if w == 0:
-                    comb.pop(cc, None)
-                else:
-                    comb[cc] = _norm(w)
+            add_into(vec, rvec.items(), -f)
+            add_into(comb, rcomb.items(), -f)
 
     def insert(self, vec):
         """Insert a sparse vector; returns its basis id, or None if dependent."""

@@ -54,7 +54,7 @@ from .irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from .linalg import Matrix, hstack, kernel_basis, rank
+from .linalg import Matrix, add_into, hstack, kernel_basis, rank
 
 __all__ = [
     "CheckRecord",
@@ -379,12 +379,7 @@ def check_derivative_chain_identity(V, rng, cases=6, k_max=3, delta=triangle_del
             curs = start
             for t, idx in enumerate(reversed(rest)):
                 curs = operator_matrix(pseudo_translation_op(n, idx), V, t).apply(curs)
-            for pos, v in curs.items():
-                acc = rhs.get(pos, 0) + v
-                if acc == 0:
-                    rhs.pop(pos, None)
-                else:
-                    rhs[pos] = acc
+            add_into(rhs, curs.items())
         if lhs != rhs:
             return False, f"chain {chain}, derivative {i+1}, vector {q}"
     return True, f"{cases} random chains agree"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projrep.action import (
     GradedElement,
@@ -235,31 +236,20 @@ def test_sign_flip_in_twisted_action_breaks_bracket_consistency(monkeypatch):
     import projrep.action as action_mod
     from projrep.glmodules import DominantLabels, build_irreducible
 
-    original = action_mod._apply_pseudo
+    original = action_mod._pseudo_twist
 
-    def flipped(i, coeff, coords, V, out):
+    def flipped(pseudo, V):
         # flip the sign of the summed generator twist, keep the rest
-        wrong = {}
-        original(i, coeff, coords, V, wrong)
-        poly_only = {}
-        for (mono, t), val in coords.items():
-            c = coeff * val * (sum(mono) + V.b)
-            if c != 0:
-                key = (action_mod._shift_mono(mono, up=i), t)
-                poly_only[key] = poly_only.get(key, 0) + c
-        for key, val in wrong.items():
-            twist = val - poly_only.get(key, 0)
-            new = poly_only.get(key, 0) - twist
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = out.get(key, 0) + new
+        return {
+            j: {rc: -v for rc, v in twist.items()}
+            for j, twist in original(pseudo, V).items()
+        }
 
     # fresh module instances: operator matrices are cached per instance
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     assert verify_bracket_consistency(2, V, 2)
     W = build_irreducible(DominantLabels(2, (1,), F(1)))
-    monkeypatch.setattr(action_mod, "_apply_pseudo", flipped)
+    monkeypatch.setattr(action_mod, "_pseudo_twist", flipped)
     assert not verify_bracket_consistency(2, W, 2)
 
 
@@ -318,3 +308,67 @@ def test_operator_matrix_matches_act_composition():
         image = act(d1, act(p0, elem, V), V)
         expected = gb1.to_vector(GradedElement(1, image.coords)) if image.degree == 1 else {}
         assert {r: v for (r, c), v in comp.entries.items() if c == col} == expected
+
+
+B_VALUES = [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]
+COEFFS = [0, 1, -1, 2, F(1, 2), F(-3, 2)]
+
+
+@st.composite
+def module_ops_and_degree(draw):
+    """A module (n <= 3, labels <= 2), two same-shift combinations of spanning
+    operators, and a degree k <= 3."""
+    n = draw(st.integers(1, 3))
+    dynkin = tuple(draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1)))
+    V = cached_module(n, dynkin, draw(st.sampled_from(B_VALUES)))
+    by_shift = {}
+    for _, op in spanning_operators(n):
+        by_shift.setdefault(op.degree_shift(), []).append(op)
+    ops = []
+    for _ in range(2):
+        shift = draw(st.sampled_from(sorted(by_shift)))
+        op = WittElement(n)
+        for term in by_shift[shift]:
+            op = op + draw(st.sampled_from(COEFFS)) * term
+        ops.append((op, shift))
+    (u, su), (w, sw) = ops
+    ops.append((u.bracket(w), su + sw))
+    return V, ops, draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(module_ops_and_degree())
+def test_operator_matrix_columns_equal_act(case):
+    V, ops, k = case
+    src = graded_basis(V, k)
+    for op, shift in ops:
+        m = operator_matrix(op, V, k, shift=shift if op.is_zero() else None)
+        dst = graded_basis(V, k + shift)
+        assert (m.rows, m.cols) == (dst.dim, src.dim)
+        for v in m.entries.values():
+            assert v != 0 and (type(v) is int or (type(v) is F and v.denominator > 1))
+        for col, lab in enumerate(src.labels):
+            image = act(op, GradedElement(k, {lab: 1}), V)
+            assert m.colmap().get(col, {}) == dst.to_vector(image), (op, lab)
+
+
+def test_operator_matrix_rejects_operators_outside_the_span():
+    V = cached_module(2, (1,), F(1))
+    with pytest.raises(UnsupportedOperatorError):
+        operator_matrix(WittElement(2, {((3, 0), 0): 1}), V, 1)  # x1^3 d1
+    with pytest.raises(UnsupportedOperatorError):
+        operator_matrix(pseudo_translation_op(2, 0) + derivative_op(2, 0), V, 1)
+
+
+def test_matrix_path_does_not_call_act(monkeypatch):
+    import projrep.action as action_mod
+    from projrep.glmodules import DominantLabels, build_irreducible
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("operator matrices must not be built column by column with act()")
+
+    monkeypatch.setattr(action_mod, "act", forbidden)
+    V = build_irreducible(DominantLabels(2, (1,), F(1, 2)))
+    m = operator_matrix(pseudo_translation_op(2, 0), V, 2)
+    assert (m.rows, m.cols) == (graded_dimension(V, 3), graded_dimension(V, 2))
+    assert verify_bracket_consistency(2, V, 2)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from projrep.cli import main
-from projrep.errors import ConsistencyViolationError
+from projrep.errors import ConsistencyViolationError, MultiplicityAnomalyError
+from projrep.linalg import DegenerateSpectrumError
 
 
 def run(capsys, *argv):
@@ -162,3 +163,34 @@ def test_bad_scalar_exit_code(capsys, text, message):
     code, _, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", text)
     assert code == 1
     assert f"invalid rational {text!r}: {message}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "-n", "0", "-a", "", "-b", "0"], "argument -n: must be at least 1, got 0"),
+    (["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "-1"], "argument -k: must be at least 0, got -1"),
+    (["selfcheck", "--n-max", "0"], "argument --n-max: must be at least 1, got 0"),
+    (["selfcheck", "--degree-cap", "-1"], "argument --degree-cap: must be at least 0, got -1"),
+])
+def test_out_of_range_integer_argument_exit_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, argv, error", [
+    ("tensor_projector", ["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "1"],
+     DegenerateSpectrumError(1, (0, 1))),
+    ("jordan_holder", ["analyze", "-n", "2", "-a", "0", "-b", "0"],
+     MultiplicityAnomalyError("synthetic anomaly")),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, target, argv, error):
+    import projrep.cli as cli
+
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, boom)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"consistency violation: {error}" in err
