@@ -20,12 +20,8 @@ from .glmodules import (
     DominantLabels,
     GlModule,
     build_irreducible,
-    highest_weight_vectors,
-    module_from_json,
-    module_to_json,
     pieri_index_set,
     weight_from_labels,
-    weight_of_vector,
     weyl_dimension,
 )
 from .action import (
@@ -59,7 +55,6 @@ from .irreducibility import (
     q_coefficient,
     q_coefficient_bruteforce,
     residual_summands,
-    tensor_action_map,
     up_submodule_rank,
 )
 

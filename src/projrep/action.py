@@ -41,7 +41,6 @@ __all__ = [
     "graded_dimension",
     "monomials_of_degree",
     "operator_matrix",
-    "operator_matrix_json",
     "projective_components",
     "pseudo_translation_op",
     "scaling_op",
@@ -548,24 +547,9 @@ def operator_matrix(op, V, k, shift=None):
                 raise ValueError("declared shift contradicts the operator")
         src = graded_basis(V, k)
         dst = graded_basis(V, k + op_shift)
-        return Matrix._trusted(dst.dim, src.dim, _assemble(op, V, src, dst), src.labels)
+        return Matrix._trusted(dst.dim, src.dim, _assemble(op, V, src, dst))
 
     return module_memo(V, "matrix", (op, k, shift), build)
-
-
-def operator_matrix_json(op, V, k, shift=None):
-    """Sparse-triplet document for external inspection of one operator matrix."""
-    from .linalg import format_rational
-
-    m = operator_matrix(op, V, k, shift=shift)
-    return {
-        "degree": k,
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [
-            [r, c, format_rational(v)] for (r, c), v in sorted(m.entries.items())
-        ],
-    }
 
 
 def triangle_delta(i, j, k, V, degree=0):

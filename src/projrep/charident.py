@@ -6,7 +6,9 @@ the plain generator grid together with its negated transpose.  Each satisfies
 a polynomial identity with explicitly predictable rational roots; the Lagrange
 interpolation idempotents cut tensor products with the (dual) vector
 representation into their isotypic pieces.  Everything is exact; a residual
-is either the zero matrix or the identity fails.
+is either the zero matrix or the identity fails.  The brute-force spectrum
+oracle finds the rational eigenvalues from the exact characteristic
+polynomial by an integer root search, with the standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
+    _int_scale,
     charpoly,
     eval_operator_polynomial,
     format_rational,
@@ -159,28 +162,28 @@ def tensor_projector(V, r, dual):
 def brute_force_spectrum(m, max_dim=48):
     """Exact rational spectrum oracle: (spectrum dict, is_complete).
 
-    Extracts the rational roots of the characteristic polynomial (computed by
-    exact Faddeev-LeVerrier, factored over Q) and measures each eigenspace by
-    rank deficiency.  is_complete reports whether the geometric multiplicities
+    With den clearing m's denominators, the characteristic polynomial of
+    den*m (exact Faddeev-LeVerrier) is monic with integer coefficients, so
+    its rational roots are integers t, and Gershgorin bounds |t| by the
+    largest absolute row sum of den*m.  Each candidate is tested by Horner's
+    rule, and each root t/den of m has its eigenspace measured by rank
+    deficiency.  is_complete reports whether the geometric multiplicities
     exhaust the dimension, i.e. the operator is diagonalizable over Q.
     """
-    import sympy
-
     if m.rows > max_dim:
         raise ValueError(f"spectrum oracle capped at dimension {max_dim}")
-    coeffs = charpoly(m)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in coeffs],
-        x,
-    )
+    den, ent = _int_scale(m)
+    scaled = Matrix(m.rows, m.cols, ent)
+    coeffs = charpoly(scaled)
+    bound = max((sum(map(abs, row.values())) for row in scaled.rowmap().values()), default=0)
     spectrum = {}
-    for factor, _mult in poly.factor_list()[1]:
-        if factor.degree() != 1:
-            continue
-        a, b = factor.all_coeffs()
-        root = Fraction(int(sympy.Rational(-b, a).p), int(sympy.Rational(-b, a).q))
-        g = _geometric_multiplicity(m, root)
-        if g:
-            spectrum[root] = g
+    for t in range(-bound, bound + 1):
+        value = 0
+        for c in coeffs:
+            value = value * t + c
+        if value == 0:
+            root = Fraction(t, den)
+            g = _geometric_multiplicity(m, root)
+            if g:
+                spectrum[root] = g
     return spectrum, sum(spectrum.values()) == m.rows

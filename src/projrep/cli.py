@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .charident import (
     adjoint_matrices,
@@ -74,10 +73,10 @@ def _at_least(lo):
 
 def _parse_labels(text, n):
     text = (text or "").strip()
-    if not text:
-        parts = ()
-    else:
-        parts = tuple(int(x) for x in text.split(","))
+    try:
+        parts = tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"-a expects comma-separated nonnegative integers, got {text!r}") from None
     if len(parts) != n - 1:
         raise ValueError(f"-a expects {n - 1} comma-separated labels for n={n}")
     return parts
@@ -275,7 +274,7 @@ def _add_module_args(p):
     p.add_argument("-n", type=_at_least(1), required=True, help="rank of the acting matrices")
     p.add_argument("-a", type=str, default="", help="comma-separated Dynkin labels (n-1 of them)")
     p.add_argument("-b", type=str, required=True, help="central scalar, integer or num/den")
-    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, help="refuse larger modules")
+    p.add_argument("--dim-cap", type=_at_least(1), default=DEFAULT_DIM_CAP, help="refuse larger modules")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
@@ -301,7 +300,7 @@ def main(argv=None):
     p_sc.add_argument("--n-max", type=_at_least(1), default=2)
     p_sc.add_argument("--degree-cap", type=_at_least(0), default=4)
     p_sc.add_argument("--seed", type=int, default=0)
-    p_sc.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    p_sc.add_argument("--dim-cap", type=_at_least(1), default=DEFAULT_DIM_CAP)
     p_sc.add_argument("--json", action="store_true")
     p_sc.set_defaults(fn=cmd_selfcheck)
 

@@ -19,33 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import (
-    EchelonSpan,
-    Matrix,
-    add_into,
-    format_rational,
-    joint_kernel,
-    kron,
-    parse_rational,
-)
+from .linalg import EchelonSpan, Matrix
 
 __all__ = [
     "DominantLabels",
     "GlModule",
     "build_irreducible",
     "dominant_gaps",
-    "highest_weight_vectors",
-    "module_from_json",
     "module_memo",
-    "module_to_json",
     "pieri_index_set",
-    "tensor_generator",
-    "tensor_weights",
     "validate_module",
     "weight_add",
     "weight_from_labels",
-    "weight_indicator_projector",
-    "weight_of_vector",
     "weyl_dimension",
 ]
 
@@ -93,30 +78,6 @@ def weight_from_labels(labels):
     a = labels.dynkin
     shift = Fraction(labels.b - sum((i + 1) * ai for i, ai in enumerate(a)), n)
     return tuple(sum(a[j:]) + shift for j in range(n - 1)) + (shift,)
-
-
-def weight_of_vector(labels, lowering_counts):
-    """Weight reached from the top by k_i applications of each simple lowering.
-
-    `lowering_counts` is the (n-1)-tuple (k_1, ..., k_{n-1}); the result is
-    the highest weight minus sum k_i * (eps_i - eps_{i+1}).
-    """
-    n = labels.n
-    k = tuple(int(x) for x in lowering_counts)
-    if len(k) != n - 1:
-        raise ValueError(f"expected {n - 1} lowering counts")
-    if any(x < 0 for x in k):
-        raise ValueError("lowering counts must be nonnegative")
-    a = labels.dynkin
-    shift = Fraction(labels.b - sum((i + 1) * ai for i, ai in enumerate(a)), n)
-    if n == 1:
-        return (shift,)
-    nu = [Fraction(0)] * n
-    nu[0] = sum(a) + shift - k[0]
-    nu[n - 1] = shift + k[n - 2]
-    for j in range(1, n - 1):
-        nu[j] = sum(a[j:]) + shift + k[j - 1] - k[j]
-    return tuple(nu)
 
 
 def weyl_dimension(mu):
@@ -383,99 +344,6 @@ def validate_module(V):
     if V.dim != weyl_dimension(V.highest_weight):
         fail("dimension does not match the Weyl formula")
     return True
-
-
-# -- maximal vectors -----------------------------------------------------------
-
-
-def highest_weight_vectors(space_dim, raising_ops, weight_projector):
-    """Basis of {v : E.v = 0 for all raising ops E} inside im(weight_projector).
-
-    Returns dense tuples, each scaled so its first nonzero entry is 1; the
-    empty list is a valid result.
-    """
-    for op in raising_ops:
-        if op.rows != space_dim or op.cols != space_dim:
-            raise ValueError("raising operator has wrong shape")
-    if weight_projector.rows != space_dim or weight_projector.cols != space_dim:
-        raise ValueError("weight projector has wrong shape")
-    span = EchelonSpan()
-    base = []
-    for j in range(space_dim):
-        col = weight_projector.column(j)
-        if col and span.insert(col) is not None:
-            base.append(col)
-    if not base:
-        return []
-    out = []
-    for coeffs in joint_kernel(raising_ops, base):
-        acc = {}
-        for x, vec in zip(coeffs, base):
-            add_into(acc, vec.items(), x)
-        dense = [Fraction(0)] * space_dim
-        for r, v in acc.items():
-            dense[r] = Fraction(v)
-        lead = next((v for v in dense if v != 0), None)
-        if lead is None:
-            continue
-        out.append(tuple(v / lead for v in dense))
-    return out
-
-
-# -- tensor products (diagonal action) ----------------------------------------
-
-
-def tensor_generator(V, W, i, j):
-    """E_{i+1,j+1} acting on V tensor W (V-index major in the flat ordering)."""
-    return kron(V.e(i, j), Matrix.identity(W.dim)) + kron(
-        Matrix.identity(V.dim), W.e(i, j)
-    )
-
-
-def tensor_weights(V, W):
-    return [
-        weight_add(wv, ww)
-        for wv in V.basis_weights
-        for ww in W.basis_weights
-    ]
-
-
-def weight_indicator_projector(weights, target):
-    """Diagonal 0/1 projector onto the positions carrying `target`."""
-    d = len(weights)
-    return Matrix(d, d, {(t, t): 1 for t, w in enumerate(weights) if tuple(w) == tuple(target)})
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def module_to_json(V):
-    entries = []
-    for i in range(V.n):
-        for j in range(V.n):
-            for (r, c), v in sorted(V.e(i, j).entries.items()):
-                f = Fraction(v)
-                entries.append([i, j, r, c, f.numerator, f.denominator])
-    return {
-        "n": V.n,
-        "dynkin": list(V.labels.dynkin),
-        "b": format_rational(V.b),
-        "dim": V.dim,
-        "highest_index": V.highest_index,
-        "weights": [[format_rational(x) for x in w] for w in V.basis_weights],
-        "action": entries,
-    }
-
-
-def module_from_json(doc):
-    labels = DominantLabels(doc["n"], tuple(doc["dynkin"]), parse_rational(doc["b"]))
-    n, d = doc["n"], doc["dim"]
-    weights = [tuple(parse_rational(x) for x in w) for w in doc["weights"]]
-    grids = [[{} for _ in range(n)] for _ in range(n)]
-    for i, j, r, c, num, den in doc["action"]:
-        grids[i][j][(r, c)] = Fraction(num, den)
-    action = [[Matrix(d, d, grids[i][j]) for j in range(n)] for i in range(n)]
-    return GlModule(labels, weights, action, highest_index=doc["highest_index"])
 
 
 # -- caches: constructed modules, and memo tables per module ---------------------

@@ -25,13 +25,12 @@ from .action import (
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
-    format_rational,
     module_memo,
     pieri_index_set,
     weight_add,
     weyl_dimension,
 )
-from .linalg import Matrix, add_into, hstack, joint_kernel, rank
+from .linalg import Matrix, add_into, format_rational, joint_kernel, rank
 
 __all__ = [
     "CriterionWitness",
@@ -45,7 +44,6 @@ __all__ = [
     "q_coefficient",
     "q_coefficient_bruteforce",
     "residual_summands",
-    "tensor_action_map",
     "up_submodule_matrix",
     "up_submodule_rank",
 ]
@@ -175,13 +173,12 @@ def up_submodule_matrix(V, k):
     """The degree-k chain matrix: columns are all ordered p-products applied
     to the degree-zero basis, in lexicographic chain order."""
     gb = graded_basis(V, k)
-    cols = []
-    labels = []
-    for c in monomials_of_degree(V.n, k):
-        for q in range(V.dim):
-            cols.append(_p_chain_vector(V, c, q))
-            labels.append((c, q))
-    return Matrix.from_cols(cols, gb.dim, col_labels=labels)
+    cols = [
+        _p_chain_vector(V, c, q)
+        for c in monomials_of_degree(V.n, k)
+        for q in range(V.dim)
+    ]
+    return Matrix.from_cols(cols, gb.dim)
 
 
 def _label_weight(V, mono, q):
@@ -296,15 +293,6 @@ def first_rank_deficiency(V, k_max):
         if up_submodule_rank(V, j) < graded_dimension(V, j):
             return j
     return None
-
-
-def tensor_action_map(V, j):
-    """Matrix of the degree-raising intertwiner: column block i holds the
-    action of the i-th pseudo-translation on the degree-j basis."""
-    return hstack([
-        operator_matrix(pseudo_translation_op(V.n, i), V, j)
-        for i in range(V.n)
-    ])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ because Python ints and Fractions are unbounded.  The public ``Matrix(...)``
 constructor validates and normalizes its entries; the results of the
 module's own exact operations are clean by construction and are wrapped by
 ``Matrix._trusted`` without that second pass.
+
+There are two eliminations.  ``rank`` eliminates fraction-free on primitive
+integer rows.  Everything that needs coordinates or relations (the
+incremental spans of module construction, and ``kernel_basis``) goes through
+one Fraction elimination, ``EchelonSpan``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "format_rational",
     "hstack",
     "idempotent_from_spectrum",
-    "invert",
     "joint_kernel",
     "kernel_basis",
     "kron",
@@ -105,13 +109,11 @@ class Matrix:
     returns a fresh Matrix, so concurrent reads are safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "col_labels", "_colmap", "_rowmap")
+    __slots__ = ("rows", "cols", "entries", "_colmap", "_rowmap")
 
-    def __init__(self, rows, cols, entries=None, col_labels=None):
+    def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        if col_labels is not None and len(col_labels) != cols:
-            raise ValueError("col_labels length mismatch")
         self.rows = rows
         self.cols = cols
         clean = {}
@@ -124,21 +126,19 @@ class Matrix:
                 if v != 0:
                     clean[(r, c)] = v
         self.entries = clean
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
         self._colmap = None
         self._rowmap = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows, cols, entries, col_labels=None):
+    def _trusted(cls, rows, cols, entries):
         """Wrap entries that are already clean: in range, nonzero, exact,
         integral values stored as ints.  Only for results computed here."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.entries = entries
-        m.col_labels = col_labels
         m._colmap = None
         m._rowmap = None
         return m
@@ -165,13 +165,13 @@ class Matrix:
         return cls(rows, cols, ent)
 
     @classmethod
-    def from_cols(cls, columns, rows, col_labels=None):
+    def from_cols(cls, columns, rows):
         ent = {}
         for c, col in enumerate(columns):
             for r, v in col.items():
                 if v != 0:
                     ent[(r, c)] = v
-        return cls(rows, len(columns), ent, col_labels=col_labels)
+        return cls(rows, len(columns), ent)
 
     # -- cached adjacency --------------------------------------------------
 
@@ -205,9 +205,6 @@ class Matrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
-
     def __add__(self, other):
         return self._merge(other, other.entries.items())
 
@@ -224,21 +221,17 @@ class Matrix:
                 del ent[k]
             else:
                 ent[k] = _norm(s)
-        return Matrix._trusted(self.rows, self.cols, ent, self.col_labels)
+        return Matrix._trusted(self.rows, self.cols, ent)
 
     def __neg__(self):
-        return Matrix._trusted(
-            self.rows, self.cols, {k: -v for k, v in self.entries.items()}, self.col_labels
-        )
+        return Matrix._trusted(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, s):
         _check_scalar(s)
         if s == 0:
             return Matrix.zeros(self.rows, self.cols)
         return Matrix._trusted(
-            self.rows, self.cols,
-            {k: _norm(v * s) for k, v in self.entries.items()},
-            self.col_labels,
+            self.rows, self.cols, {k: _norm(v * s) for k, v in self.entries.items()}
         )
 
     def transpose(self):
@@ -248,12 +241,6 @@ class Matrix:
 
     def is_zero(self):
         return not self.entries
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        t = sum(v for (r, c), v in self.entries.items() if r == c)
-        return _norm(Fraction(t)) if not isinstance(t, int) else t
 
     def column(self, j):
         return dict(self.colmap().get(j, {}))
@@ -292,7 +279,7 @@ class Matrix:
             for r, v in acc.items():
                 if v != 0:
                     ent[(r, j)] = _norm(v)
-        return Matrix._trusted(self.rows, other.cols, ent, other.col_labels)
+        return Matrix._trusted(self.rows, other.cols, ent)
 
     def to_dense(self):
         return [[self.entries.get((r, c), 0) for c in range(self.cols)] for r in range(self.rows)]
@@ -322,17 +309,13 @@ def hstack(mats):
     rows = mats[0].rows
     ent = {}
     off = 0
-    labels = []
-    has_labels = all(m.col_labels is not None for m in mats)
     for m in mats:
         if m.rows != rows:
             raise ValueError("row count mismatch in hstack")
         for (r, c), v in m.entries.items():
             ent[(r, c + off)] = v
-        if has_labels:
-            labels.extend(m.col_labels)
         off += m.cols
-    return Matrix._trusted(rows, off, ent, tuple(labels) if has_labels else None)
+    return Matrix._trusted(rows, off, ent)
 
 
 def kron(a, b):
@@ -416,52 +399,30 @@ def rank(m):
     return rk
 
 
-def _rref(m):
-    """Reduced row echelon form over Fractions: (rows, pivot_cols)."""
-    rows = [dict(r) for r in m.rowmap().values()]
-    pivots = []
-    reduced = []
-    for col in range(m.cols):
-        pidx = None
-        for idx, row in enumerate(rows):
-            if col in row:
-                pidx = idx
-                break
-        if pidx is None:
-            continue
-        piv = rows.pop(pidx)
-        pv = piv[col]
-        piv = {c: _norm(Fraction(v, 1) / pv) for c, v in piv.items()}
-        for other in (rows, reduced):
-            for i, row in enumerate(other):
-                rv = row.get(col)
-                if rv is None:
-                    continue
-                other[i] = add_into(dict(row), piv.items(), -rv)
-        rows = [r for r in rows if r]
-        reduced.append(piv)
-        pivots.append(col)
-    return reduced, pivots
-
-
 def kernel_basis(m):
-    """Basis of the right null space; each vector's first nonzero entry is 1."""
-    reduced, pivots = _rref(m)
-    pivot_set = set(pivots)
+    """Basis of the right null space, one vector per dependent column.
+
+    The columns enter an EchelonSpan from left to right.  A column that
+    depends on the ones before it gives the relation its reduction records:
+    1 at that column, 0 at every other dependent column.  Each vector is then
+    scaled so its first nonzero entry is 1, which makes this the reduced
+    basis read off the reduced row echelon form.
+    """
+    span = EchelonSpan()
+    cm = m.colmap()
+    independent = []  # the column of each basis id
     basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
+    for j in range(m.cols):
+        new_id, comb = span._insert(cm.get(j, {}))
+        if new_id is not None:
+            independent.append(j)
             continue
+        at = independent + [j]
         vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            coeff = row.get(free)
-            if coeff:
-                vec[p] = -Fraction(coeff)
+        for i, v in comb.items():
+            vec[at[i]] = Fraction(v)
         lead = next(v for v in vec if v != 0)
-        if lead != 1:
-            vec = [v / lead for v in vec]
-        basis.append(tuple(vec))
+        basis.append(tuple(v / lead for v in vec))
     return basis
 
 
@@ -476,25 +437,6 @@ def joint_kernel(ops, vectors):
                 ent[(off + r, c)] = v
         off += op.rows
     return kernel_basis(Matrix(off, len(vectors), ent))
-
-
-def invert(m):
-    """Exact inverse of a square matrix (raises on singular input)."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = {k: v for k, v in m.entries.items()}
-    for i in range(n):
-        aug[(i, n + i)] = aug.get((i, n + i), 0) + 1
-    reduced, pivots = _rref(Matrix(n, 2 * n, aug))
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    ent = {}
-    for r, row in enumerate(reduced[:n]):
-        for c, v in row.items():
-            if c >= n and v != 0:
-                ent[(r, c - n)] = v
-    return Matrix(n, n, ent)
 
 
 # -- operator polynomials ----------------------------------------------------
@@ -530,7 +472,7 @@ def eval_operator_polynomial(op, roots):
                 break
         for i, v in w.items():
             ent[(i, j)] = _norm(v)
-    return Matrix._trusted(n, n, ent, op.col_labels)
+    return Matrix._trusted(n, n, ent)
 
 
 def idempotent_from_spectrum(op, target, others):
@@ -589,11 +531,19 @@ class EchelonSpan:
 
     def insert(self, vec):
         """Insert a sparse vector; returns its basis id, or None if dependent."""
+        return self._insert(vec)[0]
+
+    def _insert(self, vec):
+        """insert(vec) and the combination of its reduction: (id or None, comb).
+
+        comb maps basis ids, with vec under the next free id and coefficient
+        1, to coefficients; when vec is dependent their combination is 0.
+        """
         vec = {c: v for c, v in vec.items() if v != 0}
         new_id = self.dim
         residual, comb = self._reduce(vec, {new_id: 1})
         if not residual:
-            return None
+            return None, comb
         pcol = min(residual)
         pval = residual[pcol]
         if pval != 1:
@@ -603,11 +553,7 @@ class EchelonSpan:
         self._pivots[pcol] = len(self._rows)
         self._rows.append((residual, comb))
         self.dim += 1
-        return new_id
-
-    def contains(self, vec):
-        residual, _ = self._reduce({c: v for c, v in vec.items() if v != 0}, {})
-        return not residual
+        return new_id, comb
 
     def coords(self, vec):
         """Coefficients over the inserted basis, or None if vec is outside."""

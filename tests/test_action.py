@@ -281,21 +281,6 @@ def test_witt_bracket_antisymmetry_and_jacobi():
         projective_components(u.bracket(w))
 
 
-def test_operator_matrix_json_triplets():
-    import json
-
-    from projrep.action import operator_matrix_json
-
-    V = cached_module(2, (1,), F(1))
-    doc = json.loads(json.dumps(operator_matrix_json(pseudo_translation_op(2, 0), V, 0)))
-    assert doc["rows"] == 4 and doc["cols"] == 2 and doc["degree"] == 0
-    rebuilt = Matrix(
-        doc["rows"], doc["cols"],
-        {(r, c): F(v) for r, c, v in doc["entries"]},
-    )
-    assert rebuilt == operator_matrix(pseudo_translation_op(2, 0), V, 0)
-
-
 def test_operator_matrix_matches_act_composition():
     # matrices compose exactly like repeated act() application
     V = cached_module(2, (1,), F(1))

@@ -115,7 +115,8 @@ def test_usage_error_exit_code(capsys):
 
 def test_bad_labels_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "-n", "2", "-a", "zzz", "-b", "0")
-    assert code == 1 and "error" in err
+    assert code == 1
+    assert "error: -a expects comma-separated nonnegative integers, got 'zzz'" in err
 
 
 def test_label_arity_checked(capsys):
@@ -170,6 +171,9 @@ def test_bad_scalar_exit_code(capsys, text, message):
     (["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "-1"], "argument -k: must be at least 0, got -1"),
     (["selfcheck", "--n-max", "0"], "argument --n-max: must be at least 1, got 0"),
     (["selfcheck", "--degree-cap", "-1"], "argument --degree-cap: must be at least 0, got -1"),
+    (["analyze", "-n", "2", "-a", "1", "-b", "0", "--dim-cap", "-1"],
+     "argument --dim-cap: must be at least 1, got -1"),
+    (["selfcheck", "--dim-cap", "0"], "argument --dim-cap: must be at least 1, got 0"),
 ])
 def test_out_of_range_integer_argument_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

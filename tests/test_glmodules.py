@@ -1,29 +1,22 @@
-import json
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from projrep.action import graded_basis, monomials_of_degree, operator_matrix, scaling_op
 from projrep.errors import DimensionCapError
 from projrep.glmodules import (
     DominantLabels,
     build_irreducible,
     cached_module,
     dominant_gaps,
-    highest_weight_vectors,
-    module_from_json,
-    module_to_json,
     pieri_index_set,
-    tensor_generator,
-    tensor_weights,
     validate_module,
     weight_add,
     weight_from_labels,
-    weight_indicator_projector,
-    weight_of_vector,
     weyl_dimension,
 )
+from projrep.linalg import joint_kernel
 
 SMALL_SWEEP = [
     (1, (), F(0)), (1, (), F(-2)), (1, (), F(1, 2)),
@@ -36,31 +29,6 @@ def test_weight_from_labels_examples():
     assert weight_from_labels(DominantLabels(2, (0,), F(0))) == (0, 0)
     assert weight_from_labels(DominantLabels(2, (1,), F(1))) == (1, 0)
     assert weight_from_labels(DominantLabels(3, (1, 0), F(1))) == (1, 0, 0)
-
-
-def test_weight_of_vector_examples():
-    lab = DominantLabels(2, (1,), F(1))
-    assert weight_of_vector(lab, (0,)) == weight_from_labels(lab)
-    assert weight_of_vector(lab, (1,)) == (0, 1)
-    assert weight_of_vector(DominantLabels(3, (1, 0), F(1)), (1, 0)) == (0, 1, 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.data(),
-)
-def test_weight_of_vector_is_root_shift(n, data):
-    dynkin = tuple(data.draw(st.integers(0, 3)) for _ in range(n - 1))
-    b = data.draw(st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
-    ks = tuple(data.draw(st.integers(0, 3)) for _ in range(n - 1))
-    lab = DominantLabels(n, dynkin, b)
-    nu = weight_of_vector(lab, ks)
-    expected = list(weight_from_labels(lab))
-    for i, k in enumerate(ks):
-        expected[i] -= k
-        expected[i + 1] += k
-    assert nu == tuple(expected)
 
 
 def test_weyl_dimension_examples():
@@ -133,33 +101,6 @@ def test_dimension_cap():
         build_irreducible(DominantLabels(3, (9, 9), F(0)), dim_cap=100)
 
 
-def test_serialization_roundtrip():
-    V = cached_module(3, (1, 1), F(1, 2))
-    doc = json.loads(json.dumps(module_to_json(V)))
-    W = module_from_json(doc)
-    assert W.dim == V.dim
-    assert W.basis_weights == V.basis_weights
-    assert W.labels == V.labels
-    assert all(W.e(i, j) == V.e(i, j) for i in range(3) for j in range(3))
-
-
-def test_highest_weight_vectors_trivial_space():
-    vecs = highest_weight_vectors(1, [], weight_indicator_projector([(0,)], (0,)))
-    assert vecs == [(F(1),)]
-
-
-def test_highest_weight_vectors_tensor_square():
-    V = cached_module(2, (1,), F(1))
-    tw = tensor_weights(V, V)
-    raising = [tensor_generator(V, V, 0, 1)]
-    top = highest_weight_vectors(4, raising, weight_indicator_projector(tw, (2, 0)))
-    assert top == [(F(1), F(0), F(0), F(0))]
-    mid = highest_weight_vectors(4, raising, weight_indicator_projector(tw, (1, 1)))
-    assert mid == [(F(0), F(1), F(-1), F(0))]
-    none = highest_weight_vectors(4, raising, weight_indicator_projector(tw, (0, 2)))
-    assert none == []
-
-
 @pytest.mark.parametrize("n,dynkin,b,k", [
     (2, (1,), F(1), 1),
     (2, (1,), F(1), 2),
@@ -168,20 +109,21 @@ def test_highest_weight_vectors_tensor_square():
     (3, (1, 1), F(0), 2),
 ])
 def test_tensor_multiplicity_free(n, dynkin, b, k):
-    """Each admissible shift yields exactly one maximal vector; others none."""
+    """Under the scalings the degree-k piece is S^k tensor V: each admissible
+    shift yields exactly one maximal vector, every other shift none."""
     V = cached_module(n, dynkin, b)
-    W = cached_module(n, (k,) + (0,) * (n - 2), F(k))  # degree-k symmetric power
-    assert W.dim == math.comb(k + n - 1, n - 1)
+    gb = graded_basis(V, k)
+    assert gb.dim == V.dim * math.comb(k + n - 1, n - 1)
     mu = V.highest_weight
-    dim = V.dim * W.dim
-    tw = tensor_weights(V, W)
-    raising = [tensor_generator(V, W, i, j) for i in range(n) for j in range(n) if i < j]
+    raisers = [
+        operator_matrix(scaling_op(n, i, j), V, k) for i in range(n) for j in range(i + 1, n)
+    ]
     admissible = set(pieri_index_set(mu, k))
-    from projrep.action import monomials_of_degree
-
     for c in monomials_of_degree(n, k):
         target = weight_add(mu, c)
-        found = highest_weight_vectors(
-            dim, raising, weight_indicator_projector(tw, target)
-        )
+        support = [
+            {pos: 1} for pos, (mono, q) in enumerate(gb.labels)
+            if weight_add(V.basis_weights[q], mono) == target
+        ]
+        found = joint_kernel(raisers, support)
         assert len(found) == (1 if c in admissible else 0), (c, len(found))

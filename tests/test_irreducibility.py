@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from projrep.action import derivative_op, graded_dimension, operator_matrix
+from projrep.action import derivative_op, graded_dimension, operator_matrix, pseudo_translation_op
 from projrep.errors import ConsistencyViolationError
 from projrep.glmodules import (
     DominantLabels,
     cached_module,
+    pieri_index_set,
     weight_from_labels,
 )
 from projrep.irreducibility import (
@@ -19,7 +21,6 @@ from projrep.irreducibility import (
     q_coefficient,
     q_coefficient_bruteforce,
     residual_summands,
-    tensor_action_map,
     up_submodule_matrix,
     up_submodule_rank,
 )
@@ -107,7 +108,6 @@ def test_up_submodule_matrix_is_square_and_ordered():
     V = cached_module(2, (1,), F(1))
     m1 = up_submodule_matrix(V, 1)
     assert m1.rows == m1.cols == 4
-    assert m1.col_labels[0] == ((1, 0), 0) and m1.col_labels[-1] == ((0, 1), 1)
     # frozen degree-one chain columns for the vector module with b = 1
     assert m1 == Matrix.from_rows([
         [2, 0, 0, 0],
@@ -156,6 +156,29 @@ def test_criterion_equivalence_sweep():
             for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2)):
                 assert criterion_equivalence_check(mu_of(n, dynkin, b)), (n, dynkin, b)
     assert criterion_equivalence_check(mu_of(2, (2,), F(-1)))
+
+
+@st.composite
+def module_point(draw):
+    n = draw(st.integers(1, 3))
+    dynkin = tuple(draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)))
+    b = draw(st.sampled_from([F(-2), F(-1), F(0), F(1), F(2), F(1, 2), F(-3, 2), F(1, 3)]))
+    return n, dynkin, b
+
+
+@settings(max_examples=50, deadline=None)
+@given(module_point())
+def test_closed_forms_agree_with_brute_force(point):
+    # the closed-form verdict, its inequality form and the first brute-force
+    # rank deficiency through degree 4 agree; q_c matches its oracle for |c| <= 2
+    V = cached_module(*point)
+    mu = V.highest_weight
+    first = criterion(mu).first_failure_degree
+    assert criterion_equivalence_check(mu)
+    assert first_rank_deficiency(V, 4) == (first if first is not None and first <= 4 else None)
+    for j in range(3):
+        for c in pieri_index_set(mu, j):
+            assert q_coefficient(mu, c) == q_coefficient_bruteforce(V, c), c
 
 
 def test_residual_summands_examples():
@@ -254,6 +277,11 @@ def test_jordan_holder_rejects_irreducible():
 
 
 def test_tensor_action_map_examples():
+    # the degree-raising map: column block i is the i-th pseudo-translation
+    # on the degree-j basis
+    def tensor_action_map(V, j):
+        return hstack([operator_matrix(pseudo_translation_op(V.n, i), V, j) for i in range(V.n)])
+
     T = cached_module(2, (0,), F(0))
     tm = tensor_action_map(T, 0)
     assert tm.is_zero() and tm.rows == 2 and tm.cols == 2

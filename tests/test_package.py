@@ -32,3 +32,38 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
         env={**os.environ, "PYTHONPATH": src_dir}, cwd=src_dir,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_spectrum_oracle_runs_without_sympy():
+    # a None entry in sys.modules makes any `import sympy` raise ImportError
+    probe = (
+        "import sys; sys.modules['sympy'] = None\n"
+        "from fractions import Fraction\n"
+        "from projrep.charident import brute_force_spectrum, sigma2_tilde\n"
+        "from projrep.glmodules import cached_module\n"
+        "V = cached_module(2, (1,), Fraction(1))\n"
+        "spectrum, complete = brute_force_spectrum(sigma2_tilde(V).flattened)\n"
+        "print(sorted((str(r), g) for r, g in spectrum.items()), complete)\n"
+    )
+    src_dir = str(PACKAGE_DIR.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, cwd=src_dir,
+    )
+    assert done.stdout.strip() == "[('0', 1), ('2', 3)] True"
