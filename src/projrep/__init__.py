@@ -36,7 +36,6 @@ from .action import (
     verify_bracket_consistency,
 )
 from .charident import (
-    BlockOperator,
     SpectrumReport,
     adjoint_matrices,
     brute_force_spectrum,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
-    _int_scale,
+    _denominator,
     charpoly,
     eval_operator_polynomial,
     format_rational,
@@ -28,7 +28,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "BlockOperator",
     "SpectrumReport",
     "adjoint_matrices",
     "block_operator",
@@ -41,15 +40,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """n x n grid of dim(V)-square blocks plus its row-major flattening."""
-
-    grid: tuple
-    flattened: Matrix
-
-
 def block_operator(grid):
+    """Row-major flattening of an n x n grid of dim(V)-square blocks."""
     n = len(grid)
     d = grid[0][0].rows
     ent = {}
@@ -60,10 +52,7 @@ def block_operator(grid):
                 raise ValueError("ragged block grid")
             for (r, c), v in blk.entries.items():
                 ent[(i * d + r, j * d + c)] = v
-    return BlockOperator(
-        tuple(tuple(row) for row in grid),
-        Matrix(n * d, n * d, ent),
-    )
+    return Matrix(n * d, n * d, ent)
 
 
 def sigma2_tilde(V):
@@ -129,9 +118,8 @@ def _geometric_multiplicity(m, c):
 
 def check_characteristic_identity(op, roots):
     """Evaluate the product of (op - root) and measure each root's eigenspace."""
-    flat = op.flattened if isinstance(op, BlockOperator) else op
-    residual = eval_operator_polynomial(flat, list(roots))
-    mults = tuple(_geometric_multiplicity(flat, r) for r in roots)
+    residual = eval_operator_polynomial(op, list(roots))
+    mults = tuple(_geometric_multiplicity(op, r) for r in roots)
     return SpectrumReport(tuple(Fraction(r) for r in roots), residual.is_zero(), mults)
 
 
@@ -156,7 +144,7 @@ def tensor_projector(V, r, dual):
     for l in range(n):
         if l != r - 1 and roots[l] == target:
             raise DegenerateSpectrumError(target, (r, l + 1))
-    return idempotent_from_spectrum(op.flattened, target, others)
+    return idempotent_from_spectrum(op, target, others)
 
 
 def brute_force_spectrum(m, max_dim=48):
@@ -172,10 +160,10 @@ def brute_force_spectrum(m, max_dim=48):
     """
     if m.rows > max_dim:
         raise ValueError(f"spectrum oracle capped at dimension {max_dim}")
-    den, ent = _int_scale(m)
-    scaled = Matrix(m.rows, m.cols, ent)
-    coeffs = charpoly(scaled)
-    bound = max((sum(map(abs, row.values())) for row in scaled.rowmap().values()), default=0)
+    den = _denominator(m.entries.values())
+    # char_{den*m}(x) = den^n char_m(x/den)
+    coeffs = [int(c * den ** k) for k, c in enumerate(charpoly(m))]
+    bound = int(den * max((sum(map(abs, row.values())) for row in m.rowmap().values()), default=0))
     spectrum = {}
     for t in range(-bound, bound + 1):
         value = 0

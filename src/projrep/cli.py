@@ -273,7 +273,10 @@ def cmd_selfcheck(args):
 def _add_module_args(p):
     p.add_argument("-n", type=_at_least(1), required=True, help="rank of the acting matrices")
     p.add_argument("-a", type=str, default="", help="comma-separated Dynkin labels (n-1 of them)")
-    p.add_argument("-b", type=str, required=True, help="central scalar, integer or num/den")
+    p.add_argument(
+        "-b", type=str, required=True,
+        help="central scalar: an integer, num/den, or an exact decimal such as 0.5",
+    )
     p.add_argument("--dim-cap", type=_at_least(1), default=DEFAULT_DIM_CAP, help="refuse larger modules")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 

@@ -30,7 +30,7 @@ from .glmodules import (
     weight_add,
     weyl_dimension,
 )
-from .linalg import Matrix, add_into, format_rational, joint_kernel, rank
+from .linalg import EchelonSpan, Matrix, add_into, format_rational, joint_kernel
 
 __all__ = [
     "CriterionWitness",
@@ -188,32 +188,19 @@ def _label_weight(V, mono, q):
 def up_submodule_rank(V, k):
     """Dimension of the degree-k piece of the span of all p-chains.
 
-    Equal to the rank of the chain matrix; computed blockwise per weight
-    (each chain column is a weight vector), which is exact and much faster
-    than eliminating the full matrix.
+    Equal to the rank of the chain matrix.  Each chain vector is a weight
+    vector, so the vectors enter one EchelonSpan per weight, which is exact
+    and much faster than eliminating the full matrix.
     """
     if k == 0:
         return V.dim
-    gb = graded_basis(V, k)
-    row_groups = {}
-    for pos, (mono, q) in enumerate(gb.labels):
-        row_groups.setdefault(_label_weight(V, mono, q), {})[pos] = None
-    for w, rows in row_groups.items():
-        row_groups[w] = {pos: t for t, pos in enumerate(rows)}
-    blocks = {}
+    spans = {}
     for c in monomials_of_degree(V.n, k):
         for q in range(V.dim):
             vec = _p_chain_vector(V, c, q)
-            if not vec:
-                continue
-            w = _label_weight(V, c, q)
-            remap = row_groups[w]
-            blocks.setdefault(w, []).append({remap[pos]: v for pos, v in vec.items()})
-    total = 0
-    for w, cols in blocks.items():
-        nrows = len(row_groups[w])
-        total += rank(Matrix.from_cols(cols, nrows))
-    return total
+            if vec:
+                spans.setdefault(_label_weight(V, c, q), EchelonSpan()).insert(vec)
+    return sum(span.dim for span in spans.values())
 
 
 def maximal_vector(V, c):

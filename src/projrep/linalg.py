@@ -12,10 +12,12 @@ constructor validates and normalizes its entries; the results of the
 module's own exact operations are clean by construction and are wrapped by
 ``Matrix._trusted`` without that second pass.
 
-There are two eliminations.  ``rank`` eliminates fraction-free on primitive
-integer rows.  Everything that needs coordinates or relations (the
-incremental spans of module construction, and ``kernel_basis``) goes through
-one Fraction elimination, ``EchelonSpan``.
+There is one elimination, the fraction-free ``EchelonSpan``: it reduces
+integer vectors by integer row operations and records, for every echelon row,
+the integer combination of inserted vectors that it equals.  ``rank``, the
+spans of module construction, the chain ranks of the irreducibility check,
+``coords`` and ``kernel_basis`` all go through it; only the last two make
+fractions, when they read coefficients off a relation.
 """
 
 from __future__ import annotations
@@ -85,13 +87,16 @@ def add_into(acc, items, scale=1):
 
 
 def parse_rational(text):
-    """Parse '3', '-7' or 'num/den' into a Fraction (exact, never float)."""
+    """Parse '3', '-7', 'num/den' or a decimal like '0.5' into an exact Fraction."""
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"invalid rational {text!r}: zero denominator") from None
     except ValueError:
-        raise ValueError(f"invalid rational {text!r}: expected an integer or num/den") from None
+        raise ValueError(
+            f"invalid rational {text!r}: "
+            "expected an integer or num/den, or an exact decimal such as 0.5"
+        ) from None
 
 
 def format_rational(v):
@@ -292,19 +297,6 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-def _int_scale(m):
-    """Common-denominator integer form: (D, entries) with D*m integral."""
-    den = 1
-    for v in m.entries.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    ent = {
-        k: int(v * den) if den != 1 or isinstance(v, Fraction) else v
-        for k, v in m.entries.items()
-    }
-    return den, ent
-
-
 def hstack(mats):
     rows = mats[0].rows
     ent = {}
@@ -327,86 +319,42 @@ def kron(a, b):
     return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, ent)
 
 
-# -- elimination kernels ----------------------------------------------------
+# -- elimination ---------------------------------------------------------------
 
 
-def _primitive_int_rows(m):
-    """Rows of m scaled to primitive integer vectors (rank-preserving)."""
-    out = []
-    for r, row in m.rowmap().items():
-        den = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = {c: int(v * den) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
+def _denominator(values):
+    """Least common multiple of the denominators of exact scalars."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _combine(a, x, b, y):
+    """a*x - b*y on sparse integer vectors; reuses x when a is 1."""
+    out = {k: a * v for k, v in x.items()} if a != 1 else x
+    for k, v in y.items():
+        s = out.get(k, 0) - b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
     return out
 
 
 def rank(m):
-    """Rank over Q by fraction-free elimination on primitive integer rows.
-
-    Pivots are chosen per column by smallest bit length (ties: sparsest row,
-    then original order), which keeps coefficient growth tame; eliminated
-    rows are re-reduced by their gcd.  Deterministic for a given entry order.
-    """
-    rows = _primitive_int_rows(m)
-    rows = [r for r in rows if r]
-    rk = 0
-    for col in range(m.cols):
-        cand = None
-        for idx, row in enumerate(rows):
-            v = row.get(col)
-            if v is None:
-                continue
-            key = ((-v if v < 0 else v).bit_length(), len(row), idx)
-            if cand is None or key < cand[0]:
-                cand = (key, idx)
-        if cand is None:
-            continue
-        pidx = cand[1]
-        piv = rows.pop(pidx)
-        pv = piv[col]
-        rk += 1
-        nxt = []
-        for row in rows:
-            rv = row.get(col)
-            if rv is None:
-                nxt.append(row)
-                continue
-            new = {}
-            g = 0
-            for c in row.keys() | piv.keys():
-                w = pv * row.get(c, 0) - rv * piv.get(c, 0)
-                if w:
-                    new[c] = w
-                    if g != 1:
-                        g = math.gcd(g, w)
-            if new:
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                nxt.append(new)
-        rows = nxt
-        if not rows:
-            break
-    return rk
+    """Rank over Q: the dimension of the EchelonSpan of m's rows."""
+    span = EchelonSpan()
+    for row in m.rowmap().values():
+        span.insert(row)
+    return span.dim
 
 
 def kernel_basis(m):
     """Basis of the right null space, one vector per dependent column.
 
     The columns enter an EchelonSpan from left to right.  A column that
-    depends on the ones before it gives the relation its reduction records:
-    1 at that column, 0 at every other dependent column.  Each vector is then
-    scaled so its first nonzero entry is 1, which makes this the reduced
-    basis read off the reduced row echelon form.
+    depends on the ones before it gives the integer relation its reduction
+    ends with: nonzero at that column, 0 at every other dependent column.
+    Each vector is then scaled so its first nonzero entry is 1, which makes
+    this the reduced basis read off the reduced row echelon form.
     """
     span = EchelonSpan()
     cm = m.colmap()
@@ -418,11 +366,11 @@ def kernel_basis(m):
             independent.append(j)
             continue
         at = independent + [j]
+        lead = comb[min(comb)]  # ids follow column order
         vec = [Fraction(0)] * m.cols
         for i, v in comb.items():
-            vec[at[i]] = Fraction(v)
-        lead = next(v for v in vec if v != 0)
-        basis.append(tuple(v / lead for v in vec))
+            vec[at[i]] = Fraction(v, lead)
+        basis.append(tuple(vec))
     return basis
 
 
@@ -503,53 +451,60 @@ def idempotent_from_spectrum(op, target, others):
 class EchelonSpan:
     """Incrementally built subspace with exact membership and coordinates.
 
-    Stores an echelon basis of everything inserted so far, tracking how each
-    echelon row combines the independently-inserted vectors, so coords()
-    can express any member in terms of the insertion basis.
+    Fraction-free: an inserted vector is scaled to integers, and each echelon
+    row is an integer vector stored with the integer combination of inserted
+    vectors that it equals.  A reduction step replaces vec by a*vec - b*row,
+    where a and b are the row's pivot and vec's entry at that column over
+    their gcd; vec and its combination are then divided by their joint gcd.
+    No Fraction arises until coords() or kernel_basis reads coefficients
+    off a relation.
     """
 
     def __init__(self):
-        self._rows = []           # (vector dict, combination dict over insert ids)
-        self._pivots = {}         # pivot column -> row index
+        self._rows = []           # (integer vector, integer combination over insert ids)
+        self._pivots = {}         # pivot column -> row index; pivot entries are positive
         self.dim = 0
 
-    def _reduce(self, vec, comb):
-        vec = dict(vec)
+    def _reduce(self, vec, key):
+        """(residual, comb): the reduced integer vector and the combination,
+        with vec under `key`, of vec and the inserted vectors that it equals."""
+        den = _denominator(vec.values())
+        vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v != 0}
+        comb = {key: den}
+        pivots, rows = self._pivots, self._rows
         while True:
-            hit = None
-            for c in vec:
-                idx = self._pivots.get(c)
-                if idx is not None and (hit is None or c < hit[0]):
-                    hit = (c, idx)
+            hit = min((c for c in vec if c in pivots), default=None)
             if hit is None:
                 return vec, comb
-            c, idx = hit
-            f = vec[c]
-            rvec, rcomb = self._rows[idx]
-            add_into(vec, rvec.items(), -f)
-            add_into(comb, rcomb.items(), -f)
+            rvec, rcomb = rows[pivots[hit]]
+            g = math.gcd(rvec[hit], vec[hit])
+            a, b = rvec[hit] // g, vec[hit] // g
+            vec = _combine(a, vec, b, rvec)
+            comb = _combine(a, comb, b, rcomb)
+            g = math.gcd(*vec.values(), *comb.values())
+            if g != 1:
+                vec = {c: v // g for c, v in vec.items()}
+                comb = {c: v // g for c, v in comb.items()}
 
     def insert(self, vec):
         """Insert a sparse vector; returns its basis id, or None if dependent."""
         return self._insert(vec)[0]
 
     def _insert(self, vec):
-        """insert(vec) and the combination of its reduction: (id or None, comb).
+        """insert(vec) and the integer combination its reduction ends with.
 
-        comb maps basis ids, with vec under the next free id and coefficient
-        1, to coefficients; when vec is dependent their combination is 0.
+        The combination maps basis ids, with vec under the next free id, to
+        integers.  When vec is dependent it is a relation: the combination of
+        the vectors is 0, and vec's coefficient is nonzero.
         """
-        vec = {c: v for c, v in vec.items() if v != 0}
         new_id = self.dim
-        residual, comb = self._reduce(vec, {new_id: 1})
+        residual, comb = self._reduce(vec, new_id)
         if not residual:
             return None, comb
         pcol = min(residual)
-        pval = residual[pcol]
-        if pval != 1:
-            inv = Fraction(1, 1) / pval
-            residual = {c: _norm(v * inv) for c, v in residual.items()}
-            comb = {c: _norm(v * inv) for c, v in comb.items()}
+        if residual[pcol] < 0:
+            residual = {c: -v for c, v in residual.items()}
+            comb = {c: -v for c, v in comb.items()}
         self._pivots[pcol] = len(self._rows)
         self._rows.append((residual, comb))
         self.dim += 1
@@ -557,14 +512,14 @@ class EchelonSpan:
 
     def coords(self, vec):
         """Coefficients over the inserted basis, or None if vec is outside."""
-        residual, comb = self._reduce({c: v for c, v in vec.items() if v != 0}, {})
+        residual, comb = self._reduce(vec, self.dim)
         if residual:
             return None
-        # _reduce tracked comb for "vec - sum(...) = 0" with comb seeded empty,
-        # so vec = -sum over ids; flip signs.
+        # comb[dim] * vec + sum(comb[i] * vector i) = 0
+        lead = comb.pop(self.dim)
         out = [0] * self.dim
         for i, v in comb.items():
-            out[i] = _norm(-v)
+            out[i] = _norm(Fraction(-v, lead))
         return out
 
 
@@ -582,10 +537,10 @@ def charpoly(m):
     n = m.rows
     if n == 0:
         return [Fraction(1)]
-    den, ent = _int_scale(m)
+    den = _denominator(m.entries.values())
     a = [[0] * n for _ in range(n)]
-    for (r, c), v in ent.items():
-        a[r][c] = v
+    for (r, c), v in m.entries.items():
+        a[r][c] = v.numerator * (den // v.denominator)
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
     for k in range(1, n + 1):

@@ -9,6 +9,7 @@ verdict cannot depend on the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from .irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from .linalg import Matrix, add_into, hstack, kernel_basis, rank
+from .linalg import Matrix, add_into, hstack, kernel_basis, kron, rank
 
 __all__ = [
     "CheckRecord",
@@ -63,20 +64,19 @@ __all__ = [
     "eligible_indices",
 ]
 
-DEFAULT_B_VALUES = (
+MAX_LABEL = 2
+B_VALUES = (
     Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
     Fraction(1, 2), Fraction(-3, 2),
 )
 
 
-def standard_sweep(n_max=2, max_label=2, b_values=DEFAULT_B_VALUES):
-    """All (n, dynkin, b) with n <= n_max and labels up to max_label."""
-    import itertools
-
+def standard_sweep(n_max=2):
+    """All (n, dynkin, b) with n <= n_max, labels up to MAX_LABEL, b in B_VALUES."""
     for n in range(1, n_max + 1):
-        for dynkin in itertools.product(range(max_label + 1), repeat=n - 1):
-            for b in b_values:
-                yield n, dynkin, Fraction(b)
+        for dynkin in itertools.product(range(MAX_LABEL + 1), repeat=n - 1):
+            for b in B_VALUES:
+                yield n, dynkin, b
 
 
 def eligible_indices(mu, s):
@@ -232,8 +232,6 @@ def _tensor_equivariance_generators(V, dual):
     n = V.n
     idv = Matrix.identity(V.dim)
     idn = Matrix.identity(n)
-    from .linalg import kron
-
     gens = []
     for i in range(n):
         for j in range(n):
@@ -387,8 +385,6 @@ def check_derivative_chain_identity(V, rng, cases=6, k_max=3, delta=triangle_del
 
 def check_intertwiner(V, j_max=2):
     """Degree-raising map commutes with the scaling action, as full matrices."""
-    from .linalg import kron
-
     n = V.n
     idn = Matrix.identity(n)
     for j in range(j_max + 1):
@@ -463,12 +459,11 @@ class CheckRecord:
     detail: str
 
 
-def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000, max_label=2,
-                  b_values=DEFAULT_B_VALUES, progress=None):
+def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
     """Run every suite over the sweep; returns a list of CheckRecord."""
     rng = random.Random(seed)
     records = []
-    for n, dynkin, b in standard_sweep(n_max, max_label, b_values):
+    for n, dynkin, b in standard_sweep(n_max):
         point = (n, dynkin, b)
         V = cached_module(n, dynkin, b, dim_cap)
         checks = [
@@ -498,6 +493,4 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000, max_label=2,
             except ConsistencyViolationError as exc:
                 ok, detail = False, f"consistency violation: {exc}"
             records.append(CheckRecord(point, name, ok, detail))
-            if progress is not None:
-                progress(records[-1])
     return records

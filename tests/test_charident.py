@@ -37,15 +37,15 @@ SWEEP = [
 def test_sigma2_trivial_is_zero():
     T = cached_module(2, (0,), F(0))
     s = sigma2_tilde(T)
-    assert s.flattened.is_zero() and s.flattened.rows == 2
+    assert s.is_zero() and s.rows == 2
 
 
 def test_sigma2_vector_rep_trace_and_entries():
     V = cached_module(2, (1,), F(1))
     s = sigma2_tilde(V)
-    assert sum(v for (r, c), v in s.flattened.entries.items() if r == c) == 6
+    assert sum(v for (r, c), v in s.entries.items() if r == c) == 6
     # frozen from the hand computation of the degree-one chains
-    assert s.flattened == Matrix.from_rows([
+    assert s == Matrix.from_rows([
         [2, 0, 0, 0],
         [0, 1, 1, 0],
         [0, 1, 1, 0],
@@ -57,7 +57,7 @@ def test_sigma2_trivial_higher_rank_scalar():
     # E_ii acts by t/3 on the trivial module, so every diagonal block is 4t/3
     for t in (F(5), F(-1), F(2, 3)):
         T = cached_module(3, (0, 0), t)
-        assert sigma2_tilde(T).flattened == Matrix.identity(3).scale(F(4, 3) * t)
+        assert sigma2_tilde(T) == Matrix.identity(3).scale(F(4, 3) * t)
 
 
 def test_predicted_sigma2_roots_examples():
@@ -78,7 +78,7 @@ def test_check_identity_examples():
     rep_v = check_characteristic_identity(sigma2_tilde(V), [2, 0])
     assert rep_v.residual_is_zero and rep_v.multiplicities == (3, 1)
     # feeding the full brute-force spectrum always annihilates
-    spectrum, complete = brute_force_spectrum(sigma2_tilde(V).flattened)
+    spectrum, complete = brute_force_spectrum(sigma2_tilde(V))
     assert complete
     rep_full = check_characteristic_identity(sigma2_tilde(V), sorted(spectrum))
     assert rep_full.residual_is_zero
@@ -87,7 +87,7 @@ def test_check_identity_examples():
 def test_adjoint_examples():
     T = cached_module(2, (0,), F(0))
     m, mt = adjoint_matrices(T)
-    assert m.flattened.is_zero() and mt.flattened.is_zero()
+    assert m.is_zero() and mt.is_zero()
     d, dt = predicted_adjoint_roots((F(0), F(0)))
     assert d == [1, 0] and dt == [0, 1]
     assert check_characteristic_identity(m, d).residual_is_zero
@@ -104,9 +104,16 @@ def test_adjoint_block_transpose_relation():
     V = cached_module(3, (1, 1), F(1, 2))
     m, mt = adjoint_matrices(V)
     n, dv = V.n, V.dim
+
+    def block(op, i, j):
+        return Matrix(dv, dv, {
+            (r - i * dv, c - j * dv): v for (r, c), v in op.entries.items()
+            if r // dv == i and c // dv == j
+        })
+
     for i in range(n):
         for j in range(n):
-            assert mt.grid[i][j] == -m.grid[j][i]
+            assert block(mt, i, j) == -block(m, j, i)
 
 
 def test_projector_examples():
@@ -188,7 +195,7 @@ def test_spectrum_oracle_confirms_closed_forms(n, dynkin, b):
     """The rational-root oracle finds exactly the predicted roots."""
     V = cached_module(n, dynkin, b)
     mu = V.highest_weight
-    spectrum, complete = brute_force_spectrum(sigma2_tilde(V).flattened)
+    spectrum, complete = brute_force_spectrum(sigma2_tilde(V))
     assert complete
     predicted = predicted_sigma2_roots(mu)
     i1 = eligible_indices(mu, 1)
@@ -199,5 +206,5 @@ def test_spectrum_oracle_confirms_closed_forms(n, dynkin, b):
     assert realized <= expected
     m, _ = adjoint_matrices(V)
     d, _ = predicted_adjoint_roots(mu)
-    spec_m, complete_m = brute_force_spectrum(m.flattened)
+    spec_m, complete_m = brute_force_spectrum(m)
     assert complete_m and set(spec_m) <= set(d)

@@ -44,6 +44,14 @@ def test_analyze_table_and_json_agree(capsys):
         assert f"q = {row['q']}" in out_tab
 
 
+def test_analyze_decimal_scalar_is_exact(capsys):
+    # -b is read by Fraction, so 0.5 is exactly 1/2
+    code, decimal, _ = run(capsys, "analyze", "--json", "-n", "2", "-a", "1", "-b", "0.5")
+    code2, fraction, _ = run(capsys, "analyze", "--json", "-n", "2", "-a", "1", "-b", "1/2")
+    assert code == code2 == 0
+    assert decimal == fraction
+
+
 def test_analyze_smallest_case(capsys):
     code, out, _ = run(capsys, "analyze", "-n", "1", "-a", "", "-b", "0")
     assert code == 0

@@ -151,6 +151,11 @@ def test_parse_format_rational():
     assert format_rational(F(6, 2)) == "3"
 
 
+def test_parse_rational_error_names_every_accepted_form():
+    with pytest.raises(ValueError, match="integer or num/den, or an exact decimal such as 0.5"):
+        parse_rational("x/2")
+
+
 # -- properties ------------------------------------------------------------------
 
 small_frac = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -286,6 +291,104 @@ def test_echelon_span_membership_and_coords(rows):
                 else:
                     rebuilt[i] = s
         assert rebuilt == vec
+
+
+# -- an independent elimination oracle -------------------------------------------
+
+
+def gauss_jordan(rows, cols):
+    """Dense Fraction Gauss-Jordan: (nonzero rows of the RREF, pivot columns)."""
+    a = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+def oracle_kernel(rows, cols):
+    """The null-space basis read off the RREF, one vector per free column,
+    each scaled so its first nonzero entry is 1."""
+    rref, pivots = gauss_jordan(rows, cols)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = [F(0)] * cols
+        vec[f] = F(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[f]
+        lead = next(v for v in vec if v != 0)
+        basis.append(tuple(v / lead for v in vec))
+    return basis
+
+
+def oracle_coords(inserted, vec, cols):
+    """Coefficients of vec over the independent vectors `inserted`, or None."""
+    aug = [[base[i] for base in inserted] + [vec[i]] for i in range(cols)]
+    rref, pivots = gauss_jordan(aug, len(inserted) + 1)
+    if len(inserted) in pivots:
+        return None
+    return [row[-1] for row in rref]
+
+
+huge_int = st.one_of(
+    st.just(0),
+    st.integers(-4, 4).map(lambda d: 2 ** 70 + d),
+    st.integers(-4, 4).map(lambda d: -(2 ** 70) + d),
+)
+
+
+@st.composite
+def dense_rows(draw):
+    """Rows of a random rational matrix up to 7x7 (zeros included) or of an
+    integer matrix with entries near 2**70; some rows are integer combinations
+    of earlier ones, so ranks are often deficient."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    scalar = draw(st.sampled_from([st.one_of(st.just(0), small_frac), huge_int]))
+    data = []
+    for _ in range(rows):
+        if data and draw(st.booleans()):
+            x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            a, b = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+            data.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            data.append(draw(st.lists(scalar, min_size=cols, max_size=cols)))
+    return data, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_rows(), st.lists(small_frac, min_size=7, max_size=7))
+def test_elimination_matches_dense_gauss_jordan(drawn, extra):
+    data, cols = drawn
+    m = Matrix.from_rows(data)
+    rref, _ = gauss_jordan(data, cols)
+    assert rank(m) == rank(m.transpose()) == len(rref)
+    assert kernel_basis(m) == oracle_kernel(data, cols)
+
+    span = EchelonSpan()
+    inserted = []
+    for row in data:
+        new_id = span.insert({i: v for i, v in enumerate(row) if v != 0})
+        if new_id is not None:
+            assert new_id == len(inserted)
+            inserted.append(row)
+    assert span.dim == len(rref) == len(inserted)
+    assert gauss_jordan(inserted, cols)[0] == rref
+    combination = [sum(x * row[i] for x, row in zip(extra, data)) for i in range(cols)]
+    for vec in data + [combination, extra[:cols]]:
+        coords = span.coords({i: v for i, v in enumerate(vec) if v != 0})
+        assert coords == oracle_coords(inserted, vec, cols)
 
 
 sparse_scalar = st.one_of(st.just(0), small_frac)

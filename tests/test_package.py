@@ -58,7 +58,7 @@ def test_spectrum_oracle_runs_without_sympy():
         "from projrep.charident import brute_force_spectrum, sigma2_tilde\n"
         "from projrep.glmodules import cached_module\n"
         "V = cached_module(2, (1,), Fraction(1))\n"
-        "spectrum, complete = brute_force_spectrum(sigma2_tilde(V).flattened)\n"
+        "spectrum, complete = brute_force_spectrum(sigma2_tilde(V))\n"
         "print(sorted((str(r), g) for r, g in spectrum.items()), complete)\n"
     )
     src_dir = str(PACKAGE_DIR.parent)
