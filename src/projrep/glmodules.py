@@ -13,8 +13,6 @@ E_{i,i} eigenvalue.
 from __future__ import annotations
 
 import itertools
-import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +23,7 @@ __all__ = [
     "DominantLabels",
     "GlModule",
     "build_irreducible",
+    "clear_caches",
     "dominant_gaps",
     "module_memo",
     "pieri_index_set",
@@ -124,7 +123,8 @@ class GlModule:
     """Concrete gl(n)-module: weights per basis vector and all E_{i,j} matrices.
 
     ``action[i][j]`` is the matrix of E_{i+1,j+1} (0-based storage of the
-    1-based generators).  Instances are immutable after construction.
+    1-based generators).  Instances are immutable after construction;
+    ``memo`` holds the derived data that ``module_memo`` caches for them.
     """
 
     def __init__(self, labels, basis_weights, action, highest_index=0):
@@ -134,6 +134,7 @@ class GlModule:
         self.basis_weights = tuple(tuple(w) for w in basis_weights)
         self.action = tuple(tuple(row) for row in action)
         self.highest_index = highest_index
+        self.memo = {}
 
     @property
     def b(self):
@@ -349,34 +350,31 @@ def validate_module(V):
 # -- caches: constructed modules, and memo tables per module ---------------------
 
 _module_cache = {}
-_module_cache_lock = threading.Lock()
-_memos = weakref.WeakKeyDictionary()
-_memo_lock = threading.Lock()
 
 
 def module_memo(V, table, key, compute):
     """compute(), memoized under `key` in V's memo table named `table`.
 
-    The tables are freed with V.  Two threads missing the same key may both
-    compute; the first result stored is the one every caller gets.
+    The tables live on V and are freed with it.
     """
-    with _memo_lock:
-        memo = _memos.setdefault(V, {}).setdefault(table, {})
-        hit = memo.get(key)
+    memo = V.memo.setdefault(table, {})
+    hit = memo.get(key)
     if hit is None:
-        hit = compute()
-        with _memo_lock:
-            hit = memo.setdefault(key, hit)
+        hit = memo[key] = compute()
     return hit
 
 
 def cached_module(n, dynkin, b, dim_cap=DEFAULT_DIM_CAP):
     """Memoized build_irreducible; modules are immutable so sharing is safe."""
     key = (n, tuple(dynkin), Fraction(b), dim_cap)
-    with _module_cache_lock:
-        mod = _module_cache.get(key)
+    mod = _module_cache.get(key)
     if mod is None:
-        mod = build_irreducible(DominantLabels(n, tuple(dynkin), Fraction(b)), dim_cap)
-        with _module_cache_lock:
-            _module_cache[key] = mod
+        mod = _module_cache[key] = build_irreducible(
+            DominantLabels(n, tuple(dynkin), Fraction(b)), dim_cap
+        )
     return mod
+
+
+def clear_caches():
+    """Forget every cached module, and with them their memo tables."""
+    _module_cache.clear()

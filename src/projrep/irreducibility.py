@@ -10,8 +10,10 @@ two-step composition series and the residual quotient data are reported.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .action import (
     GradedElement,
@@ -185,22 +187,39 @@ def _label_weight(V, mono, q):
     return weight_add(V.basis_weights[q], mono)
 
 
+def _orbit_size(w):
+    """|S_n . w| = n! / prod m!, m running over the multiplicities of w's entries."""
+    size = factorial(len(w))
+    for m in Counter(w).values():
+        size //= factorial(m)
+    return size
+
+
 def up_submodule_rank(V, k):
     """Dimension of the degree-k piece of the span of all p-chains.
 
-    Equal to the rank of the chain matrix.  Each chain vector is a weight
-    vector, so the vectors enter one EchelonSpan per weight, which is exact
-    and much faster than eliminating the full matrix.
+    Equal to the rank of the chain matrix.  The span is a gl(n)-submodule
+    ([x_i d_j, p_l] = delta_jl p_i and 1 (x) V is gl(n)-stable), so its weight
+    multiplicities are invariant under S_n, which permutes coordinates.  Only
+    chain vectors of dominant (non-increasing) weight are built and eliminated,
+    one EchelonSpan per weight; each span's dimension counts once per weight
+    in its S_n-orbit.  Memoized per module and degree.
     """
-    if k == 0:
-        return V.dim
-    spans = {}
-    for c in monomials_of_degree(V.n, k):
-        for q in range(V.dim):
-            vec = _p_chain_vector(V, c, q)
-            if vec:
-                spans.setdefault(_label_weight(V, c, q), EchelonSpan()).insert(vec)
-    return sum(span.dim for span in spans.values())
+
+    def compute():
+        if k == 0:
+            return V.dim
+        spans = {}
+        for c in monomials_of_degree(V.n, k):
+            for q in range(V.dim):
+                w = _label_weight(V, c, q)
+                if all(a >= b for a, b in zip(w, w[1:])):
+                    vec = _p_chain_vector(V, c, q)
+                    if vec:
+                        spans.setdefault(w, EchelonSpan()).insert(vec)
+        return sum(span.dim * _orbit_size(w) for w, span in spans.items())
+
+    return module_memo(V, "rank", k, compute)
 
 
 def maximal_vector(V, c):
@@ -339,12 +358,44 @@ def _sl_labels_to_partition(labels):
     return tuple(sum(labels[j:]) for j in range(n1 - 1)) + (0,)
 
 
+def _residual_index(mu, k):
+    """1-based r of the single residual summand (k+1) e_r at degree k+1."""
+    res = residual_summands(mu, k + 1)
+    if len(res) != 1:
+        raise ConsistencyViolationError(
+            f"expected a single residual summand at degree {k + 1}, got {res}"
+        )
+    c = res[0]
+    nz = [t for t, x in enumerate(c) if x]
+    if len(nz) != 1 or c[nz[0]] != k + 1:
+        raise ConsistencyViolationError(
+            f"residual summand {c} is not concentrated on one coordinate"
+        )
+    return nz[0] + 1
+
+
+def _linked(mu, nu):
+    """Whether the sl(n+1) weights of mu and nu share a central character.
+
+    The weight of mu is lambda = (-|mu|, mu_1, ..., mu_n).  By Harish-Chandra's
+    theorem the characters agree exactly when the two lambda + rho are
+    permutations of each other, rho = (n, n-1, ..., 0).
+    """
+
+    def shifted(w):
+        lam = (-sum(w),) + tuple(w)
+        return sorted(x + len(w) - a for a, x in enumerate(lam))
+
+    return shifted(mu) == shifted(nu)
+
+
 def jordan_holder(V, degree_cap=None):
     """Verify the composition series of a reducible module by brute force.
 
     Checks, degree by degree, that the chain span fills everything through
     degree k and first falls short at k+1 with a single missing summand of
-    the predicted shape; closed-form/brute-force disagreements raise
+    the predicted shape, whose weight must be linked to mu (same central
+    character); closed-form/brute-force disagreements raise
     ConsistencyViolationError instead of being reconciled.
     """
     mu = V.highest_weight
@@ -376,19 +427,15 @@ def jordan_holder(V, degree_cap=None):
                 f"degree {k + 1} should be deficient but rank is full ({r})"
             )
 
-    res = residual_summands(mu, k + 1)
-    if len(res) != 1:
+    r_index = _residual_index(mu, k)
+    residual_weight = weight_add(
+        mu, tuple(k + 1 if t == r_index - 1 else 0 for t in range(len(mu)))
+    )
+    if not _linked(mu, residual_weight):
         raise ConsistencyViolationError(
-            f"expected a single residual summand at degree {k + 1}, got {res}"
+            f"quotient weight ({', '.join(map(format_rational, residual_weight))}) "
+            "is not linked to the module's: the central characters differ"
         )
-    c = res[0]
-    nz = [t for t, x in enumerate(c) if x]
-    if len(nz) != 1 or c[nz[0]] != k + 1:
-        raise ConsistencyViolationError(
-            f"residual summand {c} is not concentrated on one coordinate"
-        )
-    r_index = nz[0] + 1
-    residual_weight = weight_add(mu, c)
 
     finite = i0 == 1
     labels = None

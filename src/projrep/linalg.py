@@ -251,7 +251,8 @@ class Matrix:
         return dict(self.colmap().get(j, {}))
 
     def apply(self, vec):
-        """Matrix-vector product on a sparse {index: value} column vector."""
+        """Matrix-vector product on a sparse {index: value} column vector;
+        integral entries come back as ints."""
         cm = self.colmap()
         acc = {}
         for c, x in vec.items():
@@ -264,7 +265,7 @@ class Matrix:
                     acc.pop(r, None)
                 else:
                     acc[r] = s
-        return acc
+        return {r: _norm(s) for r, s in acc.items()}
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):

@@ -38,6 +38,7 @@ from .charident import (
 from .errors import ConsistencyViolationError
 from .glmodules import (
     cached_module,
+    clear_caches,
     dominant_gaps,
     pieri_index_set,
     validate_module,
@@ -493,4 +494,5 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             except ConsistencyViolationError as exc:
                 ok, detail = False, f"consistency violation: {exc}"
             records.append(CheckRecord(point, name, ok, detail))
+        clear_caches()  # no later point reuses this module or its memos
     return records

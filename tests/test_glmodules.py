@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import projrep.glmodules as glmodules
 from projrep.action import graded_basis, monomials_of_degree, operator_matrix, scaling_op
 from projrep.errors import DimensionCapError
 from projrep.glmodules import (
     DominantLabels,
     build_irreducible,
     cached_module,
+    clear_caches,
     dominant_gaps,
     pieri_index_set,
     validate_module,
@@ -127,3 +129,12 @@ def test_tensor_multiplicity_free(n, dynkin, b, k):
         ]
         found = joint_kernel(raisers, support)
         assert len(found) == (1 if c in admissible else 0), (c, len(found))
+
+
+def test_clear_caches_empties_the_module_cache():
+    V = cached_module(2, (1,), F(1))
+    assert cached_module(2, (1,), F(1)) is V
+    clear_caches()
+    assert glmodules._module_cache == {}
+    W = cached_module(2, (1,), F(1))
+    assert W is not V and W.memo == {}

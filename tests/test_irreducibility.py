@@ -1,17 +1,29 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projrep.action import derivative_op, graded_dimension, operator_matrix, pseudo_translation_op
+import projrep.irreducibility as irreducibility
+from projrep.action import (
+    derivative_op,
+    graded_dimension,
+    monomials_of_degree,
+    operator_matrix,
+    pseudo_translation_op,
+)
+from projrep.cli import main
 from projrep.errors import ConsistencyViolationError
 from projrep.glmodules import (
     DominantLabels,
     cached_module,
     pieri_index_set,
+    weight_add,
     weight_from_labels,
+    weyl_dimension,
 )
 from projrep.irreducibility import (
+    _p_chain_vector,
     criterion,
     criterion_equivalence_check,
     first_rank_deficiency,
@@ -24,7 +36,7 @@ from projrep.irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from projrep.linalg import Matrix, hstack, kernel_basis, rank
+from projrep.linalg import EchelonSpan, Matrix, hstack, kernel_basis, rank
 from projrep.selfcheck import (
     check_derivative_escape,
     check_intertwiner,
@@ -125,6 +137,57 @@ def test_up_submodule_matrix_is_square_and_ordered():
 def test_blocked_rank_matches_direct_rank(n, dynkin, b, k):
     V = cached_module(n, dynkin, b)
     assert up_submodule_rank(V, k) == rank(up_submodule_matrix(V, k))
+
+
+def all_weights_rank(V, k):
+    """Chain rank with every weight space eliminated: one EchelonSpan per
+    weight, no use of the S_n symmetry."""
+    spans = {}
+    for c in monomials_of_degree(V.n, k):
+        for q in range(V.dim):
+            vec = _p_chain_vector(V, c, q)
+            if vec:
+                w = weight_add(V.basis_weights[q], c)
+                spans.setdefault(w, EchelonSpan()).insert(vec)
+    return sum(span.dim for span in spans.values())
+
+
+# n <= 4 and Dynkin labels <= 2, leaving out the modules above dimension 150
+# (a few seconds each to build)
+SMALL_LABELS = [
+    (n, dynkin)
+    for n in range(1, 5)
+    for dynkin in itertools.product(range(3), repeat=n - 1)
+    if weyl_dimension(weight_from_labels(DominantLabels(n, dynkin, F(0)))) <= 150
+]
+
+
+@st.composite
+def chain_rank_case(draw):
+    n, dynkin = draw(st.sampled_from(SMALL_LABELS))
+    b = draw(st.sampled_from([F(-2), F(-1), F(0), F(1), F(2), F(1, 2), F(-3, 2)]))
+    V = cached_module(n, dynkin, b)
+    # degree <= 3, as far as the degree-k piece has at most 1,500 dimensions
+    top = max(k for k in range(4) if k == 0 or graded_dimension(V, k) <= 1500)
+    return V, draw(st.integers(0, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_rank_case())
+def test_dominant_chain_rank_matches_all_weights(case):
+    V, k = case
+    r = up_submodule_rank(V, k)
+    assert r == all_weights_rank(V, k)
+    if graded_dimension(V, k) <= 200:
+        assert r == rank(up_submodule_matrix(V, k))
+
+
+def test_chain_vectors_store_integers_as_int():
+    V = cached_module(4, (1, 1, 1), F(0))
+    for c in [(2, 1, 0, 0), (1, 1, 1, 0), (0, 2, 0, 1)]:
+        for q in range(V.dim):
+            for v in _p_chain_vector(V, c, q).values():
+                assert not (isinstance(v, F) and v.denominator == 1), (c, q, v)
 
 
 def test_criterion_examples():
@@ -270,6 +333,17 @@ def test_derivative_escape_beyond_first_degree():
             assert rank(hstack([low, _M.from_cols(cols, dmat.rows)])) > base
 
 
+def test_wrong_residual_index_breaks_linkage(capsys, monkeypatch):
+    # mu = (1, 0) loses the summand at r = 2; r = 1 gives an unlinked weight
+    V = cached_module(2, (1,), F(1))
+    assert jordan_holder(V).residual_index == 2
+    monkeypatch.setattr(irreducibility, "_residual_index", lambda mu, k: 1)
+    with pytest.raises(ConsistencyViolationError, match="not linked"):
+        jordan_holder(V)
+    assert main(["analyze", "-n", "2", "-a", "1", "-b", "1"]) == 2
+    assert "not linked" in capsys.readouterr().err
+
+
 def test_jordan_holder_rejects_irreducible():
     V = cached_module(2, (0,), F(1, 2))
     with pytest.raises(ValueError):
@@ -323,12 +397,14 @@ def test_submodule_invariance(n, dynkin, b):
 
 def test_rank_decomposition_identity():
     # chain rank at each degree equals full dimension minus the vanished summands
-    from projrep.glmodules import weight_add, weyl_dimension
-
-    for point in [(2, (0,), F(0)), (2, (1,), F(1)), (2, (0,), F(-2)), (3, (1, 0), F(1))]:
+    for point, top in [
+        ((2, (0,), F(0)), 4), ((2, (1,), F(1)), 4), ((2, (0,), F(-2)), 4),
+        ((3, (1, 0), F(1)), 4), ((4, (1, 1, 1), F(0)), 3),
+        ((5, (1, 1, 0, 1), F(1, 3)), 3),
+    ]:
         V = cached_module(*point)
         mu = V.highest_weight
-        for j in range(5):
+        for j in range(top + 1):
             expected = graded_dimension(V, j) - sum(
                 weyl_dimension(weight_add(mu, c)) for c in residual_summands(mu, j)
             )
