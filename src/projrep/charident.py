@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .glmodules import module_memo
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
@@ -41,7 +42,10 @@ __all__ = [
 
 
 def block_operator(grid):
-    """Row-major flattening of an n x n grid of dim(V)-square blocks."""
+    """Row-major flattening of an n x n grid of dim(V)-square blocks.
+
+    The blocks' entries are already clean, so the result is wrapped as is.
+    """
     n = len(grid)
     d = grid[0][0].rows
     ent = {}
@@ -52,7 +56,7 @@ def block_operator(grid):
                 raise ValueError("ragged block grid")
             for (r, c), v in blk.entries.items():
                 ent[(i * d + r, j * d + c)] = v
-    return Matrix(n * d, n * d, ent)
+    return Matrix._trusted(n * d, n * d, ent)
 
 
 def sigma2_tilde(V):
@@ -81,11 +85,16 @@ def predicted_sigma2_roots(mu):
 
 
 def adjoint_matrices(V):
-    """The generator grid M and its negated block-transpose."""
+    """The generator grid M and its negated block-transpose, built once per
+    module: every projector of `tensor_projector` shares them."""
     n = V.n
-    m = block_operator([[V.e(i, j) for j in range(n)] for i in range(n)])
-    mt = block_operator([[-V.e(j, i) for j in range(n)] for i in range(n)])
-    return m, mt
+
+    def build():
+        m = block_operator([[V.e(i, j) for j in range(n)] for i in range(n)])
+        mt = block_operator([[-V.e(j, i) for j in range(n)] for i in range(n)])
+        return m, mt
+
+    return module_memo(V, "adjoint", None, build)
 
 
 def predicted_adjoint_roots(mu):

@@ -177,10 +177,29 @@ def _wedge_apply(n, i, j, subset):
     return target, (-1) ** crossings
 
 
+def _wedge_table(n, d):
+    """E_{i,j} on the degree-d wedge basis, tabulated: table[i][j][idx] is
+    (target index, sign) or None for the basis element at position idx."""
+    basis = _wedge_basis(n, d)
+    position = {subset: idx for idx, subset in enumerate(basis)}
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            row = []
+            for subset in basis:
+                hit = _wedge_apply(n, i, j, subset)
+                row.append(None if hit is None else (position[hit[0]], hit[1]))
+            table[i][j] = row
+    return table
+
+
 def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     """Construct the irreducible module for the given labels.
 
-    Refuses construction when the Weyl dimension exceeds `dim_cap`.
+    Refuses construction when the Weyl dimension exceeds `dim_cap`.  Basis
+    vectors of the tensor product are keys of wedge-basis positions, one per
+    factor; E_{i,j} acts on a key factor by factor through a table of its
+    action on each wedge basis, built once per module (`_wedge_table`).
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -193,6 +212,7 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     # a_i copies of the i-th exterior power of the vector representation
     fund = [i + 1 for i, ai in enumerate(labels.dynkin) for _ in range(ai)]
     wedge = {d: _wedge_basis(n, d) for d in set(fund)}
+    table = {d: _wedge_table(n, d) for d in wedge}
 
     def key_weight(key):
         w = [0] * n
@@ -202,14 +222,15 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         return tuple(w)
 
     def tensor_apply(i, j, vec):
+        factor_rows = [table[d][i][j] for d in fund]
         out = {}
         for key, val in vec.items():
-            for f, d in enumerate(fund):
-                hit = _wedge_apply(n, i, j, wedge[d][key[f]])
+            for f, row in enumerate(factor_rows):
+                hit = row[key[f]]
                 if hit is None:
                     continue
                 tgt, sign = hit
-                nk = key[:f] + (wedge[d].index(tgt),) + key[f + 1:]
+                nk = key[:f] + (tgt,) + key[f + 1:]
                 s = out.get(nk, 0) + sign * val
                 if s == 0:
                     out.pop(nk, None)

@@ -391,24 +391,33 @@ def joint_kernel(ops, vectors):
 # -- operator polynomials ----------------------------------------------------
 
 
-def eval_operator_polynomial(op, roots):
-    """Product of (op - r*Id) over the given roots, factors left to right.
+def eval_operator_polynomial(op, roots, divisor=1):
+    """Product of (op - r*Id) over the given roots, factors left to right,
+    divided by the nonzero scalar `divisor`.
 
-    The factors commute, so the order cannot change the value; columns are
-    produced by repeated matrix-vector application, never densifying the
-    intermediate products.
+    The factors commute, so the order cannot change the value.  The product
+    runs on integers: with den the lcm of the denominators of op's entries
+    and of the roots, each factor is (den*op - den*r*Id), columns are produced
+    by repeated matrix-vector application on integer vectors (never
+    densifying the intermediate products), and every entry is divided once,
+    by den**len(roots) * divisor, at the end.
     """
     if op.rows != op.cols:
         raise ValueError("operator polynomial needs a square matrix")
+    for r in roots:
+        _check_scalar(r)
+    _check_scalar(divisor)
+    den = math.lcm(_denominator(op.entries.values()), _denominator(roots))
+    int_op = op.scale(den)
+    int_roots = [int(den * r) for r in reversed(roots)]
+    divisor = Fraction(divisor)
+    num_scale, den_scale = divisor.denominator, divisor.numerator * den ** len(roots)
     n = op.rows
-    if not roots:
-        return Matrix.identity(n)
     ent = {}
     for j in range(n):
         w = {j: 1}
-        for r in reversed(roots):
-            _check_scalar(r)
-            w2 = op.apply(w)
+        for r in int_roots:
+            w2 = int_op.apply(w)
             if r != 0:
                 for i, x in w.items():
                     s = w2.get(i, 0) - r * x
@@ -420,30 +429,33 @@ def eval_operator_polynomial(op, roots):
             if not w:
                 break
         for i, v in w.items():
-            ent[(i, j)] = _norm(v)
+            ent[(i, j)] = _norm(Fraction(v * num_scale, den_scale))
     return Matrix._trusted(n, n, ent)
 
 
 def idempotent_from_spectrum(op, target, others):
     """Lagrange projector onto the `target` eigenspace of a split operator.
 
-    Computes prod over others l of (op - l*Id)/(target - l).  Idempotent
-    whenever op is annihilated by the full product over {target} | others.
+    Computes prod over others l of (op - l*Id)/(target - l): one integer
+    operator polynomial whose single final division also takes the
+    denominator prod (target - l).  Idempotent whenever op is annihilated by
+    the full product over {target} | others.
     """
     if op.rows != op.cols:
         raise ValueError("projector needs a square matrix")
     values = [target] + list(others)
+    for v in values:
+        _check_scalar(v)
     seen = {}
     for pos, v in enumerate(values):
         key = Fraction(v)
         if key in seen:
             raise DegenerateSpectrumError(v, (seen[key], pos))
         seen[key] = pos
-    num = eval_operator_polynomial(op, list(others))
     den = 1
     for l in others:
         den = den * (target - l)
-    return num.scale(Fraction(1, 1) / den)
+    return eval_operator_polynomial(op, list(others), den)
 
 
 # -- incremental spans -------------------------------------------------------

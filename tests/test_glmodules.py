@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -138,3 +139,41 @@ def test_clear_caches_empties_the_module_cache():
     assert glmodules._module_cache == {}
     W = cached_module(2, (1,), F(1))
     assert W is not V and W.memo == {}
+
+
+def _oracle_wedge_image(i, j, subset):
+    """E_{i,j} on a wedge basis element by replacing j with i in the ordered
+    tuple and sorting; the sign is the parity of the inversions undone."""
+    if j not in subset or (i != j and i in subset):
+        return None
+    lst = [i if s == j else s for s in subset]
+    inversions = sum(1 for a in range(len(lst)) for b in range(a + 1, len(lst)) if lst[a] > lst[b])
+    return tuple(sorted(lst)), (-1) ** inversions
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_wedge_table_matches_inversion_oracle(n):
+    for d in range(n + 1):
+        basis = list(itertools.combinations(range(n), d))
+        table = glmodules._wedge_table(n, d)
+        for i in range(n):
+            for j in range(n):
+                for idx, subset in enumerate(basis):
+                    hit = _oracle_wedge_image(i, j, subset)
+                    expected = None if hit is None else (basis.index(hit[0]), hit[1])
+                    assert table[i][j][idx] == expected, (n, d, i, j, subset)
+
+
+def test_build_tabulates_the_wedge_action_once(monkeypatch):
+    calls = []
+    original = glmodules._wedge_apply
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(glmodules, "_wedge_apply", counting)
+    n = 3
+    V = build_irreducible(DominantLabels(n, (2, 1), F(0)))
+    assert V.dim == 15
+    assert 0 < len(calls) <= n * n * sum(math.comb(n, d) for d in range(n + 1))

@@ -98,6 +98,36 @@ def test_idempotent_from_block_operator():
     assert p == sigma.scale(F(1, 2))
 
 
+def test_operator_polynomial_rejects_float_roots():
+    op = Matrix.from_rows([[1, 2], [0, F(1, 3)]])
+    for m in (op, Matrix.zeros(0, 0)):
+        with pytest.raises(TypeError):
+            eval_operator_polynomial(m, [0.5])
+        with pytest.raises(TypeError):
+            eval_operator_polynomial(m, [1, F(1, 2), 0.5])
+        with pytest.raises(TypeError):
+            idempotent_from_spectrum(m, 0.5, [1])
+        with pytest.raises(TypeError):
+            idempotent_from_spectrum(m, 1, [0.5])
+
+
+def test_operator_polynomial_applies_integer_matrices_only(monkeypatch):
+    seen = []
+    original = Matrix.apply
+
+    def recording_apply(self, vec):
+        seen.extend(self.entries.values())
+        seen.extend(vec.values())
+        return original(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", recording_apply)
+    op = Matrix.from_rows([[F(1, 2), F(2, 3), 0], [0, F(-5, 6), 1], [F(7, 4), 0, 3]])
+    result = eval_operator_polynomial(op, [F(1, 3), 2, F(-3, 5)])
+    p = idempotent_from_spectrum(op, F(1, 2), [F(1, 3), 2])
+    assert seen and all(type(v) is int for v in seen)
+    assert not result.is_zero() and not p.is_zero()
+
+
 def test_matmul_matches_dense():
     rng = random.Random(7)
     a = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)])
@@ -431,3 +461,37 @@ def test_exact_operations_match_dense_and_store_clean_entries(mats, s):
     assert diff == a + (-a2)
     for m in (prod, total, diff, -a, a.scale(s), a.transpose(), kron(a, b)):
         assert_clean(m)
+
+
+def _reference_product(op, roots):
+    """Left-to-right product of (op - r*Id), built with @ and -."""
+    n = op.rows
+    out = Matrix.identity(n)
+    for r in roots:
+        out = out @ (op - Matrix.identity(n).scale(r))
+    return out
+
+
+mixed_root = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def square_rational_matrix(draw, max_dim=6):
+    n = draw(st.integers(0, max_dim))
+    entry = st.one_of(st.just(0), st.integers(-5, 5), small_frac)
+    return Matrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_rational_matrix(), st.lists(mixed_root, max_size=3), mixed_root)
+def test_integer_operator_product_matches_matrix_product(op, roots, target):
+    value = eval_operator_polynomial(op, roots)
+    assert value == _reference_product(op, roots)
+    assert_clean(value)
+    others = [r for r in dict.fromkeys(roots) if r != target]
+    den = F(1)
+    for l in others:
+        den *= target - l
+    p = idempotent_from_spectrum(op, target, others)
+    assert p == _reference_product(op, others).scale(1 / den)
+    assert_clean(p)
