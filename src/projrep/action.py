@@ -9,9 +9,13 @@ On x^m tensor V each operator of the span acts as a polynomial move times
 Id_V plus shifted copies of the generator matrices E_{i,j} = V.e(i, j).
 `operator_matrix` uses that structure: it splits the operator once
 (`projective_components`) and assembles its exact sparse matrix on a graded
-piece block by block, one dim(V)-square block per monomial.  `act` applies an
-operator to one graded element term by term; the matrix path never calls it,
-and it serves as the independent oracle the tests compare every column with.
+piece block by block, one dim(V)-square block per monomial.  The target degree
+is read off the operator, so only a nonzero operator with a uniform degree
+shift has a matrix.  `commutator_matrix` is the matrix side of a Lie relation:
+the bracket check and the Chevalley relations compare it with the matrix of
+the symbolic bracket.  `act` applies an operator to one graded element term by
+term; the matrix path never calls it, and it serves as the independent oracle
+the tests compare every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -36,6 +40,7 @@ __all__ = [
     "WittElement",
     "act",
     "chevalley_generators",
+    "commutator_matrix",
     "derivative_op",
     "graded_basis",
     "graded_dimension",
@@ -525,31 +530,33 @@ def _assemble(op, V, src, dst):
     return ent
 
 
-def operator_matrix(op, V, k, shift=None):
+def operator_matrix(op, V, k):
     """Exact matrix of `op` from the degree-k basis to the shifted target basis.
 
-    `shift` is only consulted for the zero operator, whose target degree is
-    otherwise undetermined.
+    The zero operator and operators mixing degree shifts have no target
+    degree; they raise UnsupportedOperatorError.
     """
 
     def build():
         if op.n != V.n:
             raise ValueError("dimension mismatch between operator and module")
-        if op.is_zero():
-            if shift is None:
-                raise ValueError("zero operator needs an explicit degree shift")
-            op_shift = shift
-        else:
-            op_shift = op.degree_shift()
-            if op_shift is None:
-                raise UnsupportedOperatorError("operator mixes degree shifts")
-            if shift is not None and shift != op_shift:
-                raise ValueError("declared shift contradicts the operator")
+        shift = op.degree_shift()
+        if shift is None:
+            raise UnsupportedOperatorError(f"{op!r} has no uniform degree shift")
         src = graded_basis(V, k)
-        dst = graded_basis(V, k + op_shift)
+        dst = graded_basis(V, k + shift)
         return Matrix._trusted(dst.dim, src.dim, _assemble(op, V, src, dst))
 
-    return module_memo(V, "matrix", (op, k, shift), build)
+    return module_memo(V, "matrix", (op, k), build)
+
+
+def commutator_matrix(u, w, V, k):
+    """Matrix of uw - wu on the degree-k piece, from the operator matrices."""
+    u_k, w_k = operator_matrix(u, V, k), operator_matrix(w, V, k)
+    return (
+        operator_matrix(u, V, k + w.degree_shift()) @ w_k
+        - operator_matrix(w, V, k + u.degree_shift()) @ u_k
+    )
 
 
 def triangle_delta(i, j, k, V, degree=0):
@@ -575,23 +582,18 @@ def verify_bracket_consistency(n, V, k_max):
     """Check that symbolic brackets match matrix commutators on all pieces.
 
     For every unordered pair from the spanning set and every degree up to
-    k_max the matrix of the symbolic bracket must equal the commutator of the
-    operator matrices, exactly.
+    k_max the commutator of the operator matrices must equal the matrix of
+    the symbolic bracket exactly, or vanish where the bracket does.
     """
-    ops = spanning_operators(n)
-    for a in range(len(ops)):
-        name_u, u = ops[a]
-        du = u.degree_shift()
-        for b_ in range(a + 1, len(ops)):
-            name_w, w = ops[b_]
-            dw = w.degree_shift()
+    ops = [op for _, op in spanning_operators(n)]
+    for a, u in enumerate(ops):
+        for w in ops[a + 1:]:
             bracket = u.bracket(w)
             for k in range(k_max + 1):
-                lhs = operator_matrix(bracket, V, k, shift=du + dw)
-                rhs = (
-                    operator_matrix(u, V, k + dw) @ operator_matrix(w, V, k)
-                    - operator_matrix(w, V, k + du) @ operator_matrix(u, V, k)
-                )
-                if lhs != rhs:
+                rhs = commutator_matrix(u, w, V, k)
+                if bracket.is_zero():
+                    if not rhs.is_zero():
+                        return False
+                elif operator_matrix(bracket, V, k) != rhs:
                     return False
     return True

@@ -21,6 +21,7 @@ from .linalg import (
     DegenerateSpectrumError,
     Matrix,
     _denominator,
+    block,
     charpoly,
     eval_operator_polynomial,
     format_rational,
@@ -31,7 +32,6 @@ from .linalg import (
 __all__ = [
     "SpectrumReport",
     "adjoint_matrices",
-    "block_operator",
     "brute_force_spectrum",
     "check_characteristic_identity",
     "predicted_adjoint_roots",
@@ -39,24 +39,6 @@ __all__ = [
     "sigma2_tilde",
     "tensor_projector",
 ]
-
-
-def block_operator(grid):
-    """Row-major flattening of an n x n grid of dim(V)-square blocks.
-
-    The blocks' entries are already clean, so the result is wrapped as is.
-    """
-    n = len(grid)
-    d = grid[0][0].rows
-    ent = {}
-    for i in range(n):
-        for j in range(n):
-            blk = grid[i][j]
-            if blk.rows != d or blk.cols != d:
-                raise ValueError("ragged block grid")
-            for (r, c), v in blk.entries.items():
-                ent[(i * d + r, j * d + c)] = v
-    return Matrix._trusted(n * d, n * d, ent)
 
 
 def sigma2_tilde(V):
@@ -75,7 +57,7 @@ def sigma2_tilde(V):
         [V.e(j, i) + bid if i == j else V.e(j, i) for j in range(n)]
         for i in range(n)
     ]
-    return block_operator(grid)
+    return block(grid)
 
 
 def predicted_sigma2_roots(mu):
@@ -90,8 +72,8 @@ def adjoint_matrices(V):
     n = V.n
 
     def build():
-        m = block_operator([[V.e(i, j) for j in range(n)] for i in range(n)])
-        mt = block_operator([[-V.e(j, i) for j in range(n)] for i in range(n)])
+        m = block([[V.e(i, j) for j in range(n)] for i in range(n)])
+        mt = block([[-V.e(j, i) for j in range(n)] for i in range(n)])
         return m, mt
 
     return module_memo(V, "adjoint", None, build)

@@ -99,6 +99,22 @@ def _emit(doc, as_json, table_lines):
             print(line)
 
 
+def _summand(mu, c, projector_rank=None):
+    """JSON row and table line of the summand mu + c of a tensor decomposition."""
+    summand = weight_add(mu, c)
+    row = {
+        "c": list(c),
+        "summand": [format_rational(x) for x in summand],
+        "weyl_dim": weyl_dimension(summand),
+        "q": format_rational(q_coefficient(mu, c)),
+    }
+    line = f"  c={c}  summand {tuple(row['summand'])}  dim {row['weyl_dim']}  q = {row['q']}"
+    if projector_rank is not None:
+        row["projector_rank"] = projector_rank
+        line += f"  projector rank {projector_rank}"
+    return row, line
+
+
 def cmd_analyze(args):
     V = _build(args)
     mu = V.highest_weight
@@ -106,15 +122,7 @@ def cmd_analyze(args):
     equivalent = criterion_equivalence_check(mu)
     cap = args.degree_cap
 
-    q_table = []
-    for j in range(cap + 1):
-        for c in pieri_index_set(mu, j):
-            q_table.append({
-                "c": list(c),
-                "summand": [format_rational(x) for x in weight_add(mu, c)],
-                "weyl_dim": weyl_dimension(weight_add(mu, c)),
-                "q": format_rational(q_coefficient(mu, c)),
-            })
+    summands = [_summand(mu, c) for j in range(cap + 1) for c in pieri_index_set(mu, j)]
     ranks = []
     for j in range(cap + 1):
         ranks.append({
@@ -134,7 +142,7 @@ def cmd_analyze(args):
         "dim": V.dim,
         "criterion": wit.to_json(),
         "criterion_forms_agree": equivalent,
-        "q_table": q_table,
+        "q_table": [row for row, _ in summands],
         "ranks_by_degree": ranks,
         "jordan_holder": jh_doc,
     }
@@ -148,11 +156,7 @@ def cmd_analyze(args):
         f"both criterion forms agree: {equivalent}",
         "q coefficients (|c| <= {}):".format(cap),
     ]
-    for row in q_table:
-        lines.append(
-            f"  c={tuple(row['c'])}  summand {tuple(row['summand'])}"
-            f"  dim {row['weyl_dim']}  q = {row['q']}"
-        )
+    lines += [line for _, line in summands]
     lines.append("graded ranks:")
     for row in ranks:
         lines.append(f"  degree {row['degree']}: {row['rank']} of {row['full']}")
@@ -178,32 +182,22 @@ def cmd_decompose(args):
     V = _build(args)
     mu = V.highest_weight
     k = args.k
-    rows = []
+    summands = []
     for c in pieri_index_set(mu, k):
-        row = {
-            "c": list(c),
-            "summand": [format_rational(x) for x in weight_add(mu, c)],
-            "weyl_dim": weyl_dimension(weight_add(mu, c)),
-            "q": format_rational(q_coefficient(mu, c)),
-        }
+        projector_rank = None
         if k == 1:
             r = next(t + 1 for t, x in enumerate(c) if x)
-            row["projector_rank"] = rank(tensor_projector(V, r, dual=False))
-        rows.append(row)
+            projector_rank = rank(tensor_projector(V, r, dual=False))
+        summands.append(_summand(mu, c, projector_rank))
     doc = {
         "n": V.n,
         "dynkin": list(V.labels.dynkin),
         "b": format_rational(V.b),
         "k": k,
-        "summands": rows,
+        "summands": [row for row, _ in summands],
     }
     lines = [f"decomposition of degree-{k} piece for mu = {_fmt_weight(mu)}:"]
-    for row in rows:
-        extra = f"  projector rank {row['projector_rank']}" if "projector_rank" in row else ""
-        lines.append(
-            f"  c={tuple(row['c'])}  summand {tuple(row['summand'])}"
-            f"  dim {row['weyl_dim']}  q = {row['q']}{extra}"
-        )
+    lines += [line for _, line in summands]
     _emit(doc, args.json, lines)
     return EXIT_OK
 

@@ -253,12 +253,11 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             out[idx] = val
         return out
 
-    spans = {}
-    basis_by_weight = {}
-    queue = [(top, key_weight(top_key))]
-    spans[key_weight(top_key)] = EchelonSpan()
-    spans[key_weight(top_key)].insert(flatten(top))
-    basis_by_weight[key_weight(top_key)] = [top]
+    top_weight = key_weight(top_key)
+    spans = {top_weight: EchelonSpan()}
+    spans[top_weight].insert(flatten(top))
+    basis_by_weight = {top_weight: [top]}
+    queue = [(top, top_weight)]
     while queue:
         vec, w = queue.pop(0)
         for j in range(n - 1):
@@ -274,31 +273,26 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
                 basis_by_weight[tw].append(img)
                 queue.append((img, tw))
 
-    weights_sorted = sorted(basis_by_weight, reverse=True)
     order = []
-    for w in weights_sorted:
+    index_of = {}
+    for w in sorted(basis_by_weight, reverse=True):
         for local, vec in enumerate(basis_by_weight[w]):
-            order.append((w, local, vec))
+            index_of[(w, local)] = len(order)
+            order.append((w, vec))
     dim = len(order)
     if dim != target_dim:
         raise ConsistencyViolationError(
             f"lowering closure produced dimension {dim}, Weyl formula says {target_dim}"
         )
-    index_of = {}
-    pos = 0
-    for w in weights_sorted:
-        for local in range(len(basis_by_weight[w])):
-            index_of[(w, local)] = pos
-            pos += 1
 
     shift = Fraction(labels.b - sum(fund), n)
-    basis_weights = [tuple(x + shift for x in w) for (w, _, _) in order]
+    basis_weights = [tuple(x + shift for x in w) for w, _ in order]
 
     action = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             ent = {}
-            for col, (w, _, vec) in enumerate(order):
+            for col, (w, vec) in enumerate(order):
                 if i == j:
                     ev = w[i] + shift
                     if ev != 0:

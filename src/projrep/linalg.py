@@ -32,10 +32,10 @@ __all__ = [
     "EchelonSpan",
     "Matrix",
     "add_into",
+    "block",
     "charpoly",
     "eval_operator_polynomial",
     "format_rational",
-    "hstack",
     "idempotent_from_spectrum",
     "joint_kernel",
     "kernel_basis",
@@ -298,17 +298,26 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-def hstack(mats):
-    rows = mats[0].rows
+def block(grid):
+    """The block matrix of a grid, given as a list of rows of matrices.
+
+    Blocks in one grid row share their row count, and blocks in one grid
+    column their column count; a ragged grid raises ValueError.
+    """
+    widths = [m.cols for m in grid[0]]
     ent = {}
-    off = 0
-    for m in mats:
-        if m.rows != rows:
-            raise ValueError("row count mismatch in hstack")
-        for (r, c), v in m.entries.items():
-            ent[(r, c + off)] = v
-        off += m.cols
-    return Matrix._trusted(rows, off, ent)
+    top = 0
+    for row in grid:
+        height = row[0].rows
+        if [m.cols for m in row] != widths or any(m.rows != height for m in row):
+            raise ValueError("ragged block grid")
+        left = 0
+        for m in row:
+            for (r, c), v in m.entries.items():
+                ent[(top + r, left + c)] = v
+            left += m.cols
+        top += height
+    return Matrix._trusted(top, sum(widths), ent)
 
 
 def kron(a, b):

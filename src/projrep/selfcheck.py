@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .action import (
     chevalley_generators,
+    commutator_matrix,
     derivative_op,
     graded_basis,
     graded_dimension,
@@ -56,7 +57,7 @@ from .irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from .linalg import Matrix, add_into, hstack, kernel_basis, kron, rank
+from .linalg import Matrix, add_into, block, kernel_basis, kron, rank
 
 __all__ = [
     "CheckRecord",
@@ -121,37 +122,15 @@ def check_chevalley_relations(V, k_max=2, gens=None):
     """Defining sl(n+1) triple relations as exact operator identities."""
     n = V.n
     g = gens if gens is not None else chevalley_generators(n)
-
-    def mat(op, k, shift):
-        return operator_matrix(op, V, k, shift=shift if op.is_zero() else None)
-
     for k in range(k_max + 1):
         for i in range(n):
-            se = g.e[i].degree_shift()
-            sf = g.f[i].degree_shift()
-            he = (
-                mat(g.h[i], k + se, 0) @ mat(g.e[i], k, None)
-                - mat(g.e[i], k, None) @ mat(g.h[i], k, 0)
-            )
-            if he != mat(g.e[i], k, None).scale(2):
+            if commutator_matrix(g.h[i], g.e[i], V, k) != operator_matrix(g.e[i], V, k).scale(2):
                 return False, f"[h_{i+1}, e_{i+1}] != 2e at degree {k}"
-            hf = (
-                mat(g.h[i], k + sf, 0) @ mat(g.f[i], k, None)
-                - mat(g.f[i], k, None) @ mat(g.h[i], k, 0)
-            )
-            if hf != mat(g.f[i], k, None).scale(-2):
+            if commutator_matrix(g.h[i], g.f[i], V, k) != operator_matrix(g.f[i], V, k).scale(-2):
                 return False, f"[h_{i+1}, f_{i+1}] != -2f at degree {k}"
             for j in range(n):
-                ef = (
-                    mat(g.e[i], k + g.f[j].degree_shift(), None) @ mat(g.f[j], k, None)
-                    - mat(g.f[j], k + g.e[i].degree_shift(), None) @ mat(g.e[i], k, None)
-                )
-                want = (
-                    mat(g.h[i], k, 0)
-                    if i == j
-                    else Matrix.zeros(ef.rows, ef.cols)
-                )
-                if ef != want:
+                ef = commutator_matrix(g.e[i], g.f[j], V, k)
+                if (ef != operator_matrix(g.h[i], V, k)) if i == j else not ef.is_zero():
                     return False, f"[e_{i+1}, f_{j+1}] wrong at degree {k}"
     return True, f"triple relations hold through degree {k_max}"
 
@@ -313,15 +292,7 @@ def check_derivative_surjectivity(V, k_max=3):
         for l, m in enumerate(mats):
             if rank(m) != low:
                 return False, f"d_{l+1} not surjective from degree {k}"
-        stacked = Matrix(
-            sum(m.rows for m in mats), mats[0].cols,
-            {
-                (off * low + r, c): v
-                for off, m in enumerate(mats)
-                for (r, c), v in m.entries.items()
-            },
-        )
-        if rank(stacked) != graded_dimension(V, k):
+        if rank(block([[m] for m in mats])) != graded_dimension(V, k):
             return False, f"joint derivative kernel nonzero at degree {k}"
     return True, f"derivatives surjective with trivial joint kernel through {k_max}"
 
@@ -389,9 +360,7 @@ def check_intertwiner(V, j_max=2):
     n = V.n
     idn = Matrix.identity(n)
     for j in range(j_max + 1):
-        tj = hstack([
-            operator_matrix(pseudo_translation_op(n, i), V, j) for i in range(n)
-        ])
+        tj = block([[operator_matrix(pseudo_translation_op(n, i), V, j) for i in range(n)]])
         dim_j = graded_dimension(V, j)
         for s in range(n):
             for t in range(n):
@@ -418,14 +387,13 @@ def check_derivative_escape(V):
         return False, f"no residual complement at degree {j}"
     low = up_submodule_matrix(V, j - 1)
     base_rank = rank(low)
-    gb = graded_basis(V, j)
     for l in range(V.n):
         dmat = operator_matrix(derivative_op(V.n, l), V, j)
         cols = []
         for vec in residual:
             sparse = {t: v for t, v in enumerate(vec) if v != 0}
             cols.append(dmat.apply(sparse))
-        stacked = hstack([low, Matrix.from_cols(cols, dmat.rows)])
+        stacked = block([[low, Matrix.from_cols(cols, dmat.rows)]])
         if rank(stacked) <= base_rank:
             return False, f"d_{l+1} image of the residual stays inside the span"
     return True, f"all derivatives escape at degree {j}"
@@ -443,7 +411,7 @@ def check_submodule_invariance(V, j_max=2):
                 continue
             om = operator_matrix(op, V, j)
             image = om @ mats[j]
-            stacked = hstack([mats[tgt], image])
+            stacked = block([[mats[tgt], image]])
             if rank(stacked) != ranks[tgt]:
                 return False, f"{name} pushes the degree-{j} span outside degree {tgt}"
     return True, f"span stable under the spanning set through degree {j_max}"

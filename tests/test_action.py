@@ -327,7 +327,9 @@ def test_operator_matrix_columns_equal_act(case):
     V, ops, k = case
     src = graded_basis(V, k)
     for op, shift in ops:
-        m = operator_matrix(op, V, k, shift=shift if op.is_zero() else None)
+        if op.is_zero():
+            continue  # no degree shift, so no matrix
+        m = operator_matrix(op, V, k)
         dst = graded_basis(V, k + shift)
         assert (m.rows, m.cols) == (dst.dim, src.dim)
         for v in m.entries.values():
@@ -343,6 +345,47 @@ def test_operator_matrix_rejects_operators_outside_the_span():
         operator_matrix(WittElement(2, {((3, 0), 0): 1}), V, 1)  # x1^3 d1
     with pytest.raises(UnsupportedOperatorError):
         operator_matrix(pseudo_translation_op(2, 0) + derivative_op(2, 0), V, 1)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (2, 1), (3, 2)])
+def test_zero_operator_has_no_matrix(n, k):
+    V = cached_module(n, (0,) * (n - 1), F(1))
+    with pytest.raises(UnsupportedOperatorError):
+        operator_matrix(WittElement(n), V, k)
+
+
+def test_bracket_check_catches_a_nonzero_bracket_reported_as_zero(monkeypatch):
+    d, p = derivative_op(2, 0), pseudo_translation_op(2, 0)
+    original = WittElement.bracket
+    assert not original(d, p).is_zero()
+
+    def lying(self, other):
+        return WittElement(self.n) if (self, other) == (d, p) else original(self, other)
+
+    V = cached_module(2, (1,), F(1))
+    assert verify_bracket_consistency(2, V, 2)
+    monkeypatch.setattr(WittElement, "bracket", lying)
+    assert not verify_bracket_consistency(2, V, 2)
+
+
+def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
+    import projrep.action as action_mod
+    from projrep.glmodules import DominantLabels, build_irreducible
+
+    original = action_mod._assemble
+    assembled = []
+
+    def recording(op, V, src, dst):
+        assembled.append((op, src.degree))
+        return original(op, V, src, dst)
+
+    monkeypatch.setattr(action_mod, "_assemble", recording)
+    # a fresh module instance: operator matrices are cached per instance
+    V = build_irreducible(DominantLabels(3, (1, 0), F(-1)))
+    assert verify_bracket_consistency(3, V, 2)
+    assert assembled
+    assert not [op for op, _ in assembled if op.is_zero()]
+    assert len(assembled) == len(set(assembled))
 
 
 def test_matrix_path_does_not_call_act(monkeypatch):

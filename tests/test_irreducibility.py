@@ -36,7 +36,7 @@ from projrep.irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from projrep.linalg import EchelonSpan, Matrix, hstack, kernel_basis, rank
+from projrep.linalg import EchelonSpan, Matrix, block, kernel_basis, rank
 from projrep.selfcheck import (
     check_derivative_escape,
     check_intertwiner,
@@ -330,7 +330,7 @@ def test_derivative_escape_beyond_first_degree():
                     for vec in residual]
             from projrep.linalg import Matrix as _M
 
-            assert rank(hstack([low, _M.from_cols(cols, dmat.rows)])) > base
+            assert rank(block([[low, _M.from_cols(cols, dmat.rows)]])) > base
 
 
 def test_wrong_residual_index_breaks_linkage(capsys, monkeypatch):
@@ -354,7 +354,7 @@ def test_tensor_action_map_examples():
     # the degree-raising map: column block i is the i-th pseudo-translation
     # on the degree-j basis
     def tensor_action_map(V, j):
-        return hstack([operator_matrix(pseudo_translation_op(V.n, i), V, j) for i in range(V.n)])
+        return block([[operator_matrix(pseudo_translation_op(V.n, i), V, j) for i in range(V.n)]])
 
     T = cached_module(2, (0,), F(0))
     tm = tensor_action_map(T, 0)
@@ -366,7 +366,7 @@ def test_tensor_action_map_examples():
         tj = tensor_action_map(V, j)
         mj1 = up_submodule_matrix(V, j + 1)
         assert rank(tj) == up_submodule_rank(V, j + 1)
-        assert rank(hstack([tj, mj1])) == rank(tj)
+        assert rank(block([[tj, mj1]])) == rank(tj)
 
 
 @pytest.mark.parametrize("n,dynkin,b", [

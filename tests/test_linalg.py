@@ -8,6 +8,7 @@ from projrep.linalg import (
     DegenerateSpectrumError,
     EchelonSpan,
     Matrix,
+    block,
     charpoly,
     eval_operator_polynomial,
     format_rational,
@@ -81,6 +82,38 @@ def test_idempotent_repeated_root_rejected():
         idempotent_from_spectrum(op, 1, [1])
     with pytest.raises(DegenerateSpectrumError):
         idempotent_from_spectrum(op, 2, [0, 0])
+
+
+def _random_matrix(rng, rows, cols):
+    values = [0, 0, 1, -2, F(1, 3)]
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    return Matrix(rows, cols, {rc: rng.choice(values) for rc in cells})
+
+
+@pytest.mark.parametrize("shape", [
+    [[(2, 3), (2, 1), (2, 4)]],           # 1 x m
+    [[(3, 2)], [(1, 2)], [(4, 2)]],       # m x 1
+    [[(2, 3), (2, 1)], [(3, 3), (3, 1)]],  # 2 x 2
+])
+def test_block_matches_dense_reference(shape):
+    rng = random.Random(len(shape))
+    grid = [[_random_matrix(rng, r, c) for r, c in row] for row in shape]
+    dense = [
+        [x for m in row for x in m.to_dense()[r]]
+        for row in grid
+        for r in range(row[0].rows)
+    ]
+    assert block(grid) == Matrix.from_rows(dense)
+
+
+@pytest.mark.parametrize("grid", [
+    [[Matrix.zeros(2, 2), Matrix.zeros(3, 1)]],
+    [[Matrix.zeros(2, 2)], [Matrix.zeros(1, 3)]],
+    [[Matrix.zeros(1, 1), Matrix.zeros(1, 1)], [Matrix.zeros(1, 1)]],
+])
+def test_block_rejects_ragged_grid(grid):
+    with pytest.raises(ValueError):
+        block(grid)
 
 
 def test_idempotent_from_block_operator():

@@ -21,6 +21,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_modules_use_every_name_they_import():
+    # a deletion can leave an import behind; __init__ imports to re-export
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> line of its import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = (
         "import sys, projrep.cli; "
