@@ -5,12 +5,17 @@ graded rank checks) reduces to questions about matrices with Fraction
 entries.  All arithmetic here is exact: scalars are Python ints or
 ``fractions.Fraction``; floats are rejected on input.
 
-A matrix is a dict of its nonzero entries.  There is one product: a
-pure-Python sparse loop over cached column maps, exact at every size
-because Python ints and Fractions are unbounded.  The public ``Matrix(...)``
-constructor validates and normalizes its entries; the results of the
-module's own exact operations are clean by construction and are wrapped by
-``Matrix._trusted`` without that second pass.
+A matrix is a dict of its nonzero entries, the canonical value that ``==``,
+``apply``, ``rank`` and every output read.  Products and sums run on a
+second, integer form built lazily and cached on the matrix: one common
+denominator and the columns of the entries scaled by it.  There is one
+product, a pure-Python sparse loop of integer multiply-adds that divides
+each output entry once, and one sum, which divides only where the two
+supports overlap; both are exact at every size because Python ints are
+unbounded.  The public ``Matrix(...)`` constructor validates and normalizes
+its entries; the results of the module's own exact operations are clean by
+construction and are wrapped by ``Matrix._trusted`` without that second
+pass.
 
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and records, for every echelon row,
@@ -110,11 +115,16 @@ def format_rational(v):
 class Matrix:
     """Sparse exact matrix: absent entry means zero, stored zeros are dropped.
 
+    ``entries`` maps (row, col) to the value: an int when it is an integer,
+    a Fraction otherwise.  ``intcols()`` is the integer column form that
+    products and sums read, ``(den, {col: {row: int}})`` with every entry
+    equal to its int over den; a product keeps the form it computed.
+
     Instances are treated as immutable after construction; every operation
     returns a fresh Matrix, so concurrent reads are safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_colmap", "_rowmap")
+    __slots__ = ("rows", "cols", "entries", "_colmap", "_rowmap", "_intcols")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -133,6 +143,7 @@ class Matrix:
         self.entries = clean
         self._colmap = None
         self._rowmap = None
+        self._intcols = None
 
     # -- constructors ------------------------------------------------------
 
@@ -146,6 +157,7 @@ class Matrix:
         m.entries = entries
         m._colmap = None
         m._rowmap = None
+        m._intcols = None
         return m
 
     @classmethod
@@ -196,6 +208,20 @@ class Matrix:
             self._rowmap = rm
         return self._rowmap
 
+    def intcols(self):
+        """(den, {col: {row: int}}): the columns times den, a common
+        denominator of the entries; built as their lcm, or kept by a product."""
+        if self._intcols is None:
+            den = _denominator(self.entries.values())
+            if den == 1:
+                self._intcols = 1, self.colmap()
+            else:
+                cm = {}
+                for (r, c), v in self.entries.items():
+                    cm.setdefault(c, {})[r] = v.numerator * (den // v.denominator)
+                self._intcols = den, cm
+        return self._intcols
+
     # -- basic algebra -----------------------------------------------------
 
     def __getitem__(self, rc):
@@ -211,21 +237,35 @@ class Matrix:
         )
 
     def __add__(self, other):
-        return self._merge(other, other.entries.items())
+        return self._merge(other, 1)
 
     def __sub__(self, other):
-        return self._merge(other, ((k, -v) for k, v in other.entries.items()))
+        return self._merge(other, -1)
 
-    def _merge(self, other, items):
-        """self plus `items`, the (position, value) entries of a matrix shaped like `other`."""
+    def _merge(self, other, sign):
+        """self + sign * other.
+
+        An entry where only one side is nonzero is copied (negated on
+        other's side of a difference).  An overlap is summed on the integer
+        forms, scaled to the lcm of their denominators, and divided once.
+        """
         self._shape_match(other)
         ent = dict(self.entries)
-        for k, v in items:
-            s = ent.get(k, 0) + v
-            if s == 0:
-                del ent[k]
+        da, acols = self.intcols()
+        db, bcols = other.intcols()
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        for k, v in other.entries.items():
+            if k in ent:
+                r, c = k
+                s = sa * acols[c][r] + sb * bcols[c][r]
+                if s:
+                    q, rem = divmod(s, den)
+                    ent[k] = Fraction(s, den) if rem else q
+                else:
+                    del ent[k]
             else:
-                ent[k] = _norm(s)
+                ent[k] = v if sign == 1 else -v
         return Matrix._trusted(self.rows, self.cols, ent)
 
     def __neg__(self):
@@ -272,20 +312,30 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        da, acols = self.intcols()
+        db, bcols = other.intcols()
+        den = da * db
         ent = {}
-        cm = self.colmap()
-        for j, col in other.colmap().items():
+        cols = {}
+        for j, col in bcols.items():
             acc = {}
             for k, x in col.items():
-                inner = cm.get(k)
+                inner = acols.get(k)
                 if inner is None:
                     continue
                 for r, a in inner.items():
                     acc[r] = acc.get(r, 0) + a * x
+            out = {}
             for r, v in acc.items():
-                if v != 0:
-                    ent[(r, j)] = _norm(v)
-        return Matrix._trusted(self.rows, other.cols, ent)
+                if v:
+                    out[r] = v
+                    q, rem = divmod(v, den)
+                    ent[(r, j)] = Fraction(v, den) if rem else q
+            if out:
+                cols[j] = out
+        m = Matrix._trusted(self.rows, other.cols, ent)
+        m._intcols = den, cols
+        return m
 
     def to_dense(self):
         return [[self.entries.get((r, c), 0) for c in range(self.cols)] for r in range(self.rows)]

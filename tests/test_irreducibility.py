@@ -11,6 +11,7 @@ from projrep.action import (
     monomials_of_degree,
     operator_matrix,
     pseudo_translation_op,
+    scaling_op,
 )
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError
@@ -348,6 +349,66 @@ def test_jordan_holder_rejects_irreducible():
     V = cached_module(2, (0,), F(1, 2))
     with pytest.raises(ValueError):
         jordan_holder(V)
+
+
+def _central_character(mu):
+    """The Casimir's scalar c(lambda) for lambda = (-|mu|, mu_1, ..., mu_n).
+
+    c(lambda) = sum_a lambda_a^2 + sum_a lambda_a (n - 2a) over a = 0..n; the
+    term -(sum_a lambda_a)^2 / (n+1) of the gl(n+1) formula vanishes here.
+    """
+    n = len(mu)
+    lam = (-sum(mu),) + tuple(mu)
+    return sum(x * x + x * (n - 2 * a) for a, x in enumerate(lam))
+
+
+def _casimir(V, k):
+    """C_k = sum_ij X_ij X_ji + (sum_i X_ii)^2 - sum_j (d_j p_j + p_j d_j) on
+    the degree-k piece: the quadratic Casimir of sl(n+1) with E_ij = X_ij,
+    E_0j = d_j, E_j0 = -p_j and E_00 = -sum_i X_ii, from operator matrices."""
+    n = V.n
+    dim = graded_dimension(V, k)
+    total, trace = Matrix.zeros(dim, dim), Matrix.zeros(dim, dim)
+    for i in range(n):
+        trace = trace + operator_matrix(scaling_op(n, i, i), V, k)
+        for j in range(n):
+            total = total + (
+                operator_matrix(scaling_op(n, i, j), V, k)
+                @ operator_matrix(scaling_op(n, j, i), V, k)
+            )
+    total = total + trace @ trace
+    for j in range(n):
+        d_j, p_j = derivative_op(n, j), pseudo_translation_op(n, j)
+        total = total - operator_matrix(d_j, V, k + 1) @ operator_matrix(p_j, V, k)
+        if k:
+            total = total - operator_matrix(p_j, V, k - 1) @ operator_matrix(d_j, V, k)
+    return total
+
+
+@pytest.mark.parametrize("dynkin, b, c", [
+    ((1, 0), F(-2), 16),
+    ((2, 2), F(1, 2), F(43, 3)),
+    ((1, 1), F(1, 3), F(130, 27)),
+])
+def test_casimir_acts_by_the_central_character(dynkin, b, c):
+    V = cached_module(3, dynkin, b)
+    assert _central_character(V.highest_weight) == c
+    for k in range(3):
+        casimir = _casimir(V, k)
+        assert casimir == Matrix.identity(casimir.rows).scale(c)
+
+
+def test_quotient_weight_has_the_module_central_character():
+    V = cached_module(3, (1, 0), F(-2))
+    mu = V.highest_weight
+    report = jordan_holder(V)
+    assert _central_character(report.residual_weight) == _central_character(mu) == 16
+    # the summand at any other index would carry another central character
+    step = report.k + 1
+    for r in range(len(mu)):
+        if r != report.residual_index - 1:
+            wrong = weight_add(mu, tuple(step if t == r else 0 for t in range(len(mu))))
+            assert _central_character(wrong) != 16
 
 
 def test_tensor_action_map_examples():

@@ -161,6 +161,33 @@ def test_operator_polynomial_applies_integer_matrices_only(monkeypatch):
     assert not result.is_zero() and not p.is_zero()
 
 
+def test_products_and_sums_run_without_fraction_arithmetic(monkeypatch):
+    rng = random.Random(11)
+
+    def rational(rows, cols):
+        return Matrix.from_rows([
+            [F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7])) for _ in range(cols)]
+            for _ in range(rows)
+        ])
+
+    a, b, c, d = rational(4, 5), rational(5, 3), rational(4, 6), rational(6, 3)
+    ab, cd = dense_product(a.to_dense(), b.to_dense()), dense_product(c.to_dense(), d.to_dense())
+    expected = [[x - y for x, y in zip(r, r2)] for r, r2 in zip(ab, cd)]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__"):
+        original = getattr(F, name)
+
+        def counting(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(F, name, counting)
+    result = a @ b - c @ d
+    monkeypatch.undo()
+    assert calls == []
+    assert result.to_dense() == expected
+
+
 def test_matmul_matches_dense():
     rng = random.Random(7)
     a = Matrix.from_rows([[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)])
@@ -454,7 +481,9 @@ def test_elimination_matches_dense_gauss_jordan(drawn, extra):
         assert coords == oracle_coords(inserted, vec, cols)
 
 
-sparse_scalar = st.one_of(st.just(0), small_frac)
+# coprime denominators, so the common denominator of a matrix is a real lcm
+mixed_frac = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+sparse_scalar = st.one_of(st.just(0), mixed_frac)
 
 
 def sparse_matrix(rows, cols):
@@ -471,6 +500,10 @@ def matmul_triple(draw, max_dim=5):
     )
 
 
+def dense_product(xd, yd):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*yd)] for row in xd]
+
+
 def assert_clean(m):
     # what the validating constructor would store: nonzero, ints for integers
     for v in m.entries.values():
@@ -484,15 +517,17 @@ def assert_clean(m):
 def test_exact_operations_match_dense_and_store_clean_entries(mats, s):
     a, a2, b = mats
     ad, a2d, bd = a.to_dense(), a2.to_dense(), b.to_dense()
+    # the product caches a's integer form, which both sums then read
     prod, total, diff = a @ b, a + a2, a - a2
-    assert prod.to_dense() == [
-        [sum(ad[i][t] * bd[t][j] for t in range(a.cols)) for j in range(b.cols)]
-        for i in range(a.rows)
-    ]
+    assert prod.to_dense() == dense_product(ad, bd)
     assert total.to_dense() == [[x + y for x, y in zip(r, r2)] for r, r2 in zip(ad, a2d)]
     assert diff.to_dense() == [[x - y for x, y in zip(r, r2)] for r, r2 in zip(ad, a2d)]
     assert diff == a + (-a2)
-    for m in (prod, total, diff, -a, a.scale(s), a.transpose(), kron(a, b)):
+    # sums of products, which keep the integer form they computed
+    commutator_like = prod - a2 @ b
+    assert commutator_like == diff @ b
+    assert commutator_like.to_dense() == dense_product(diff.to_dense(), bd)
+    for m in (prod, total, diff, commutator_like, -a, a.scale(s), a.transpose(), kron(a, b)):
         assert_clean(m)
 
 
@@ -505,9 +540,6 @@ def _reference_product(op, roots):
     return out
 
 
-mixed_root = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
-
-
 @st.composite
 def square_rational_matrix(draw, max_dim=6):
     n = draw(st.integers(0, max_dim))
@@ -516,7 +548,7 @@ def square_rational_matrix(draw, max_dim=6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_rational_matrix(), st.lists(mixed_root, max_size=3), mixed_root)
+@given(square_rational_matrix(), st.lists(mixed_frac, max_size=3), mixed_frac)
 def test_integer_operator_product_matches_matrix_product(op, roots, target):
     value = eval_operator_polynomial(op, roots)
     assert value == _reference_product(op, roots)

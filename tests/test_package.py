@@ -21,6 +21,20 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_float_literal_or_float_call():
+    # arithmetic stays exact: no float enters through a literal, float() or round()
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "round")):
+                found.append(f"{path.name}:{node.lineno}: {node.func.id}()")
+    assert found == []
+
+
 def test_package_modules_use_every_name_they_import():
     # a deletion can leave an import behind; __init__ imports to re-export
     found = []
