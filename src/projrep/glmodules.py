@@ -3,21 +3,25 @@
 A module is labelled by nonnegative Dynkin labels (a_1, ..., a_{n-1}) for the
 traceless part plus a rational central scalar b for the identity matrix.
 Construction realizes each fundamental module as an exterior power of the
-vector representation, tensors the required copies together, takes the cyclic
-span of the top vector under the simple lowering operators, and restricts all
-E_{i,j} to that span; the Cartan diagonal is then shifted so the identity acts
-by b.  Weights are plain n-tuples (Fractions or ints), index i holding the
-E_{i,i} eigenvalue.
+vector representation, tensors the required copies together and takes the
+cyclic span of the top vector under the simple lowerings F_j = E_{j+1,j}; the
+Cartan diagonal is then shifted so the identity acts by b.  Only the lowerings
+act on the tensor product.  Their columns are read off the span's insertions,
+the simple raisings follow from E_i F_j = F_j E_i + delta_ij H_i in module
+coordinates, and every other E_{i,j} is a commutator of two generators nearer
+the diagonal.  Weights are plain n-tuples (Fractions or ints), index i holding
+the E_{i,i} eigenvalue.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import EchelonSpan, Matrix
+from .linalg import EchelonSpan, Matrix, add_into
 
 __all__ = [
     "DominantLabels",
@@ -198,8 +202,17 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
 
     Refuses construction when the Weyl dimension exceeds `dim_cap`.  Basis
     vectors of the tensor product are keys of wedge-basis positions, one per
-    factor; E_{i,j} acts on a key factor by factor through a table of its
+    factor; a lowering acts on a key factor by factor through a table of its
     action on each wedge basis, built once per module (`_wedge_table`).
+
+    The lowering closure runs first in, first out.  Each image F_j u enters
+    the EchelonSpan of its weight once: a new basis vector v gives F_j a unit
+    column, and a dependent image gives its coordinates.  For a new v = F_j u
+    the raisings are E_i v = F_j (E_i u) + delta_ij (w_i - w_{i+1}) u, where
+    w is u's weight; E_i u and the F_j columns of the vectors above u are
+    known by then.  E_{i,j} with |i - j| >= 2 is [E_{i,i+1}, E_{i+1,j}] or
+    [E_{j,j-1}, E_{j-1,i}].  Entries are stored column by column, rows
+    ascending within a column.
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -253,65 +266,85 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             out[idx] = val
         return out
 
+    # A basis vector is named (weight, id in its weight's span).  lower[j] and
+    # raise_[j] map each name to its column of F_j = E_{j+1,j} and of
+    # E_j = E_{j,j+1}, as {name: coefficient}.
     top_weight = key_weight(top_key)
+    top_name = (top_weight, 0)
     spans = {top_weight: EchelonSpan()}
     spans[top_weight].insert(flatten(top))
-    basis_by_weight = {top_weight: [top]}
-    queue = [(top, top_weight)]
+    lower = [{} for _ in range(n - 1)]
+    raise_ = [{top_name: {}} for _ in range(n - 1)]
+    # First in, first out: a vector is taken only after every vector one
+    # lowering nearer the top, so the F columns the raisings read are known.
+    queue = deque([(top, top_name)])
     while queue:
-        vec, w = queue.pop(0)
+        vec, u = queue.popleft()
+        w = u[0]
         for j in range(n - 1):
             img = tensor_apply(j + 1, j, vec)
             if not img:
+                lower[j][u] = {}
                 continue
             tw = tuple(w[t] + (1 if t == j + 1 else 0) - (1 if t == j else 0) for t in range(n))
             span = spans.get(tw)
             if span is None:
                 span = spans[tw] = EchelonSpan()
-                basis_by_weight[tw] = []
-            if span.insert(flatten(img)) is not None:
-                basis_by_weight[tw].append(img)
-                queue.append((img, tw))
+            new_id, coords = span.insert_or_coords(flatten(img))
+            if new_id is None:
+                lower[j][u] = {(tw, t): c for t, c in enumerate(coords) if c != 0}
+                continue
+            v = (tw, new_id)
+            lower[j][u] = {v: 1}
+            queue.append((img, v))
+            # E_i v = E_i F_j u = F_j E_i u + delta_ij (w_i - w_{i+1}) u
+            for i in range(n - 1):
+                col = {}
+                for x, c in raise_[i][u].items():
+                    add_into(col, lower[j][x].items(), c)
+                if i == j:
+                    add_into(col, [(u, w[i] - w[i + 1])])
+                raise_[i][v] = col
 
-    order = []
-    index_of = {}
-    for w in sorted(basis_by_weight, reverse=True):
-        for local, vec in enumerate(basis_by_weight[w]):
-            index_of[(w, local)] = len(order)
-            order.append((w, vec))
-    dim = len(order)
+    names = [(w, t) for w in sorted(spans, reverse=True) for t in range(spans[w].dim)]
+    dim = len(names)
     if dim != target_dim:
         raise ConsistencyViolationError(
             f"lowering closure produced dimension {dim}, Weyl formula says {target_dim}"
         )
+    index_of = {name: idx for idx, name in enumerate(names)}
+
+    def column_major(entries):
+        return Matrix(dim, dim, dict(sorted(entries, key=lambda item: item[0][::-1])))
+
+    def from_columns(columns):
+        return column_major(
+            ((index_of[x], index_of[u]), c) for u in names for x, c in columns[u].items()
+        )
+
+    def commutator(a, b):
+        # a product caches column forms on its operands: multiply copies, so
+        # the module's generators do not carry them for their lifetime
+        a, b = Matrix(dim, dim, a.entries), Matrix(dim, dim, b.entries)
+        return column_major((a @ b - b @ a).entries.items())
 
     shift = Fraction(labels.b - sum(fund), n)
-    basis_weights = [tuple(x + shift for x in w) for w, _ in order]
+    basis_weights = [tuple(x + shift for x in w) for w, _ in names]
 
     action = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            ent = {}
-            for col, (w, vec) in enumerate(order):
-                if i == j:
-                    ev = w[i] + shift
-                    if ev != 0:
-                        ent[(col, col)] = ev
-                    continue
-                img = tensor_apply(i, j, vec)
-                if not img:
-                    continue
-                tw = tuple(w[t] + (1 if t == i else 0) - (1 if t == j else 0) for t in range(n))
-                span = spans.get(tw)
-                coords = span.coords(flatten(img)) if span is not None else None
-                if coords is None:
-                    raise ConsistencyViolationError(
-                        "generator image left the lowering-closure span"
-                    )
-                for local, cval in enumerate(coords):
-                    if cval != 0:
-                        ent[(index_of[(tw, local)], col)] = cval
-            action[i][j] = Matrix(dim, dim, ent)
+        action[i][i] = Matrix(
+            dim, dim, {(col, col): w[i] for col, w in enumerate(basis_weights) if w[i] != 0}
+        )
+    for j in range(n - 1):
+        action[j + 1][j] = from_columns(lower[j])
+        action[j][j + 1] = from_columns(raise_[j])
+    # [E_{i,i+1}, E_{i+1,j}] = E_{i,j} and [E_{j,j-1}, E_{j-1,i}] = E_{j,i}
+    for gap in range(2, n):
+        for i in range(n - gap):
+            j = i + gap
+            action[i][j] = commutator(action[i][i + 1], action[i + 1][j])
+            action[j][i] = commutator(action[j][j - 1], action[j - 1][i])
 
     mod = GlModule(labels, basis_weights, action, highest_index=0)
     if mod.highest_weight != mu:

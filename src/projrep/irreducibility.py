@@ -389,13 +389,25 @@ def _linked(mu, nu):
     return shifted(mu) == shifted(nu)
 
 
+def _central_character(mu):
+    """The quadratic Casimir's scalar c(lambda) for lambda = (-|mu|, mu_1, ..., mu_n).
+
+    c(lambda) = sum_a lambda_a^2 + sum_a lambda_a (n - 2a) over a = 0..n; the
+    term -(sum_a lambda_a)^2 / (n+1) of the gl(n+1) formula vanishes here.
+    """
+    n = len(mu)
+    lam = (-sum(mu),) + tuple(mu)
+    return sum(x * x + x * (n - 2 * a) for a, x in enumerate(lam))
+
+
 def jordan_holder(V, degree_cap=None):
     """Verify the composition series of a reducible module by brute force.
 
     Checks, degree by degree, that the chain span fills everything through
     degree k and first falls short at k+1 with a single missing summand of
-    the predicted shape, whose weight must be linked to mu (same central
-    character); closed-form/brute-force disagreements raise
+    the predicted shape, whose weight must be linked to mu (a permutation of
+    the rho-shifted weights) and give the quadratic Casimir the same scalar;
+    closed-form/brute-force disagreements raise
     ConsistencyViolationError instead of being reconciled.
     """
     mu = V.highest_weight
@@ -431,10 +443,17 @@ def jordan_holder(V, degree_cap=None):
     residual_weight = weight_add(
         mu, tuple(k + 1 if t == r_index - 1 else 0 for t in range(len(mu)))
     )
+    shown = ", ".join(map(format_rational, residual_weight))
     if not _linked(mu, residual_weight):
         raise ConsistencyViolationError(
-            f"quotient weight ({', '.join(map(format_rational, residual_weight))}) "
-            "is not linked to the module's: the central characters differ"
+            f"quotient weight ({shown}) is not linked to the module's: "
+            "the central characters differ"
+        )
+    c_mu, c_quotient = _central_character(mu), _central_character(residual_weight)
+    if c_quotient != c_mu:
+        raise ConsistencyViolationError(
+            f"quotient weight ({shown}) has Casimir eigenvalue "
+            f"{format_rational(c_quotient)}, the module's is {format_rational(c_mu)}"
         )
 
     finite = i0 == 1

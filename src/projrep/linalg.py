@@ -20,9 +20,10 @@ pass.
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and records, for every echelon row,
 the integer combination of inserted vectors that it equals.  ``rank``, the
-spans of module construction, the chain ranks of the irreducibility check,
-``coords`` and ``kernel_basis`` all go through it; only the last two make
-fractions, when they read coefficients off a relation.
+spans of module construction (``insert_or_coords``), the chain ranks of the
+irreducibility check and ``kernel_basis`` all go through it; only
+``insert_or_coords`` and ``kernel_basis`` make fractions, when they read
+coefficients off a relation.
 """
 
 from __future__ import annotations
@@ -528,8 +529,8 @@ class EchelonSpan:
     vectors that it equals.  A reduction step replaces vec by a*vec - b*row,
     where a and b are the row's pivot and vec's entry at that column over
     their gcd; vec and its combination are then divided by their joint gcd.
-    No Fraction arises until coords() or kernel_basis reads coefficients
-    off a relation.
+    No Fraction arises until insert_or_coords() or kernel_basis reads
+    coefficients off a relation.
     """
 
     def __init__(self):
@@ -582,17 +583,19 @@ class EchelonSpan:
         self.dim += 1
         return new_id, comb
 
-    def coords(self, vec):
-        """Coefficients over the inserted basis, or None if vec is outside."""
-        residual, comb = self._reduce(vec, self.dim)
-        if residual:
-            return None
+    def insert_or_coords(self, vec):
+        """Insert vec if it lies outside the span: returns (its basis id, None).
+        Otherwise returns (None, coords), its coefficients over the inserted
+        basis; the span is then unchanged."""
+        new_id, comb = self._insert(vec)
+        if new_id is not None:
+            return new_id, None
         # comb[dim] * vec + sum(comb[i] * vector i) = 0
         lead = comb.pop(self.dim)
         out = [0] * self.dim
         for i, v in comb.items():
             out[i] = _norm(Fraction(-v, lead))
-        return out
+        return None, out
 
 
 # -- characteristic polynomial (spectrum oracle substrate) -------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -19,7 +20,7 @@ from projrep.glmodules import (
     weight_from_labels,
     weyl_dimension,
 )
-from projrep.linalg import joint_kernel
+from projrep.linalg import EchelonSpan, joint_kernel
 
 SMALL_SWEEP = [
     (1, (), F(0)), (1, (), F(-2)), (1, (), F(1, 2)),
@@ -86,7 +87,15 @@ def test_build_sl3_adjoint_shape():
     assert V.dim == 8
 
 
-@pytest.mark.parametrize("n,dynkin,b", SMALL_SWEEP)
+# n = 4 and 5 with fractional b: the generators E_ij with |i - j| = 2, 3, 4
+# are built as commutators, and validate_module checks every gl(n) relation
+WIDE_SWEEP = [
+    (4, (1, 0, 1), F(1, 2)), (4, (1, 1, 1), F(-1, 3)),
+    (5, (1, 0, 0, 1), F(1, 2)), (5, (0, 1, 0, 1), F(2, 5)),
+]
+
+
+@pytest.mark.parametrize("n,dynkin,b", SMALL_SWEEP + WIDE_SWEEP)
 def test_module_invariants(n, dynkin, b):
     V = cached_module(n, dynkin, b)
     assert validate_module(V)
@@ -177,3 +186,47 @@ def test_build_tabulates_the_wedge_action_once(monkeypatch):
     V = build_irreducible(DominantLabels(n, (2, 1), F(0)))
     assert V.dim == 15
     assert 0 < len(calls) <= n * n * sum(math.comb(n, d) for d in range(n + 1))
+
+
+@pytest.mark.parametrize("n,dynkin", [(3, (2, 1)), (4, (1, 1, 1)), (5, (0, 1, 0, 1))])
+def test_build_eliminates_only_the_lowering_closure(monkeypatch, n, dynkin):
+    """One reduction per lowering image of a basis vector, plus the top vector:
+    the raisings and the other generators never enter an EchelonSpan."""
+    calls = []
+    original = EchelonSpan._reduce
+
+    def counting(self, vec, key):
+        calls.append(key)
+        return original(self, vec, key)
+
+    monkeypatch.setattr(EchelonSpan, "_reduce", counting)
+    V = build_irreducible(DominantLabels(n, dynkin, F(1, 2)))
+    assert 0 < len(calls) <= (n - 1) * V.dim + 1
+
+
+def _generator_digest(V):
+    """sha256 over the basis weights, the highest index and every generator's
+    entries in their stored order, each value with its type."""
+    h = hashlib.sha256()
+    h.update(repr((V.basis_weights, V.highest_index)).encode())
+    for i in range(V.n):
+        for j in range(V.n):
+            for k, v in V.e(i, j).entries.items():
+                h.update(repr((k, type(v).__name__, v)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,dynkin,b,dim,digest", [
+    (2, (3,), F(1, 2), 4, "54b03f752a4418bc73db0a1cb19895ca0bd17346e7423a3af6a88845c3514b20"),
+    (3, (2, 2), F(0), 27, "59ae571a2c92bb6b740bbf0773e3aecc12ac0aea6387e7feb14927b13d31486b"),
+    (3, (1, 1), F(1, 3), 8, "558a6312a2dcb60e04765453708606f3822ad63e1e2cbef4d6dbc473bf649856"),
+    (4, (1, 0, 1), F(1, 2), 15, "8a9e8feb5a61b442a7ee89a5210d0c172b03e249dc1c7551a9f3d493db8e6f5e"),
+    (4, (1, 1, 0), F(-2), 20, "3ad14346a942d720782792c67cff162c5f3d64e2b91682b1586663028081720a"),
+    (5, (1, 0, 0, 1), F(2), 24, "3ed562360ccdea4ae10f88e84e26c4c0b60f625dd3c87571802dc5c48b9abfee"),
+])
+def test_generators_are_pinned_bit_for_bit(n, dynkin, b, dim, digest):
+    """The basis and every generator matrix, value, type and entry order,
+    as the build that read each generator off the tensor product made them."""
+    V = build_irreducible(DominantLabels(n, dynkin, b))
+    assert V.dim == dim
+    assert _generator_digest(V) == digest

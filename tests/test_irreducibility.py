@@ -24,6 +24,7 @@ from projrep.glmodules import (
     weyl_dimension,
 )
 from projrep.irreducibility import (
+    _central_character,
     _p_chain_vector,
     criterion,
     criterion_equivalence_check,
@@ -351,17 +352,6 @@ def test_jordan_holder_rejects_irreducible():
         jordan_holder(V)
 
 
-def _central_character(mu):
-    """The Casimir's scalar c(lambda) for lambda = (-|mu|, mu_1, ..., mu_n).
-
-    c(lambda) = sum_a lambda_a^2 + sum_a lambda_a (n - 2a) over a = 0..n; the
-    term -(sum_a lambda_a)^2 / (n+1) of the gl(n+1) formula vanishes here.
-    """
-    n = len(mu)
-    lam = (-sum(mu),) + tuple(mu)
-    return sum(x * x + x * (n - 2 * a) for a, x in enumerate(lam))
-
-
 def _casimir(V, k):
     """C_k = sum_ij X_ij X_ji + (sum_i X_ii)^2 - sum_j (d_j p_j + p_j d_j) on
     the degree-k piece: the quadratic Casimir of sl(n+1) with E_ij = X_ij,
@@ -396,6 +386,20 @@ def test_casimir_acts_by_the_central_character(dynkin, b, c):
     for k in range(3):
         casimir = _casimir(V, k)
         assert casimir == Matrix.identity(casimir.rows).scale(c)
+
+
+def test_jordan_holder_checks_the_quotient_central_character(monkeypatch):
+    # with the linkage check stubbed out, the Casimir check alone must catch
+    # every wrong residual index
+    V = cached_module(3, (1, 0), F(-2))
+    right = jordan_holder(V).residual_index
+    monkeypatch.setattr(irreducibility, "_linked", lambda mu, nu: True)
+    assert jordan_holder(V).residual_index == right
+    for wrong in range(1, V.n + 1):
+        if wrong != right:
+            monkeypatch.setattr(irreducibility, "_residual_index", lambda mu, k: wrong)
+            with pytest.raises(ConsistencyViolationError, match="Casimir eigenvalue"):
+                jordan_holder(V)
 
 
 def test_quotient_weight_has_the_module_central_character():

@@ -370,7 +370,7 @@ def test_echelon_span_membership_and_coords(rows):
     assert span.dim == len(inserted)
     assert span.dim == rank(Matrix.from_rows(rows))
     for vec in inserted:
-        coords = span.coords(vec)
+        _, coords = span.insert_or_coords(vec)
         assert coords is not None
         rebuilt = {}
         for x, base in zip(coords, inserted):
@@ -476,8 +476,9 @@ def test_elimination_matches_dense_gauss_jordan(drawn, extra):
     assert span.dim == len(rref) == len(inserted)
     assert gauss_jordan(inserted, cols)[0] == rref
     combination = [sum(x * row[i] for x, row in zip(extra, data)) for i in range(cols)]
+    # extra comes last: insert_or_coords inserts it when it lies outside
     for vec in data + [combination, extra[:cols]]:
-        coords = span.coords({i: v for i, v in enumerate(vec) if v != 0})
+        _, coords = span.insert_or_coords({i: v for i, v in enumerate(vec) if v != 0})
         assert coords == oracle_coords(inserted, vec, cols)
 
 
