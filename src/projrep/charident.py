@@ -9,6 +9,18 @@ representation into their isotypic pieces.  Everything is exact; a residual
 is either the zero matrix or the identity fails.  The brute-force spectrum
 oracle finds the rational eigenvalues from the exact characteristic
 polynomial by an integer root search, with the standard library only.
+
+Each block operator commutes with the diagonal gl(n) action on C^n (x) V
+(sigma2_tilde and the negated transpose) or on its dual (the generator
+grid): the index (i, q), global i*dim + q, has weight w_q + e_i, or w_q - e_i
+on the dual.  Its operator polynomials, eigenspaces and projectors are then
+gl(n)-submodules or module maps, so the command line reads them off the
+square blocks on the dominant weight spaces alone (`weight_blocks`): a
+residual vanishes iff it vanishes on every dominant block (a nonzero
+quotient has a dominant highest weight), and a kernel's or image's
+dimension is the sum over dominant w of its dimension on the block of w
+times |S_n . w|.  `check_characteristic_identity` and `tensor_projector`
+keep the all-columns computation as the oracle of that path.
 """
 
 from __future__ import annotations
@@ -16,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .glmodules import module_memo
+from .errors import ConsistencyViolationError
+from .glmodules import is_dominant, module_memo, orbit_size
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
     _denominator,
+    add_into,
     block,
     charpoly,
     eval_operator_polynomial,
@@ -31,13 +45,17 @@ from .linalg import (
 
 __all__ = [
     "SpectrumReport",
+    "adjoint_blocks",
     "adjoint_matrices",
     "brute_force_spectrum",
     "check_characteristic_identity",
+    "identity_on_blocks",
     "predicted_adjoint_roots",
     "predicted_sigma2_roots",
+    "projector_rank",
     "sigma2_tilde",
     "tensor_projector",
+    "weight_blocks",
 ]
 
 
@@ -103,8 +121,8 @@ class SpectrumReport:
 
 
 def _geometric_multiplicity(m, c):
-    shifted = m + Matrix.identity(m.rows).scale(-c)
-    return m.rows - rank(shifted)
+    shifted = add_into(dict(m.entries), [((i, i), c) for i in range(m.rows)], -1)
+    return m.rows - rank(Matrix._trusted(m.rows, m.cols, shifted))
 
 
 def check_characteristic_identity(op, roots):
@@ -112,6 +130,21 @@ def check_characteristic_identity(op, roots):
     residual = eval_operator_polynomial(op, list(roots))
     mults = tuple(_geometric_multiplicity(op, r) for r in roots)
     return SpectrumReport(tuple(Fraction(r) for r in roots), residual.is_zero(), mults)
+
+
+def _projector_roots(V, r, dual):
+    """(target, others): the root of summand r and the roots it is cut from."""
+    n = V.n
+    if not (1 <= r <= n):
+        raise ValueError(f"r must be in 1..{n}")
+    d, dt = predicted_adjoint_roots(V.highest_weight)
+    roots = d if dual else dt
+    target = roots[r - 1]
+    others = [roots[l] for l in range(n) if l != r - 1]
+    for l in range(n):
+        if l != r - 1 and roots[l] == target:
+            raise DegenerateSpectrumError(target, (r, l + 1))
+    return target, others
 
 
 def tensor_projector(V, r, dual):
@@ -122,20 +155,97 @@ def tensor_projector(V, r, dual):
     decomposition; raises DegenerateSpectrumError (with the colliding pair)
     if the needed roots coincide.
     """
-    n = V.n
-    if not (1 <= r <= n):
-        raise ValueError(f"r must be in 1..{n}")
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
+    target, others = _projector_roots(V, r, dual)
     m, mt = adjoint_matrices(V)
-    roots = d if dual else dt
-    op = m if dual else mt
-    target = roots[r - 1]
-    others = [roots[l] for l in range(n) if l != r - 1]
-    for l in range(n):
-        if l != r - 1 and roots[l] == target:
-            raise DegenerateSpectrumError(target, (r, l + 1))
-    return idempotent_from_spectrum(op, target, others)
+    return idempotent_from_spectrum(m if dual else mt, target, others)
+
+
+# -- the same answers from the dominant weight blocks --------------------------
+
+
+def _dominant_weight_spaces(V, dual):
+    """{weight: [global indices]} over the dominant weight spaces of C^n (x) V
+    (dual: of its dual), memoized per module.  Weights are integer tuples,
+    shifted by the constant that makes the module's weights integral, which
+    changes neither dominance nor orbit sizes."""
+
+    def build():
+        sign = -1 if dual else 1
+        base = V.highest_weight[-1]
+        num, den = base.numerator, base.denominator
+        spaces = {}
+        for q, wq in enumerate(V.basis_weights):
+            # x - base on integers: every entry has base's denominator
+            w = []
+            for x in wq:
+                k, rem = divmod(x.numerator - num, den)
+                if rem or x.denominator != den:
+                    raise ConsistencyViolationError(f"{V!r}: weight {wq} is not integral over {base}")
+                w.append(k)
+            for i in range(V.n):
+                w[i] += sign
+                if is_dominant(w):
+                    spaces.setdefault(tuple(w), []).append(i * V.dim + q)
+                w[i] -= sign
+        return spaces
+
+    return module_memo(V, "dominant_spaces", dual, build)
+
+
+def weight_blocks(V, op, dual):
+    """[(B_w, |S_n . w|)]: the square blocks of the block operator `op` on the
+    dominant weight spaces w of C^n (x) V (dual: of its dual).
+
+    Raises ConsistencyViolationError when a dominant column has an entry in
+    a row of another weight: the blocks then do not describe `op`.
+    """
+    cm = op.colmap()
+    blocks = []
+    for w, indices in _dominant_weight_spaces(V, dual).items():
+        position = {g: t for t, g in enumerate(indices)}
+        ent = {}
+        for t, g in enumerate(indices):
+            for r, v in cm.get(g, {}).items():
+                s = position.get(r)
+                if s is None:
+                    raise ConsistencyViolationError(
+                        f"{V!r}: a block operator maps index {g} to index {r} of another weight"
+                    )
+                ent[(s, t)] = v
+        blocks.append((Matrix._trusted(len(indices), len(indices), ent), orbit_size(w)))
+    return blocks
+
+
+def adjoint_blocks(V, dual):
+    """weight_blocks of the generator grid (dual) or of its negated
+    transpose, memoized per module."""
+
+    def build():
+        m, mt = adjoint_matrices(V)
+        return weight_blocks(V, m if dual else mt, dual)
+
+    return module_memo(V, "adjoint_blocks", dual, build)
+
+
+def identity_on_blocks(blocks, roots):
+    """check_characteristic_identity of an equivariant operator, from its
+    dominant weight blocks (`weight_blocks`)."""
+    roots = list(roots)
+    residual_is_zero = all(eval_operator_polynomial(b, roots).is_zero() for b, _ in blocks)
+    mults = tuple(
+        sum(_geometric_multiplicity(b, r) * size for b, size in blocks) for r in roots
+    )
+    return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
+
+
+def projector_rank(V, r, dual):
+    """rank(tensor_projector(V, r, dual)), from the projectors of the dominant
+    weight blocks; raises DegenerateSpectrumError as tensor_projector does."""
+    target, others = _projector_roots(V, r, dual)
+    return sum(
+        rank(idempotent_from_spectrum(b, target, others)) * size
+        for b, size in adjoint_blocks(V, dual)
+    )
 
 
 def brute_force_spectrum(m, max_dim=48):

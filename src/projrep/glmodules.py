@@ -16,9 +16,10 @@ the E_{i,i} eigenvalue.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import ConsistencyViolationError, DimensionCapError
 from .linalg import EchelonSpan, Matrix, add_into
@@ -29,7 +30,9 @@ __all__ = [
     "build_irreducible",
     "clear_caches",
     "dominant_gaps",
+    "is_dominant",
     "module_memo",
+    "orbit_size",
     "pieri_index_set",
     "validate_module",
     "weight_add",
@@ -73,6 +76,21 @@ def dominant_gaps(mu):
             raise ValueError(f"weight {mu} is not dominant: gap {i} is {d}")
         gaps.append(int(d))
     return gaps
+
+
+def is_dominant(w):
+    """Whether the weight is non-increasing, w_1 >= w_2 >= ... >= w_n: the one
+    weight of its S_n-orbit that a finite-dimensional module's highest
+    weights and dominant weight spaces are taken from."""
+    return all(a >= b for a, b in zip(w, w[1:]))
+
+
+def orbit_size(w):
+    """|S_n . w| = n! / prod m!, m running over the multiplicities of w's entries."""
+    size = factorial(len(w))
+    for m in Counter(w).values():
+        size //= factorial(m)
+    return size
 
 
 def weight_from_labels(labels):

@@ -10,10 +10,8 @@ two-step composition series and the residual quotient data are reported.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .action import (
     GradedElement,
@@ -27,7 +25,9 @@ from .action import (
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
+    is_dominant,
     module_memo,
+    orbit_size,
     pieri_index_set,
     weight_add,
     weyl_dimension,
@@ -187,14 +187,6 @@ def _label_weight(V, mono, q):
     return weight_add(V.basis_weights[q], mono)
 
 
-def _orbit_size(w):
-    """|S_n . w| = n! / prod m!, m running over the multiplicities of w's entries."""
-    size = factorial(len(w))
-    for m in Counter(w).values():
-        size //= factorial(m)
-    return size
-
-
 def up_submodule_rank(V, k):
     """Dimension of the degree-k piece of the span of all p-chains.
 
@@ -213,11 +205,11 @@ def up_submodule_rank(V, k):
         for c in monomials_of_degree(V.n, k):
             for q in range(V.dim):
                 w = _label_weight(V, c, q)
-                if all(a >= b for a, b in zip(w, w[1:])):
+                if is_dominant(w):
                     vec = _p_chain_vector(V, c, q)
                     if vec:
                         spans.setdefault(w, EchelonSpan()).insert(vec)
-        return sum(span.dim * _orbit_size(w) for w, span in spans.items())
+        return sum(span.dim * orbit_size(w) for w, span in spans.items())
 
     return module_memo(V, "rank", k, compute)
 

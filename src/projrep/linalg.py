@@ -468,7 +468,7 @@ def eval_operator_polynomial(op, roots, divisor=1):
         _check_scalar(r)
     _check_scalar(divisor)
     den = math.lcm(_denominator(op.entries.values()), _denominator(roots))
-    int_op = op.scale(den)
+    int_op = op if den == 1 else op.scale(den)
     int_roots = [int(den * r) for r in reversed(roots)]
     divisor = Fraction(divisor)
     num_scale, den_scale = divisor.denominator, divisor.numerator * den ** len(roots)

@@ -29,12 +29,16 @@ from .action import (
     verify_bracket_consistency,
 )
 from .charident import (
+    adjoint_blocks,
     adjoint_matrices,
     check_characteristic_identity,
+    identity_on_blocks,
     predicted_adjoint_roots,
     predicted_sigma2_roots,
+    projector_rank,
     sigma2_tilde,
     tensor_projector,
+    weight_blocks,
 )
 from .errors import ConsistencyViolationError
 from .glmodules import (
@@ -205,6 +209,32 @@ def check_projector_suite(V):
                 if not (projectors[a] @ projectors[b]).is_zero():
                     return False, f"P_{a+1} P_{b+1} != 0 (dual={dual})"
     return True, "idempotence, orthogonality, resolution, ranks"
+
+
+def check_block_spectra(V):
+    """The dominant-weight-block answers of the command line against the
+    all-columns oracle: identity reports and every projector rank."""
+    mu = V.highest_weight
+    d, dt = predicted_adjoint_roots(mu)
+    m, mt = adjoint_matrices(V)
+    s2 = sigma2_tilde(V)
+    cases = (
+        ("sigma2", weight_blocks(V, s2, dual=False), s2, predicted_sigma2_roots(mu)),
+        ("adjoint", adjoint_blocks(V, dual=True), m, d),
+        ("adjoint_dual", adjoint_blocks(V, dual=False), mt, dt),
+    )
+    for name, blocks, op, roots in cases:
+        on_blocks = identity_on_blocks(blocks, roots)
+        full = check_characteristic_identity(op, roots)
+        if on_blocks != full:
+            return False, f"{name}: blocks {on_blocks} != full {full}"
+    for dual in (False, True):
+        for r in range(1, V.n + 1):
+            on_blocks = projector_rank(V, r, dual)
+            full = rank(tensor_projector(V, r, dual))
+            if on_blocks != full:
+                return False, f"rank P_{r} (dual={dual}): blocks {on_blocks} != full {full}"
+    return True, "identity reports and projector ranks match the full matrices"
 
 
 def _tensor_equivariance_generators(V, dual):
@@ -445,6 +475,7 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             ("adjoint-identities", lambda: check_adjoint_identities(V)),
             ("projector-suite", lambda: check_projector_suite(V)),
             ("projector-equivariance", lambda: check_projector_equivariance(V)),
+            ("block-spectra", lambda: check_block_spectra(V)),
             ("q-closed-form-vs-oracle", lambda: check_q_equivalence(V, 3)),
             ("criterion-vs-bruteforce", lambda: check_criterion_vs_bruteforce(V, degree_cap)),
             ("criterion-equivalence", lambda: check_criterion_equivalence(V)),

@@ -1,19 +1,27 @@
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from projrep.charident import (
+    adjoint_blocks,
     adjoint_matrices,
     brute_force_spectrum,
     check_characteristic_identity,
+    identity_on_blocks,
     predicted_adjoint_roots,
     predicted_sigma2_roots,
+    projector_rank,
     sigma2_tilde,
     tensor_projector,
+    weight_blocks,
 )
 from projrep.glmodules import (
     DominantLabels,
     cached_module,
+    is_dominant,
+    orbit_size,
     weight_from_labels,
 )
 from projrep.linalg import Matrix, rank
@@ -208,3 +216,62 @@ def test_spectrum_oracle_confirms_closed_forms(n, dynkin, b):
     d, _ = predicted_adjoint_roots(mu)
     spec_m, complete_m = brute_force_spectrum(m)
     assert complete_m and set(spec_m) <= set(d)
+
+
+# criterion 1's grid, then larger ranks at an integral, a half-integral and a
+# negative central scalar
+BLOCK_ORACLE_POINTS = [
+    (n, dynkin, b)
+    for n in (1, 2, 3)
+    for dynkin in itertools.product(range(3), repeat=n - 1)
+    for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2))
+] + [
+    (n, dynkin, b)
+    for n, dynkin in ((4, (1, 0, 1)), (4, (1, 1, 1)), (4, (0, 2, 0)), (5, (1, 0, 0, 1)), (5, (0, 1, 1, 0)))
+    for b in (F(0), F(1, 2), F(-2))
+]
+
+
+@pytest.mark.parametrize("n,dynkin,b", BLOCK_ORACLE_POINTS)
+def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
+    """Residual flags, multiplicities and projector ranks read off the
+    dominant weight blocks equal the all-columns computation."""
+    V = cached_module(n, dynkin, b)
+    mu = V.highest_weight
+    d, dt = predicted_adjoint_roots(mu)
+    m, mt = adjoint_matrices(V)
+    s2 = sigma2_tilde(V)
+    for blocks, op, roots in (
+        (weight_blocks(V, s2, dual=False), s2, predicted_sigma2_roots(mu)),
+        (adjoint_blocks(V, dual=True), m, d),
+        (adjoint_blocks(V, dual=False), mt, dt),
+    ):
+        full = check_characteristic_identity(op, roots)
+        assert identity_on_blocks(blocks, roots) == full
+        # a wrong root set must be caught on the blocks as on the full matrix
+        wrong = [roots[0] + 1] + list(roots[1:])
+        assert identity_on_blocks(blocks, wrong) == check_characteristic_identity(op, wrong)
+    for dual in (False, True):
+        for r in range(1, n + 1):
+            assert projector_rank(V, r, dual) == rank(tensor_projector(V, r, dual))
+
+
+def test_blocks_are_the_dominant_weight_spaces():
+    """The blocks of n = 4, labels 1,1,1 are the dominant weight spaces of
+    C^n (x) V and of its dual: one block per dominant weight, of that
+    weight's multiplicity, together covering fewer than n*dim indices."""
+    V = cached_module(4, (1, 1, 1), F(0))
+    n, dim = V.n, V.dim
+    m, mt = adjoint_matrices(V)
+    for dual, op in ((False, sigma2_tilde(V)), (False, mt), (True, m)):
+        sign = -1 if dual else 1
+        mult = Counter(
+            tuple(x + sign * (t == i) for t, x in enumerate(w))
+            for w in V.basis_weights for i in range(n)
+        )
+        dominant = sorted((k, orbit_size(w)) for w, k in mult.items() if is_dominant(w))
+        blocks = weight_blocks(V, op, dual)
+        assert sorted((b.rows, size) for b, size in blocks) == dominant
+        assert all(b.rows == b.cols for b, _ in blocks)
+        assert sum(b.rows for b, _ in blocks) < n * dim
+        assert sum(b.rows * size for b, size in blocks) == n * dim

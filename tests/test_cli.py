@@ -4,7 +4,8 @@ import pytest
 
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError, MultiplicityAnomalyError
-from projrep.linalg import DegenerateSpectrumError
+from projrep.glmodules import GlModule
+from projrep.linalg import DegenerateSpectrumError, Matrix
 
 
 def run(capsys, *argv):
@@ -191,7 +192,7 @@ def test_out_of_range_integer_argument_exit_code(capsys, argv, message):
 
 
 @pytest.mark.parametrize("target, argv, error", [
-    ("tensor_projector", ["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "1"],
+    ("projector_rank", ["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "1"],
      DegenerateSpectrumError(1, (0, 1))),
     ("jordan_holder", ["analyze", "-n", "2", "-a", "0", "-b", "0"],
      MultiplicityAnomalyError("synthetic anomaly")),
@@ -206,3 +207,26 @@ def test_internal_error_exit_code(capsys, monkeypatch, target, argv, error):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert f"consistency violation: {error}" in err
+
+
+def _with_off_weight_entry(V):
+    """A copy of V whose E_{1,2} also maps the highest vector to itself, an
+    entry of the wrong weight: E_{1,2} raises the weight by e_1 - e_2."""
+    hi = V.highest_index
+    action = [list(row) for row in V.action]
+    e12 = V.e(0, 1)
+    action[0][1] = Matrix(V.dim, V.dim, {**e12.entries, (hi, hi): 1})
+    return GlModule(V.labels, V.basis_weights, action, hi)
+
+
+@pytest.mark.parametrize("command", ["verify-identity", "decompose"])
+@pytest.mark.parametrize("n, labels", [(3, "1,1"), (4, "1,1,1")])
+def test_off_weight_generator_exits_2(capsys, monkeypatch, command, n, labels):
+    import projrep.cli as cli
+
+    real_build = cli.build_irreducible
+    monkeypatch.setattr(cli, "build_irreducible", lambda *a, **k: _with_off_weight_entry(real_build(*a, **k)))
+    code, out, err = run(capsys, command, "-n", str(n), "-a", labels, "-b", "1/2")
+    assert code == 2
+    assert "consistency violation" in err and "another weight" in err
+    assert out == ""
