@@ -14,8 +14,8 @@ is read off the operator, so only a nonzero operator with a uniform degree
 shift has a matrix.  `commutator_matrix` is the matrix side of a Lie relation:
 the bracket check and the Chevalley relations compare it with the matrix of
 the symbolic bracket.  `act` applies an operator to one graded element term by
-term; the matrix path never calls it, and it serves as the independent oracle
-the tests compare every column with.
+term; the matrix path never calls it, and it is the independent oracle that
+the `action-oracle` suite of `selfcheck` compares every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -352,12 +352,6 @@ class GradedBasis:
     def dim(self):
         return len(self.labels)
 
-    def to_vector(self, element):
-        """Sparse {position: value} coordinates of a GradedElement."""
-        if element.degree != self.degree and not element.is_zero():
-            raise ValueError("degree mismatch")
-        return {self.index[lab]: v for lab, v in element.coords.items()}
-
     def from_vector(self, vec):
         return GradedElement(self.degree, {self.labels[t]: v for t, v in vec.items()})
 
@@ -374,98 +368,38 @@ def _shift_mono(mono, up=None, down=None):
     return tuple(m)
 
 
-def _apply_scaling(i, j, coeff, coords, V, out):
-    """x_{i+1} d_{x_{j+1}} on f tensor v: differentiate-and-shift plus E_{i,j}."""
-    for (mono, t), val in coords.items():
-        c = coeff * val
-        if mono[j]:
-            m = _shift_mono(mono, up=i, down=j)
-            key = (m, t)
-            s = out.get(key, 0) + c * mono[j]
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        for r, a in V.e(i, j).column(t).items():
-            key = (mono, r)
-            s = out.get(key, 0) + c * a
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-
-def _apply_derivative(i, coeff, coords, out):
-    """d_{x_{i+1}} on f tensor v: plain polynomial derivative."""
-    for (mono, t), val in coords.items():
-        if mono[i]:
-            key = (_shift_mono(mono, down=i), t)
-            s = out.get(key, 0) + coeff * val * mono[i]
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-
-def _apply_pseudo(i, coeff, coords, V, out):
-    """p_{i+1} on f tensor v: degree-raising polynomial part, central part,
-    and the summed E_{i,j} twist."""
-    n = V.n
-    b = V.b
-    for (mono, t), val in coords.items():
-        c = coeff * val
-        w = c * (sum(mono) + b)
-        if w != 0:
-            key = (_shift_mono(mono, up=i), t)
-            s = out.get(key, 0) + w
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        for j in range(n):
-            col = V.e(i, j).column(t)
-            if not col:
-                continue
-            m = _shift_mono(mono, up=j)
-            for r, a in col.items():
-                key = (m, r)
-                s = out.get(key, 0) + c * a
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-
-
 def act(op, element, V):
-    """Apply a projective-span operator to a graded element.
+    """Apply a projective-span operator to a graded element, term by term.
 
-    The operator must have a uniform degree shift (all spanning elements and
-    their brackets do); the result lives in degree k+shift.  This is the
-    independent oracle for `operator_matrix`, which assembles whole matrices
-    block by block instead.
+    The operator must be nonzero with a uniform degree shift (all spanning
+    elements and their brackets are); the result lives in degree k+shift.  On
+    f tensor v_t, d_i differentiates f; x_i d_j differentiates and shifts f and
+    adds f tensor E_{i,j} v_t; p_i multiplies f by (deg f + b) x_i and adds
+    x_j f tensor E_{i,j} v_t for every j.  This is the independent oracle for
+    `operator_matrix`, which assembles whole matrices block by block instead.
     """
     if op.n != V.n:
         raise ValueError("dimension mismatch between operator and module")
+    shift = op.degree_shift()
+    if shift is None:
+        raise UnsupportedOperatorError(f"{op!r} has no uniform degree shift")
     deriv, gl, pseudo = projective_components(op)
-    shifts = set()
-    if deriv:
-        shifts.add(-1)
-    if gl:
-        shifts.add(0)
-    if pseudo:
-        shifts.add(1)
-    if len(shifts) > 1:
-        raise UnsupportedOperatorError(
-            "operator mixes degree shifts; apply its graded components separately"
-        )
-    shift = shifts.pop() if shifts else 0
+    # (coefficient, index raised, index lowered) of each polynomial move
+    moves = [(c, None, i) for i, c in deriv.items()]
+    moves += [(c, i, j) for (i, j), c in gl.items()]
+    moves += [(c, i, None) for i, c in pseudo.items()]
+    # (coefficient, generator E_{i,j}, index raised) of each twist
+    twists = [(c, V.e(i, j), None) for (i, j), c in gl.items()]
+    twists += [(c, V.e(i, j), j) for i, c in pseudo.items() for j in range(V.n)]
     out = {}
-    for i, coeff in deriv.items():
-        _apply_derivative(i, coeff, element.coords, out)
-    for (i, j), coeff in gl.items():
-        _apply_scaling(i, j, coeff, element.coords, V, out)
-    for i, coeff in pseudo.items():
-        _apply_pseudo(i, coeff, element.coords, V, out)
+    for (mono, t), val in element.coords.items():
+        for c, up, down in moves:
+            weight = sum(mono) + V.b if down is None else mono[down]
+            if weight:
+                add_into(out, [((_shift_mono(mono, up, down), t), c * val * weight)])
+        for c, e, up in twists:
+            m = _shift_mono(mono, up)
+            add_into(out, (((m, r), a) for r, a in e.column(t).items()), c * val)
     return GradedElement(element.degree + shift, out)
 
 

@@ -8,7 +8,9 @@ interpolation idempotents cut tensor products with the (dual) vector
 representation into their isotypic pieces.  Everything is exact; a residual
 is either the zero matrix or the identity fails.  The brute-force spectrum
 oracle finds the rational eigenvalues from the exact characteristic
-polynomial by an integer root search, with the standard library only.
+polynomial by an integer root search, with the standard library only;
+`selfcheck` runs it on every block operator of dimension up to
+ORACLE_MAX_DIM.
 
 Each block operator commutes with the diagonal gl(n) action on C^n (x) V
 (sigma2_tilde and the negated transpose) or on its dual (the generator
@@ -47,6 +49,7 @@ __all__ = [
     "SpectrumReport",
     "adjoint_blocks",
     "adjoint_matrices",
+    "block_operators",
     "brute_force_spectrum",
     "check_characteristic_identity",
     "identity_on_blocks",
@@ -57,6 +60,8 @@ __all__ = [
     "tensor_projector",
     "weight_blocks",
 ]
+
+ORACLE_MAX_DIM = 48
 
 
 def sigma2_tilde(V):
@@ -84,17 +89,17 @@ def predicted_sigma2_roots(mu):
     return [Fraction(mu[i] + tot - i) for i in range(len(mu))]
 
 
-def adjoint_matrices(V):
-    """The generator grid M and its negated block-transpose, built once per
-    module: every projector of `tensor_projector` shares them."""
+def adjoint_matrices(V, dual):
+    """The generator grid M (dual) or its negated block-transpose, built once
+    per module and `dual`: every projector of `tensor_projector` shares it."""
     n = V.n
 
     def build():
-        m = block([[V.e(i, j) for j in range(n)] for i in range(n)])
-        mt = block([[-V.e(j, i) for j in range(n)] for i in range(n)])
-        return m, mt
+        if dual:
+            return block([[V.e(i, j) for j in range(n)] for i in range(n)])
+        return block([[-V.e(j, i) for j in range(n)] for i in range(n)])
 
-    return module_memo(V, "adjoint", None, build)
+    return module_memo(V, "adjoint", dual, build)
 
 
 def predicted_adjoint_roots(mu):
@@ -127,9 +132,7 @@ def _geometric_multiplicity(m, c):
 
 def check_characteristic_identity(op, roots):
     """Evaluate the product of (op - root) and measure each root's eigenspace."""
-    residual = eval_operator_polynomial(op, list(roots))
-    mults = tuple(_geometric_multiplicity(op, r) for r in roots)
-    return SpectrumReport(tuple(Fraction(r) for r in roots), residual.is_zero(), mults)
+    return identity_on_blocks([(op, 1)], roots)
 
 
 def _projector_roots(V, r, dual):
@@ -156,8 +159,7 @@ def tensor_projector(V, r, dual):
     if the needed roots coincide.
     """
     target, others = _projector_roots(V, r, dual)
-    m, mt = adjoint_matrices(V)
-    return idempotent_from_spectrum(m if dual else mt, target, others)
+    return idempotent_from_spectrum(adjoint_matrices(V, dual), target, others)
 
 
 # -- the same answers from the dominant weight blocks --------------------------
@@ -220,22 +222,36 @@ def adjoint_blocks(V, dual):
     """weight_blocks of the generator grid (dual) or of its negated
     transpose, memoized per module."""
 
-    def build():
-        m, mt = adjoint_matrices(V)
-        return weight_blocks(V, m if dual else mt, dual)
-
-    return module_memo(V, "adjoint_blocks", dual, build)
+    return module_memo(
+        V, "adjoint_blocks", dual, lambda: weight_blocks(V, adjoint_matrices(V, dual), dual)
+    )
 
 
 def identity_on_blocks(blocks, roots):
-    """check_characteristic_identity of an equivariant operator, from its
-    dominant weight blocks (`weight_blocks`)."""
+    """SpectrumReport of an operator given by square blocks [(B, weight)],
+    such as its dominant weight blocks (`weight_blocks`): the residual is zero
+    iff the product of (B - root) vanishes on every block, and a root's
+    multiplicity is the sum of its eigenspace dimensions on the blocks times
+    their weights."""
     roots = list(roots)
     residual_is_zero = all(eval_operator_polynomial(b, roots).is_zero() for b, _ in blocks)
     mults = tuple(
         sum(_geometric_multiplicity(b, r) * size for b, size in blocks) for r in roots
     )
     return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
+
+
+def block_operators(V):
+    """(name, operator, its dominant weight blocks, predicted roots) of each
+    block operator whose characteristic identity `verify-identity` reports."""
+    mu = V.highest_weight
+    d, dt = predicted_adjoint_roots(mu)
+    s2 = sigma2_tilde(V)
+    return (
+        ("sigma2", s2, weight_blocks(V, s2, dual=False), predicted_sigma2_roots(mu)),
+        ("adjoint", adjoint_matrices(V, dual=True), adjoint_blocks(V, dual=True), d),
+        ("adjoint_dual", adjoint_matrices(V, dual=False), adjoint_blocks(V, dual=False), dt),
+    )
 
 
 def projector_rank(V, r, dual):
@@ -248,7 +264,7 @@ def projector_rank(V, r, dual):
     )
 
 
-def brute_force_spectrum(m, max_dim=48):
+def brute_force_spectrum(m):
     """Exact rational spectrum oracle: (spectrum dict, is_complete).
 
     With den clearing m's denominators, the characteristic polynomial of
@@ -257,10 +273,12 @@ def brute_force_spectrum(m, max_dim=48):
     largest absolute row sum of den*m.  Each candidate is tested by Horner's
     rule, and each root t/den of m has its eigenspace measured by rank
     deficiency.  is_complete reports whether the geometric multiplicities
-    exhaust the dimension, i.e. the operator is diagonalizable over Q.
+    exhaust the dimension, i.e. the operator is diagonalizable over Q.  The
+    cost grows like dim^4, so a matrix larger than ORACLE_MAX_DIM raises
+    ValueError.
     """
-    if m.rows > max_dim:
-        raise ValueError(f"spectrum oracle capped at dimension {max_dim}")
+    if m.rows > ORACLE_MAX_DIM:
+        raise ValueError(f"spectrum oracle capped at dimension {ORACLE_MAX_DIM}")
     den = _denominator(m.entries.values())
     # char_{den*m}(x) = den^n char_m(x/den)
     coeffs = [int(c * den ** k) for k, c in enumerate(charpoly(m))]

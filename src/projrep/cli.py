@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .charident import (
-    adjoint_blocks,
-    identity_on_blocks,
-    predicted_adjoint_roots,
-    predicted_sigma2_roots,
-    projector_rank,
-    sigma2_tilde,
-    weight_blocks,
-)
+from .charident import block_operators, identity_on_blocks, projector_rank
 from .errors import ConsistencyViolationError, DimensionCapError, MultiplicityAnomalyError
 from .glmodules import (
     DEFAULT_DIM_CAP,
@@ -50,6 +43,11 @@ EXIT_CONSISTENCY = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative num/den such as -3/2 is a value of -b, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     # argparse exits 2 on usage errors; our exit-code contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -205,15 +203,9 @@ def cmd_decompose(args):
 
 def cmd_verify_identity(args):
     V = _build(args)
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
     # every operator commutes with gl(n): its dominant weight blocks decide
     reports = {
-        "sigma2": identity_on_blocks(
-            weight_blocks(V, sigma2_tilde(V), dual=False), predicted_sigma2_roots(mu)
-        ),
-        "adjoint": identity_on_blocks(adjoint_blocks(V, dual=True), d),
-        "adjoint_dual": identity_on_blocks(adjoint_blocks(V, dual=False), dt),
+        name: identity_on_blocks(blocks, roots) for name, _, blocks, roots in block_operators(V)
     }
     doc = {name: rep.to_json() for name, rep in reports.items()}
     lines = []

@@ -170,19 +170,6 @@ class Matrix:
         return cls(rows, cols, {})
 
     @classmethod
-    def from_rows(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v != 0:
-                    ent[(r, c)] = v
-        return cls(rows, cols, ent)
-
-    @classmethod
     def from_cols(cls, columns, rows):
         ent = {}
         for c, col in enumerate(columns):
@@ -224,9 +211,6 @@ class Matrix:
         return self._intcols
 
     # -- basic algebra -----------------------------------------------------
-
-    def __getitem__(self, rc):
-        return self.entries.get(rc, 0)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -278,11 +262,6 @@ class Matrix:
             return Matrix.zeros(self.rows, self.cols)
         return Matrix._trusted(
             self.rows, self.cols, {k: _norm(v * s) for k, v in self.entries.items()}
-        )
-
-    def transpose(self):
-        return Matrix._trusted(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
     def is_zero(self):
@@ -337,9 +316,6 @@ class Matrix:
         m = Matrix._trusted(self.rows, other.cols, ent)
         m._intcols = den, cols
         return m
-
-    def to_dense(self):
-        return [[self.entries.get((r, c), 0) for c in range(self.cols)] for r in range(self.rows)]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -613,16 +589,13 @@ def charpoly(m):
     if n == 0:
         return [Fraction(1)]
     den = _denominator(m.entries.values())
-    a = [[0] * n for _ in range(n)]
-    for (r, c), v in m.entries.items():
-        a[r][c] = v.numerator * (den // v.denominator)
+    # the nonzero entries of each row of den*m, as (column, int) pairs
+    rm = m.rowmap()
+    a = [[(c, v.numerator * (den // v.denominator)) for c, v in rm.get(r, {}).items()] for r in range(n)]
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
     for k in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * mk[t][j] for t in range(n) if a[i][t]) for j in range(n)]
-            for i in range(n)
-        ]
+        am = [[sum(v * mk[t][j] for t, v in row) for j in range(n)] for row in a]
         tr = sum(am[i][i] for i in range(n))
         ck, rem = divmod(-tr, k)
         if rem:

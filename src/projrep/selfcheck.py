@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import (
+    GradedElement,
+    act,
     chevalley_generators,
     commutator_matrix,
     derivative_op,
@@ -29,8 +31,10 @@ from .action import (
     verify_bracket_consistency,
 )
 from .charident import (
-    adjoint_blocks,
+    ORACLE_MAX_DIM,
     adjoint_matrices,
+    block_operators,
+    brute_force_spectrum,
     check_characteristic_identity,
     identity_on_blocks,
     predicted_adjoint_roots,
@@ -38,7 +42,6 @@ from .charident import (
     projector_rank,
     sigma2_tilde,
     tensor_projector,
-    weight_blocks,
 )
 from .errors import ConsistencyViolationError
 from .glmodules import (
@@ -122,6 +125,21 @@ def check_bracket_consistency(V, k_max=4):
     return ok, f"all spanning pairs through degree {k_max}"
 
 
+def check_action_oracle(V, k_max=2):
+    """Every column of every spanning operator's matrix equals `act` on that
+    basis vector: the block assembly against the term-by-term action."""
+    for k in range(k_max + 1):
+        src = graded_basis(V, k)
+        for name, op in spanning_operators(V.n):
+            cols = operator_matrix(op, V, k).colmap()
+            dst = graded_basis(V, k + op.degree_shift())
+            for col, lab in enumerate(src.labels):
+                image = act(op, GradedElement(k, {lab: 1}), V)
+                if cols.get(col, {}) != {dst.index[x]: v for x, v in image.coords.items()}:
+                    return False, f"{name} column {lab} at degree {k} differs from act"
+    return True, f"every spanning matrix column equals act through degree {k_max}"
+
+
 def check_chevalley_relations(V, k_max=2, gens=None):
     """Defining sl(n+1) triple relations as exact operator identities."""
     n = V.n
@@ -155,11 +173,9 @@ def check_sigma2_identity(V):
 
 
 def check_adjoint_identities(V):
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
-    m, mt = adjoint_matrices(V)
-    rep = check_characteristic_identity(m, d)
-    rep_t = check_characteristic_identity(mt, dt)
+    d, dt = predicted_adjoint_roots(V.highest_weight)
+    rep = check_characteristic_identity(adjoint_matrices(V, dual=True), d)
+    rep_t = check_characteristic_identity(adjoint_matrices(V, dual=False), dt)
     ok = rep.residual_is_zero and rep_t.residual_is_zero
     ok = ok and sum(rep.multiplicities) == V.n * V.dim
     ok = ok and sum(rep_t.multiplicities) == V.n * V.dim
@@ -214,16 +230,7 @@ def check_projector_suite(V):
 def check_block_spectra(V):
     """The dominant-weight-block answers of the command line against the
     all-columns oracle: identity reports and every projector rank."""
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
-    m, mt = adjoint_matrices(V)
-    s2 = sigma2_tilde(V)
-    cases = (
-        ("sigma2", weight_blocks(V, s2, dual=False), s2, predicted_sigma2_roots(mu)),
-        ("adjoint", adjoint_blocks(V, dual=True), m, d),
-        ("adjoint_dual", adjoint_blocks(V, dual=False), mt, dt),
-    )
-    for name, blocks, op, roots in cases:
+    for name, op, blocks, roots in block_operators(V):
         on_blocks = identity_on_blocks(blocks, roots)
         full = check_characteristic_identity(op, roots)
         if on_blocks != full:
@@ -235,6 +242,21 @@ def check_block_spectra(V):
             if on_blocks != full:
                 return False, f"rank P_{r} (dual={dual}): blocks {on_blocks} != full {full}"
     return True, "identity reports and projector ranks match the full matrices"
+
+
+def check_spectrum_oracle(V):
+    """The brute-force rational spectrum of each block operator is complete
+    and is exactly its predicted roots of nonzero measured multiplicity, with
+    those multiplicities."""
+    if V.n * V.dim > ORACLE_MAX_DIM:
+        return True, f"n*dim = {V.n * V.dim} exceeds the oracle's cap; nothing to verify"
+    for name, op, blocks, roots in block_operators(V):
+        spectrum, complete = brute_force_spectrum(op)
+        report = identity_on_blocks(blocks, roots)
+        measured = {r: m for r, m in zip(report.roots, report.multiplicities) if m}
+        if not complete or spectrum != measured:
+            return False, f"{name}: oracle spectrum {spectrum} (complete: {complete}) != {measured}"
+    return True, "every block operator's rational spectrum is the predicted one"
 
 
 def _tensor_equivariance_generators(V, dual):
@@ -470,12 +492,14 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             ("labels-roundtrip", lambda: check_labels_roundtrip(V)),
             ("pieri-dimensions", lambda: check_pieri_dimensions(V, degree_cap)),
             ("bracket-consistency", lambda: check_bracket_consistency(V, degree_cap)),
+            ("action-oracle", lambda: check_action_oracle(V, min(degree_cap, 2))),
             ("chevalley-relations", lambda: check_chevalley_relations(V, min(degree_cap, 2))),
             ("characteristic-identity", lambda: check_sigma2_identity(V)),
             ("adjoint-identities", lambda: check_adjoint_identities(V)),
             ("projector-suite", lambda: check_projector_suite(V)),
             ("projector-equivariance", lambda: check_projector_equivariance(V)),
             ("block-spectra", lambda: check_block_spectra(V)),
+            ("spectrum-oracle", lambda: check_spectrum_oracle(V)),
             ("q-closed-form-vs-oracle", lambda: check_q_equivalence(V, 3)),
             ("criterion-vs-bruteforce", lambda: check_criterion_vs_bruteforce(V, degree_cap)),
             ("criterion-equivalence", lambda: check_criterion_equivalence(V)),

@@ -25,6 +25,7 @@ from projrep.errors import UnsupportedOperatorError
 from projrep.glmodules import cached_module
 from projrep.linalg import Matrix
 from projrep.selfcheck import (
+    check_action_oracle,
     check_cartan_diagonal,
     check_chevalley_relations,
     check_derivative_chain_identity,
@@ -176,7 +177,7 @@ def test_triangle_delta_examples():
     td = triangle_delta(0, 1, 1, V, degree=0)
     assert td == V.e(1, 0)
     # diagonal, k=1 on constants: b*Id + (b + E_ii) diag part
-    assert triangle_delta(0, 0, 1, V, degree=0) == Matrix.from_rows([[2, 0], [0, 1]])
+    assert triangle_delta(0, 0, 1, V, degree=0) == Matrix(2, 2, {(0, 0): 2, (1, 1): 1})
     # diagonal, k=2 on the trivial module: the k-1 shift alone
     assert triangle_delta(0, 0, 2, T, degree=0) == Matrix.identity(1)
 
@@ -291,7 +292,7 @@ def test_operator_matrix_matches_act_composition():
     for col, lab in enumerate(gb1.labels):
         elem = GradedElement(1, {lab: 1})
         image = act(d1, act(p0, elem, V), V)
-        expected = gb1.to_vector(GradedElement(1, image.coords)) if image.degree == 1 else {}
+        expected = {gb1.index[x]: v for x, v in image.coords.items()} if image.degree == 1 else {}
         assert {r: v for (r, c), v in comp.entries.items() if c == col} == expected
 
 
@@ -336,7 +337,7 @@ def test_operator_matrix_columns_equal_act(case):
             assert v != 0 and (type(v) is int or (type(v) is F and v.denominator > 1))
         for col, lab in enumerate(src.labels):
             image = act(op, GradedElement(k, {lab: 1}), V)
-            assert m.colmap().get(col, {}) == dst.to_vector(image), (op, lab)
+            assert m.colmap().get(col, {}) == {dst.index[x]: v for x, v in image.coords.items()}, (op, lab)
 
 
 def test_operator_matrix_rejects_operators_outside_the_span():
@@ -352,6 +353,10 @@ def test_zero_operator_has_no_matrix(n, k):
     V = cached_module(n, (0,) * (n - 1), F(1))
     with pytest.raises(UnsupportedOperatorError):
         operator_matrix(WittElement(n), V, k)
+    # nor a target degree for act
+    one = GradedElement(k, {(monomials_of_degree(n, k)[0], 0): 1})
+    with pytest.raises(UnsupportedOperatorError):
+        act(WittElement(n), one, V)
 
 
 def test_bracket_check_catches_a_nonzero_bracket_reported_as_zero(monkeypatch):
@@ -400,3 +405,37 @@ def test_matrix_path_does_not_call_act(monkeypatch):
     m = operator_matrix(pseudo_translation_op(2, 0), V, 2)
     assert (m.rows, m.cols) == (graded_dimension(V, 3), graded_dimension(V, 2))
     assert verify_bracket_consistency(2, V, 2)
+
+
+def test_act_does_not_call_the_matrix_path(monkeypatch):
+    import projrep.action as action_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("act must stay independent of the matrix assembly")
+
+    monkeypatch.setattr(action_mod, "_assemble", forbidden)
+    monkeypatch.setattr(action_mod, "operator_matrix", forbidden)
+    V = cached_module(2, (1,), F(1, 2))
+    x1_v0 = GradedElement(1, {((1, 0), 0): 1})
+    for _, op in spanning_operators(2):
+        act(op, x1_v0, V)
+
+
+def test_action_oracle_catches_a_corrupted_matrix_entry(monkeypatch):
+    import projrep.selfcheck as selfcheck_mod
+
+    V = cached_module(2, (1,), F(1, 2))
+    assert check_action_oracle(V)[0]
+    original = selfcheck_mod.operator_matrix
+    target = pseudo_translation_op(2, 1)
+
+    def corrupted(op, V, k):
+        m = original(op, V, k)
+        if op != target or k != 1:
+            return m
+        (r, c), v = next(iter(m.entries.items()))
+        return Matrix(m.rows, m.cols, {**m.entries, (r, c): v + 1})
+
+    monkeypatch.setattr(selfcheck_mod, "operator_matrix", corrupted)
+    ok, detail = check_action_oracle(V)
+    assert not ok and detail.startswith("p2 column")

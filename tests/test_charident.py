@@ -30,6 +30,7 @@ from projrep.selfcheck import (
     check_projector_equivariance,
     check_projector_suite,
     check_sigma2_identity,
+    check_spectrum_oracle,
     eligible_indices,
 )
 
@@ -53,12 +54,7 @@ def test_sigma2_vector_rep_trace_and_entries():
     s = sigma2_tilde(V)
     assert sum(v for (r, c), v in s.entries.items() if r == c) == 6
     # frozen from the hand computation of the degree-one chains
-    assert s == Matrix.from_rows([
-        [2, 0, 0, 0],
-        [0, 1, 1, 0],
-        [0, 1, 1, 0],
-        [0, 0, 0, 2],
-    ])
+    assert s == Matrix(4, 4, {(0, 0): 2, (1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 3): 2})
 
 
 def test_sigma2_trivial_higher_rank_scalar():
@@ -94,8 +90,8 @@ def test_check_identity_examples():
 
 def test_adjoint_examples():
     T = cached_module(2, (0,), F(0))
-    m, mt = adjoint_matrices(T)
-    assert m.is_zero() and mt.is_zero()
+    m = adjoint_matrices(T, dual=True)
+    assert m.is_zero() and adjoint_matrices(T, dual=False).is_zero()
     d, dt = predicted_adjoint_roots((F(0), F(0)))
     assert d == [1, 0] and dt == [0, 1]
     assert check_characteristic_identity(m, d).residual_is_zero
@@ -110,7 +106,7 @@ def test_adjoint_examples():
 
 def test_adjoint_block_transpose_relation():
     V = cached_module(3, (1, 1), F(1, 2))
-    m, mt = adjoint_matrices(V)
+    m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
     n, dv = V.n, V.dim
 
     def block(op, i, j):
@@ -212,10 +208,25 @@ def test_spectrum_oracle_confirms_closed_forms(n, dynkin, b):
     assert realized <= set(predicted)
     # every realized root is one of the predicted ones at an eligible index
     assert realized <= expected
-    m, _ = adjoint_matrices(V)
     d, _ = predicted_adjoint_roots(mu)
-    spec_m, complete_m = brute_force_spectrum(m)
+    spec_m, complete_m = brute_force_spectrum(adjoint_matrices(V, dual=True))
     assert complete_m and set(spec_m) <= set(d)
+
+
+def test_spectrum_oracle_catches_a_shifted_predicted_root(monkeypatch):
+    import projrep.charident as charident_mod
+
+    V = cached_module(3, (1, 0), F(1, 2))
+    assert check_spectrum_oracle(V)[0]
+    original = charident_mod.predicted_sigma2_roots
+
+    def shifted(mu):
+        roots = original(mu)
+        return [roots[0] + F(1, 3)] + roots[1:]
+
+    monkeypatch.setattr(charident_mod, "predicted_sigma2_roots", shifted)
+    ok, detail = check_spectrum_oracle(V)
+    assert not ok and detail.startswith("sigma2:")
 
 
 # criterion 1's grid, then larger ranks at an integral, a half-integral and a
@@ -239,7 +250,7 @@ def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
     V = cached_module(n, dynkin, b)
     mu = V.highest_weight
     d, dt = predicted_adjoint_roots(mu)
-    m, mt = adjoint_matrices(V)
+    m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
     s2 = sigma2_tilde(V)
     for blocks, op, roots in (
         (weight_blocks(V, s2, dual=False), s2, predicted_sigma2_roots(mu)),
@@ -262,7 +273,7 @@ def test_blocks_are_the_dominant_weight_spaces():
     weight's multiplicity, together covering fewer than n*dim indices."""
     V = cached_module(4, (1, 1, 1), F(0))
     n, dim = V.n, V.dim
-    m, mt = adjoint_matrices(V)
+    m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
     for dual, op in ((False, sigma2_tilde(V)), (False, mt), (True, m)):
         sign = -1 if dual else 1
         mult = Counter(

@@ -106,6 +106,7 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--n-max", "1")
     assert code == 0
     assert "checks passed" in out
+    assert "action-oracle: 7/7" in out and "spectrum-oracle: 7/7" in out
 
 
 def test_selfcheck_seed_does_not_change_verdicts(capsys):
@@ -139,16 +140,16 @@ def test_dim_cap_exit_code(capsys):
 
 
 def test_verify_identity_failure_exits_2(capsys, monkeypatch):
-    import projrep.cli as cli
+    import projrep.charident as charident
+
+    real = charident.predicted_sigma2_roots
 
     def wrong_roots(mu):
-        from projrep.charident import predicted_sigma2_roots as real
-
         roots = real(mu)
         roots[0] += 1
         return roots
 
-    monkeypatch.setattr(cli, "predicted_sigma2_roots", wrong_roots)
+    monkeypatch.setattr(charident, "predicted_sigma2_roots", wrong_roots)
     code, out, err = run(capsys, "verify-identity", "-n", "2", "-a", "1", "-b", "1")
     assert code == 2
     assert "FAILED" in err
@@ -173,6 +174,15 @@ def test_bad_scalar_exit_code(capsys, text, message):
     code, _, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", text)
     assert code == 1
     assert f"invalid rational {text!r}: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose", "verify-identity"])
+def test_negative_fraction_after_b(capsys, command):
+    # argparse must not take -3/2 for an option
+    code, spaced, _ = run(capsys, command, "-n", "2", "-a", "1", "-b", "-3/2", "--json")
+    assert code == 0
+    _, joined, _ = run(capsys, command, "-n", "2", "-a", "1", "-b=-3/2", "--json")
+    assert spaced == joined
 
 
 @pytest.mark.parametrize("argv, message", [

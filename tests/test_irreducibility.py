@@ -123,12 +123,7 @@ def test_up_submodule_matrix_is_square_and_ordered():
     m1 = up_submodule_matrix(V, 1)
     assert m1.rows == m1.cols == 4
     # frozen degree-one chain columns for the vector module with b = 1
-    assert m1 == Matrix.from_rows([
-        [2, 0, 0, 0],
-        [0, 1, 1, 0],
-        [0, 1, 1, 0],
-        [0, 0, 0, 2],
-    ])
+    assert m1 == Matrix(4, 4, {(0, 0): 2, (1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 3): 2})
 
 
 @pytest.mark.parametrize("n,dynkin,b,k", [

@@ -1,12 +1,14 @@
 """Properties of the package as a whole, read from its source and imports."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
 import projrep
+from projrep.linalg import Matrix
 
 PACKAGE_DIR = pathlib.Path(projrep.__file__).parent
 
@@ -102,3 +104,57 @@ def test_spectrum_oracle_runs_without_sympy():
         env={**os.environ, "PYTHONPATH": src_dir}, cwd=src_dir,
     )
     assert done.stdout.strip() == "[('0', 1), ('2', 3)] True"
+
+
+def _definitions(tree):
+    """(qualified name, name) of every function, class and method in a module."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((f"{owner}.{child.name}" if owner else child.name, child.name))
+                visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_package_definition_is_used_by_the_package():
+    # nothing in the package exists for the tests alone: each definition is
+    # named by a package module other than the re-exporting __init__.py
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exempt = {"main", "_Parser.error"}  # the entry point and argparse's hook
+    unused = [f"{name}: {qualified}" for name, tree in trees.items()
+              for qualified, short in _definitions(tree)
+              if short not in used and qualified not in exempt
+              and not (short.startswith("__") and short.endswith("__"))]
+    assert unused == []
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these by name; read them without importing it
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tables = {}
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("FUNCTIONS", "METHODS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    assert set(tables) == {"FUNCTIONS", "METHODS"}
+    missing = [f"{module}.{attr}" for module, attr in tables["FUNCTIONS"].values()
+               if not hasattr(importlib.import_module(module), attr)]
+    missing += [f"Matrix.{attr}" for attrs in tables["METHODS"].values() for attr in attrs
+                if attr not in Matrix.__dict__]
+    assert missing == []
