@@ -2,20 +2,22 @@
 
 A module is labelled by nonnegative Dynkin labels (a_1, ..., a_{n-1}) for the
 traceless part plus a rational central scalar b for the identity matrix.
-Construction realizes each fundamental module as an exterior power of the
-vector representation, tensors the required copies together and takes the
-cyclic span of the top vector under the simple lowerings F_j = E_{j+1,j}; the
-Cartan diagonal is then shifted so the identity acts by b.  Only the lowerings
-act on the tensor product.  Their columns are read off the span's insertions,
-the simple raisings follow from E_i F_j = F_j E_i + delta_ij H_i in module
-coordinates, and every other E_{i,j} is a commutator of two generators nearer
-the diagonal.  Weights are plain n-tuples (Fractions or ints), index i holding
-the E_{i,i} eigenvalue.
+Construction realizes it inside the product of the symmetric powers
+Sym^{a_d}(Lambda^d) of the exterior powers of the vector representation (the
+Plucker realization): the product of the top wedges is a highest-weight
+vector, and its cyclic span under the simple lowerings F_j = E_{j+1,j} is the
+module.  The Cartan diagonal is then shifted so the identity acts by b.  Only
+the lowerings act on the symmetric powers.  Their columns are read off the
+span's insertions, the simple raisings follow from
+E_i F_j = F_j E_i + delta_ij H_i in module coordinates, and every other
+E_{i,j} is a commutator of two generators nearer the diagonal.  Weights are
+plain n-tuples (Fractions or ints), index i holding the E_{i,i} eigenvalue.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,19 +220,27 @@ def _wedge_table(n, d):
 def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     """Construct the irreducible module for the given labels.
 
-    Refuses construction when the Weyl dimension exceeds `dim_cap`.  Basis
-    vectors of the tensor product are keys of wedge-basis positions, one per
-    factor; a lowering acts on a key factor by factor through a table of its
-    action on each wedge basis, built once per module (`_wedge_table`).
+    Refuses construction when the Weyl dimension exceeds `dim_cap`.  A basis
+    vector of prod_d Sym^{a_d}(Lambda^d) is a key of wedge-basis positions,
+    one per factor, with the a_d factors of degree d in one block kept sorted
+    ascending: a monomial.  A lowering acts as a derivation, through a table
+    of its action on each wedge basis built once per module (`_wedge_table`):
+    a wedge element x that occurs m times in a block, and that the table maps
+    to (tgt, sign), adds m * sign times the monomial with one x replaced by
+    tgt.  A block of one factor is the factor itself.
 
     The lowering closure runs first in, first out.  Each image F_j u enters
     the EchelonSpan of its weight once: a new basis vector v gives F_j a unit
-    column, and a dependent image gives its coordinates.  For a new v = F_j u
-    the raisings are E_i v = F_j (E_i u) + delta_ij (w_i - w_{i+1}) u, where
-    w is u's weight; E_i u and the F_j columns of the vectors above u are
-    known by then.  E_{i,j} with |i - j| >= 2 is [E_{i,i+1}, E_{i+1,j}] or
-    [E_{j,j-1}, E_{j-1,i}].  Entries are stored column by column, rows
-    ascending within a column.
+    column, and a dependent image gives its coordinates.  A basis vector is
+    a fixed word in the F_j applied to the top vector, and whether an image
+    is new, and its coordinates when it is not, depend only on the module and
+    not on the space around it; so the basis and every generator are those of
+    the closure in the full tensor product prod_d (Lambda^d)^{(x) a_d}.  For a
+    new v = F_j u the raisings are E_i v = F_j (E_i u) + delta_ij (w_i -
+    w_{i+1}) u, where w is u's weight; E_i u and the F_j columns of the
+    vectors above u are known by then.  E_{i,j} with |i - j| >= 2 is
+    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}].  Entries are stored
+    column by column, rows ascending within a column.
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -240,10 +250,14 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             f"module dimension {target_dim} exceeds cap {dim_cap}"
         )
 
-    # a_i copies of the i-th exterior power of the vector representation
+    # a_d factors of the d-th exterior power, in one contiguous block per d
     fund = [i + 1 for i, ai in enumerate(labels.dynkin) for _ in range(ai)]
     wedge = {d: _wedge_basis(n, d) for d in set(fund)}
     table = {d: _wedge_table(n, d) for d in wedge}
+    blocks = []
+    for d in sorted(wedge):
+        lo = fund.index(d)
+        blocks.append((lo, lo + fund.count(d), d))
 
     def key_weight(key):
         w = [0] * n
@@ -252,11 +266,13 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
                 w[s] += 1
         return tuple(w)
 
-    def tensor_apply(i, j, vec):
-        factor_rows = [table[d][i][j] for d in fund]
+    def sym_apply(i, j, vec):
+        # a block of one factor acts as that factor does: no count, no sort
+        singles = [(lo, table[d][i][j]) for lo, hi, d in blocks if hi - lo == 1]
+        multis = [(lo, hi, table[d][i][j]) for lo, hi, d in blocks if hi - lo > 1]
         out = {}
         for key, val in vec.items():
-            for f, row in enumerate(factor_rows):
+            for f, row in singles:
                 hit = row[key[f]]
                 if hit is None:
                     continue
@@ -267,6 +283,26 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
                     out.pop(nk, None)
                 else:
                     out[nk] = s
+            for lo, hi, row in multis:
+                p = lo
+                while p < hi:
+                    x = key[p]
+                    q = bisect_right(key, x, p, hi)
+                    hit = row[x]
+                    if hit is not None:
+                        # one of the q - p copies of x becomes tgt; the block stays sorted
+                        tgt, sign = hit
+                        at = bisect_right(key, tgt, lo, hi)
+                        if at > p:
+                            nk = key[:p] + key[p + 1:at] + (tgt,) + key[at:]
+                        else:
+                            nk = key[:at] + (tgt,) + key[at:p] + key[p + 1:]
+                        s = out.get(nk, 0) + (q - p) * sign * val
+                        if s == 0:
+                            out.pop(nk, None)
+                        else:
+                            out[nk] = s
+                    p = q
         return out
 
     top_key = tuple(wedge[d].index(tuple(range(d))) for d in fund)
@@ -300,7 +336,7 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         vec, u = queue.popleft()
         w = u[0]
         for j in range(n - 1):
-            img = tensor_apply(j + 1, j, vec)
+            img = sym_apply(j + 1, j, vec)
             if not img:
                 lower[j][u] = {}
                 continue

@@ -55,6 +55,7 @@ from .glmodules import (
     weyl_dimension,
 )
 from .irreducibility import (
+    _central_character,
     criterion,
     criterion_equivalence_check,
     first_rank_deficiency,
@@ -337,6 +338,40 @@ def check_jordan_holder(V):
     return True, f"series verified (k={report.k}, r={report.residual_index})"
 
 
+def _casimir(V, k):
+    """C_k = sum_ij X_ij X_ji + (sum_i X_ii)^2 - sum_j (d_j p_j + p_j d_j) on
+    the degree-k piece: the quadratic Casimir of sl(n+1) with E_ij = X_ij,
+    E_0j = d_j, E_j0 = -p_j and E_00 = -sum_i X_ii, from operator matrices."""
+    n = V.n
+    dim = graded_dimension(V, k)
+    total, trace = Matrix.zeros(dim, dim), Matrix.zeros(dim, dim)
+    for i in range(n):
+        trace = trace + operator_matrix(scaling_op(n, i, i), V, k)
+        for j in range(n):
+            total = total + (
+                operator_matrix(scaling_op(n, i, j), V, k)
+                @ operator_matrix(scaling_op(n, j, i), V, k)
+            )
+    total = total + trace @ trace
+    for j in range(n):
+        d_j, p_j = derivative_op(n, j), pseudo_translation_op(n, j)
+        total = total - operator_matrix(d_j, V, k + 1) @ operator_matrix(p_j, V, k)
+        if k:
+            total = total - operator_matrix(p_j, V, k - 1) @ operator_matrix(d_j, V, k)
+    return total
+
+
+def check_casimir(V, k_max=3):
+    """The quadratic Casimir acts on every graded piece by the scalar that
+    the central character of the highest weight predicts."""
+    c = _central_character(V.highest_weight)
+    for k in range(k_max + 1):
+        casimir = _casimir(V, k)
+        if casimir != Matrix.identity(casimir.rows).scale(c):
+            return False, f"C_{k} is not {c} * Id"
+    return True, f"C_k = {c} * Id through degree {k_max}"
+
+
 def check_derivative_surjectivity(V, k_max=3):
     for k in range(1, k_max + 1):
         mats = [operator_matrix(derivative_op(V.n, l), V, k) for l in range(V.n)]
@@ -504,6 +539,7 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             ("criterion-vs-bruteforce", lambda: check_criterion_vs_bruteforce(V, degree_cap)),
             ("criterion-equivalence", lambda: check_criterion_equivalence(V)),
             ("jordan-holder", lambda: check_jordan_holder(V)),
+            ("casimir", lambda: check_casimir(V, min(degree_cap, 3))),
             ("derivative-surjectivity", lambda: check_derivative_surjectivity(V, min(degree_cap, 3))),
             ("cartan-diagonal", lambda: check_cartan_diagonal(V, min(degree_cap, 3))),
             ("derivative-chain-identity", lambda: check_derivative_chain_identity(V, rng)),

@@ -93,9 +93,12 @@ WIDE_SWEEP = [
     (4, (1, 0, 1), F(1, 2)), (4, (1, 1, 1), F(-1, 3)),
     (5, (1, 0, 0, 1), F(1, 2)), (5, (0, 1, 0, 1), F(2, 5)),
 ]
+# some a_d >= 3 at n >= 3, past the selfcheck sweep's labels: the lowerings
+# act on monomials in which one wedge element occurs three or more times
+REPEATED_SWEEP = [(3, (4, 1), F(1, 2)), (4, (3, 0, 1), F(0))]
 
 
-@pytest.mark.parametrize("n,dynkin,b", SMALL_SWEEP + WIDE_SWEEP)
+@pytest.mark.parametrize("n,dynkin,b", SMALL_SWEEP + WIDE_SWEEP + REPEATED_SWEEP)
 def test_module_invariants(n, dynkin, b):
     V = cached_module(n, dynkin, b)
     assert validate_module(V)
@@ -204,6 +207,27 @@ def test_build_eliminates_only_the_lowering_closure(monkeypatch, n, dynkin):
     assert 0 < len(calls) <= (n - 1) * V.dim + 1
 
 
+@pytest.mark.parametrize("n,dynkin", [(3, (4, 4)), (5, (1, 1, 1, 1))])
+def test_lowering_closure_runs_in_the_symmetric_powers(monkeypatch, n, dynkin):
+    """Every vector the closure eliminates lives in the product of the
+    Sym^{a_d}(Lambda^d): its flattened keys never outnumber their monomials,
+    prod_d C(C(n, d) + a_d - 1, a_d) (225 for n = 3, labels 4,4, where the
+    tensor product has 3^8 = 6,561 keys)."""
+    ambient = [0]
+    original = EchelonSpan.insert_or_coords
+
+    def recording(self, vec):
+        ambient[0] = max(ambient[0], max(vec) + 1)
+        return original(self, vec)
+
+    monkeypatch.setattr(EchelonSpan, "insert_or_coords", recording)
+    build_irreducible(DominantLabels(n, dynkin, F(0)))
+    bound = math.prod(
+        math.comb(math.comb(n, d) + a - 1, a) for d, a in enumerate(dynkin, start=1)
+    )
+    assert 0 < ambient[0] <= bound
+
+
 def _generator_digest(V):
     """sha256 over the basis weights, the highest index and every generator's
     entries in their stored order, each value with its type."""
@@ -223,10 +247,17 @@ def _generator_digest(V):
     (4, (1, 0, 1), F(1, 2), 15, "8a9e8feb5a61b442a7ee89a5210d0c172b03e249dc1c7551a9f3d493db8e6f5e"),
     (4, (1, 1, 0), F(-2), 20, "3ad14346a942d720782792c67cff162c5f3d64e2b91682b1586663028081720a"),
     (5, (1, 0, 0, 1), F(2), 24, "3ed562360ccdea4ae10f88e84e26c4c0b60f625dd3c87571802dc5c48b9abfee"),
+    # repeated wedge factors: a_d = 4 and 6 at n = 3, where a monomial
+    # repeats a wedge element up to six times, and a_1 = a_3 = 2 at n = 4
+    (3, (4, 4), F(1, 2), 125, "a10dd87b627a68a613c3bab261fb68b42dc5445e5fbc9c87962d32ae2b6f631f"),
+    (4, (2, 0, 2), F(0), 84, "b1ceaeef842e4ed57d1df7f55c23dcc7f8e1aea4ec2d7d561e37915dc31fd207"),
+    (3, (6, 6), F(0), 343, "68ab83b9414aef7758a274c52eeeec55283f84e5283cf377730ea257d6e334ab"),
 ])
 def test_generators_are_pinned_bit_for_bit(n, dynkin, b, dim, digest):
     """The basis and every generator matrix, value, type and entry order,
-    as the build that read each generator off the tensor product made them."""
+    as the build that ran the lowering closure in the full tensor product
+    (Lambda^d)^{(x) a_d} made them: the closure in the symmetric powers must
+    not change a bit."""
     V = build_irreducible(DominantLabels(n, dynkin, b))
     assert V.dim == dim
     assert _generator_digest(V) == digest

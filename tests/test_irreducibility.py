@@ -11,12 +11,12 @@ from projrep.action import (
     monomials_of_degree,
     operator_matrix,
     pseudo_translation_op,
-    scaling_op,
 )
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError
 from projrep.glmodules import (
     DominantLabels,
+    GlModule,
     cached_module,
     pieri_index_set,
     weight_add,
@@ -40,6 +40,8 @@ from projrep.irreducibility import (
 )
 from projrep.linalg import EchelonSpan, Matrix, block, kernel_basis, rank
 from projrep.selfcheck import (
+    _casimir,
+    check_casimir,
     check_derivative_escape,
     check_intertwiner,
     check_jordan_holder,
@@ -347,29 +349,6 @@ def test_jordan_holder_rejects_irreducible():
         jordan_holder(V)
 
 
-def _casimir(V, k):
-    """C_k = sum_ij X_ij X_ji + (sum_i X_ii)^2 - sum_j (d_j p_j + p_j d_j) on
-    the degree-k piece: the quadratic Casimir of sl(n+1) with E_ij = X_ij,
-    E_0j = d_j, E_j0 = -p_j and E_00 = -sum_i X_ii, from operator matrices."""
-    n = V.n
-    dim = graded_dimension(V, k)
-    total, trace = Matrix.zeros(dim, dim), Matrix.zeros(dim, dim)
-    for i in range(n):
-        trace = trace + operator_matrix(scaling_op(n, i, i), V, k)
-        for j in range(n):
-            total = total + (
-                operator_matrix(scaling_op(n, i, j), V, k)
-                @ operator_matrix(scaling_op(n, j, i), V, k)
-            )
-    total = total + trace @ trace
-    for j in range(n):
-        d_j, p_j = derivative_op(n, j), pseudo_translation_op(n, j)
-        total = total - operator_matrix(d_j, V, k + 1) @ operator_matrix(p_j, V, k)
-        if k:
-            total = total - operator_matrix(p_j, V, k - 1) @ operator_matrix(d_j, V, k)
-    return total
-
-
 @pytest.mark.parametrize("dynkin, b, c", [
     ((1, 0), F(-2), 16),
     ((2, 2), F(1, 2), F(43, 3)),
@@ -381,6 +360,19 @@ def test_casimir_acts_by_the_central_character(dynkin, b, c):
     for k in range(3):
         casimir = _casimir(V, k)
         assert casimir == Matrix.identity(casimir.rows).scale(c)
+    assert check_casimir(V, 2)[0]
+
+
+def test_casimir_suite_catches_one_corrupted_generator_entry():
+    V = cached_module(3, (1, 1), F(1, 3))
+    assert check_casimir(V)[0]
+    action = [list(row) for row in V.action]
+    e = action[0][1]
+    pos, value = next(iter(e.entries.items()))
+    action[0][1] = Matrix(e.rows, e.cols, {**e.entries, pos: value + 1})
+    corrupted = GlModule(V.labels, V.basis_weights, action, V.highest_index)
+    ok, detail = check_casimir(corrupted)
+    assert not ok and detail == "C_0 is not 130/27 * Id"
 
 
 def test_jordan_holder_checks_the_quotient_central_character(monkeypatch):
