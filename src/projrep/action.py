@@ -426,7 +426,8 @@ def _pseudo_twist(pseudo, V):
 
 
 def _assemble(op, V, src, dst):
-    """Entries of op's matrix from the basis `src` to `dst`.
+    """(den, columns): op's matrix from the basis `src` to `dst` as integer
+    columns {col: {row: int}} over one denominator.
 
     Each operator acts on x^m tensor V as a polynomial move times Id_V plus
     generator blocks: d_i moves m to m - e_i (weight m_i); x_i d_j moves m to
@@ -444,24 +445,50 @@ def _assemble(op, V, src, dst):
     blocks = [(None, _twist(gl, V))] if gl else []
     if pseudo:
         blocks += list(_pseudo_twist(pseudo, V).items())
-    # keys take their positions from these lists, so the cached entries share
+    den = math.lcm(
+        *(c.denominator for c, _, _ in moves),
+        *(a.denominator for _, twist in blocks for a in twist.values()),
+    )
+    moves = [(c.numerator * (den // c.denominator), up, down) for c, up, down in moves]
+    int_blocks = []  # (index raised, {t: [(r, int)]}): the blocks' integer columns
+    for up, twist in blocks:
+        tcols = {}
+        for (r, t), a in twist.items():
+            tcols.setdefault(t, []).append((r, a.numerator * (den // a.denominator)))
+        int_blocks.append((up, tcols))
+    # keys take their positions from this list, so the cached columns share
     # one int object per position instead of holding fresh sums
-    rows, cols = list(range(dst.dim)), list(range(src.dim))
-    ent = {}
+    pos = list(range(max(src.dim, dst.dim)))
+    cols = {}
     for col in range(0, src.dim, d):
         mono = src.labels[col][0]
         poly = {}
         for c, up, down in moves:
             weight = 1 if down is None else mono[down]
             if weight:
-                add_into(poly, [(_shift_mono(mono, up, down), c * weight)])
+                m = _shift_mono(mono, up, down)
+                poly[m] = poly.get(m, 0) + c * weight
+        out = [{} for _ in range(d)]
         for m, s in poly.items():
-            row = dst.index[(m, 0)]
-            add_into(ent, (((rows[row + t], cols[col + t]), s) for t in range(d)))
-        for up, twist in blocks:
+            if s:
+                row = dst.index[(m, 0)]
+                for t in range(d):
+                    out[t][pos[row + t]] = s
+        for up, tcols in int_blocks:
             row = dst.index[(_shift_mono(mono, up), 0)]
-            add_into(ent, (((rows[row + r], cols[col + t]), a) for (r, t), a in twist.items()))
-    return ent
+            for t, entries in tcols.items():
+                acc = out[t]
+                for r, a in entries:
+                    key = pos[row + r]
+                    s = acc.get(key, 0) + a
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+        for t, acc in enumerate(out):
+            if acc:
+                cols[pos[col + t]] = acc
+    return den, cols
 
 
 def operator_matrix(op, V, k):
@@ -479,7 +506,7 @@ def operator_matrix(op, V, k):
             raise UnsupportedOperatorError(f"{op!r} has no uniform degree shift")
         src = graded_basis(V, k)
         dst = graded_basis(V, k + shift)
-        return Matrix._trusted(dst.dim, src.dim, _assemble(op, V, src, dst))
+        return Matrix.from_int_columns(dst.dim, src.dim, *_assemble(op, V, src, dst))
 
     return module_memo(V, "matrix", (op, k), build)
 

@@ -35,8 +35,6 @@ from .glmodules import is_dominant, module_memo, orbit_size
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
-    _denominator,
-    add_into,
     block,
     charpoly,
     eval_operator_polynomial,
@@ -126,8 +124,7 @@ class SpectrumReport:
 
 
 def _geometric_multiplicity(m, c):
-    shifted = add_into(dict(m.entries), [((i, i), c) for i in range(m.rows)], -1)
-    return m.rows - rank(Matrix._trusted(m.rows, m.cols, shifted))
+    return m.rows - rank(m - Matrix.identity(m.rows).scale(c))
 
 
 def check_characteristic_identity(op, roots):
@@ -201,20 +198,24 @@ def weight_blocks(V, op, dual):
     Raises ConsistencyViolationError when a dominant column has an entry in
     a row of another weight: the blocks then do not describe `op`.
     """
-    cm = op.colmap()
     blocks = []
     for w, indices in _dominant_weight_spaces(V, dual).items():
         position = {g: t for t, g in enumerate(indices)}
-        ent = {}
+        cols = {}
         for t, g in enumerate(indices):
-            for r, v in cm.get(g, {}).items():
+            col = op.columns.get(g)
+            if col is None:
+                continue
+            out = cols[t] = {}
+            for r, v in col.items():
                 s = position.get(r)
                 if s is None:
                     raise ConsistencyViolationError(
                         f"{V!r}: a block operator maps index {g} to index {r} of another weight"
                     )
-                ent[(s, t)] = v
-        blocks.append((Matrix._trusted(len(indices), len(indices), ent), orbit_size(w)))
+                out[s] = v
+        size = len(indices)
+        blocks.append((Matrix.from_int_columns(size, size, op.den, cols), orbit_size(w)))
     return blocks
 
 
@@ -267,22 +268,22 @@ def projector_rank(V, r, dual):
 def brute_force_spectrum(m):
     """Exact rational spectrum oracle: (spectrum dict, is_complete).
 
-    With den clearing m's denominators, the characteristic polynomial of
-    den*m (exact Faddeev-LeVerrier) is monic with integer coefficients, so
-    its rational roots are integers t, and Gershgorin bounds |t| by the
-    largest absolute row sum of den*m.  Each candidate is tested by Horner's
-    rule, and each root t/den of m has its eigenspace measured by rank
-    deficiency.  is_complete reports whether the geometric multiplicities
+    With den = m.den, the characteristic polynomial of den*m (exact
+    Faddeev-LeVerrier) is monic with integer coefficients, so its rational
+    roots are integers t, and Gershgorin on the transpose bounds |t| by the
+    largest absolute column sum of den*m.  Each candidate is tested by
+    Horner's rule, and each root t/den of m has its eigenspace measured by
+    rank deficiency.  is_complete reports whether the geometric multiplicities
     exhaust the dimension, i.e. the operator is diagonalizable over Q.  The
     cost grows like dim^4, so a matrix larger than ORACLE_MAX_DIM raises
     ValueError.
     """
     if m.rows > ORACLE_MAX_DIM:
         raise ValueError(f"spectrum oracle capped at dimension {ORACLE_MAX_DIM}")
-    den = _denominator(m.entries.values())
+    den = m.den
     # char_{den*m}(x) = den^n char_m(x/den)
     coeffs = [int(c * den ** k) for k, c in enumerate(charpoly(m))]
-    bound = int(den * max((sum(map(abs, row.values())) for row in m.rowmap().values()), default=0))
+    bound = max((sum(map(abs, col.values())) for col in m.columns.values()), default=0)
     spectrum = {}
     for t in range(-bound, bound + 1):
         value = 0

@@ -368,19 +368,16 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         )
     index_of = {name: idx for idx, name in enumerate(names)}
 
-    def column_major(entries):
-        return Matrix(dim, dim, dict(sorted(entries, key=lambda item: item[0][::-1])))
-
+    # generators are stored with columns ascending, and rows ascending in each
     def from_columns(columns):
-        return column_major(
-            ((index_of[x], index_of[u]), c) for u in names for x, c in columns[u].items()
+        return Matrix.from_cols(
+            [dict(sorted((index_of[x], c) for x, c in columns[u].items())) for u in names], dim
         )
 
     def commutator(a, b):
-        # a product caches column forms on its operands: multiply copies, so
-        # the module's generators do not carry them for their lifetime
-        a, b = Matrix(dim, dim, a.entries), Matrix(dim, dim, b.entries)
-        return column_major((a @ b - b @ a).entries.items())
+        m = a @ b - b @ a
+        cols = {j: dict(sorted(m.columns[j].items())) for j in sorted(m.columns)}
+        return Matrix.from_int_columns(dim, dim, m.den, cols)
 
     shift = Fraction(labels.b - sum(fund), n)
     basis_weights = [tuple(x + shift for x in w) for w, _ in names]

@@ -1,21 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (module construction, characteristic identities,
-graded rank checks) reduces to questions about matrices with Fraction
-entries.  All arithmetic here is exact: scalars are Python ints or
-``fractions.Fraction``; floats are rejected on input.
+graded rank checks) reduces to questions about rational matrices.  All
+arithmetic here is exact: scalars are Python ints or ``fractions.Fraction``;
+floats are rejected on input.
 
-A matrix is a dict of its nonzero entries, the canonical value that ``==``,
-``apply``, ``rank`` and every output read.  Products and sums run on a
-second, integer form built lazily and cached on the matrix: one common
-denominator and the columns of the entries scaled by it.  There is one
-product, a pure-Python sparse loop of integer multiply-adds that divides
-each output entry once, and one sum, which divides only where the two
-supports overlap; both are exact at every size because Python ints are
-unbounded.  The public ``Matrix(...)`` constructor validates and normalizes
-its entries; the results of the module's own exact operations are clean by
-construction and are wrapped by ``Matrix._trusted`` without that second
-pass.
+A matrix has one stored form: a positive integer denominator and the sparse
+integer columns of the matrix scaled by it, reduced so that the two share no
+common factor.  Sums, products, scaling, ``kron``, ``block`` and ``apply``
+run on integers and divide once, at the end; they are exact at every size
+because Python ints are unbounded.  The public ``Matrix(...)`` constructor
+validates exact entries and converts them; ``Matrix.from_int_columns``
+takes integer columns as they are.  ``entries`` and ``column`` are exact
+read-only views of the stored form.
 
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and records, for every echelon row,
@@ -114,101 +111,87 @@ def format_rational(v):
 
 
 class Matrix:
-    """Sparse exact matrix: absent entry means zero, stored zeros are dropped.
+    """Sparse exact matrix, stored as integer columns over one denominator.
 
-    ``entries`` maps (row, col) to the value: an int when it is an integer,
-    a Fraction otherwise.  ``intcols()`` is the integer column form that
-    products and sums read, ``(den, {col: {row: int}})`` with every entry
-    equal to its int over den; a product keeps the form it computed.
+    ``den`` is a positive int and ``columns`` maps col to {row: nonzero int}
+    with no empty column; the entry at (row, col) is columns[col][row] / den.
+    The form is canonical: den and the stored ints have gcd 1, so ``==``
+    compares it directly.  ``entries`` and ``column(j)`` are read-only exact
+    views, with an int where the value is integral and a Fraction otherwise.
 
     Instances are treated as immutable after construction; every operation
     returns a fresh Matrix, so concurrent reads are safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_colmap", "_rowmap", "_intcols")
+    __slots__ = ("rows", "cols", "den", "columns")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        self.rows = rows
-        self.cols = cols
         clean = {}
         if entries:
             for (r, c), v in entries.items():
                 _check_scalar(v)
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                v = _norm(v)
                 if v != 0:
                     clean[(r, c)] = v
-        self.entries = clean
-        self._colmap = None
-        self._rowmap = None
-        self._intcols = None
+        # with den the lcm of the denominators, the scaled ints share no factor with it
+        den = _denominator(clean.values())
+        columns = {}
+        for (r, c), v in clean.items():
+            columns.setdefault(c, {})[r] = v.numerator * (den // v.denominator)
+        self.rows, self.cols, self.den, self.columns = rows, cols, den, columns
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows, cols, entries):
-        """Wrap entries that are already clean: in range, nonzero, exact,
-        integral values stored as ints.  Only for results computed here."""
+    def from_int_columns(cls, rows, cols, den, columns):
+        """The matrix columns / den, from a positive int den and columns
+        {col: {row: nonzero int}} with no empty column.  It keeps the dicts,
+        and divides in place a factor common to den and every int."""
+        g = den
+        for col in columns.values():
+            if g == 1:
+                break
+            g = math.gcd(g, *col.values())
+        if g != 1:
+            den //= g
+            for col in columns.values():
+                for r, v in col.items():
+                    col[r] = v // g
         m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
-        m._colmap = None
-        m._rowmap = None
-        m._intcols = None
+        m.rows, m.cols, m.den, m.columns = rows, cols, den, columns
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls.from_int_columns(n, n, 1, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, {})
+        return cls.from_int_columns(rows, cols, 1, {})
 
     @classmethod
     def from_cols(cls, columns, rows):
-        ent = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                if v != 0:
-                    ent[(r, c)] = v
+        """The matrix with these sparse exact columns, {row: value} each."""
+        ent = {(r, c): v for c, col in enumerate(columns) for r, v in col.items()}
         return cls(rows, len(columns), ent)
 
-    # -- cached adjacency --------------------------------------------------
+    # -- exact views -------------------------------------------------------
 
-    def colmap(self):
-        if self._colmap is None:
-            cm = {}
-            for (r, c), v in self.entries.items():
-                cm.setdefault(c, {})[r] = v
-            self._colmap = cm
-        return self._colmap
+    def _value(self, v):
+        q, rem = divmod(v, self.den)
+        return Fraction(v, self.den) if rem else q
 
-    def rowmap(self):
-        if self._rowmap is None:
-            rm = {}
-            for (r, c), v in self.entries.items():
-                rm.setdefault(r, {})[c] = v
-            self._rowmap = rm
-        return self._rowmap
+    @property
+    def entries(self):
+        """{(row, col): value}, column by column in stored order."""
+        return {(r, c): self._value(v) for c, col in self.columns.items() for r, v in col.items()}
 
-    def intcols(self):
-        """(den, {col: {row: int}}): the columns times den, a common
-        denominator of the entries; built as their lcm, or kept by a product."""
-        if self._intcols is None:
-            den = _denominator(self.entries.values())
-            if den == 1:
-                self._intcols = 1, self.colmap()
-            else:
-                cm = {}
-                for (r, c), v in self.entries.items():
-                    cm.setdefault(c, {})[r] = v.numerator * (den // v.denominator)
-                self._intcols = den, cm
-        return self._intcols
+    def column(self, j):
+        """Column j as {row: value}."""
+        return {r: self._value(v) for r, v in self.columns.get(j, {}).items()}
 
     # -- basic algebra -----------------------------------------------------
 
@@ -218,7 +201,8 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.columns == other.columns
         )
 
     def __add__(self, other):
@@ -228,76 +212,80 @@ class Matrix:
         return self._merge(other, -1)
 
     def _merge(self, other, sign):
-        """self + sign * other.
-
-        An entry where only one side is nonzero is copied (negated on
-        other's side of a difference).  An overlap is summed on the integer
-        forms, scaled to the lcm of their denominators, and divided once.
-        """
+        """self + sign * other, on the columns scaled to the lcm of the two
+        denominators."""
         self._shape_match(other)
-        ent = dict(self.entries)
-        da, acols = self.intcols()
-        db, bcols = other.intcols()
-        den = math.lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        for k, v in other.entries.items():
-            if k in ent:
-                r, c = k
-                s = sa * acols[c][r] + sb * bcols[c][r]
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        cols = {
+            c: col.copy() if sa == 1 else {r: sa * v for r, v in col.items()}
+            for c, col in self.columns.items()
+        }
+        for c, bcol in other.columns.items():
+            acc = cols.get(c)
+            if acc is None:
+                cols[c] = {r: sb * v for r, v in bcol.items()}
+                continue
+            for r, v in bcol.items():
+                s = acc.get(r, 0) + sb * v
                 if s:
-                    q, rem = divmod(s, den)
-                    ent[k] = Fraction(s, den) if rem else q
+                    acc[r] = s
                 else:
-                    del ent[k]
-            else:
-                ent[k] = v if sign == 1 else -v
-        return Matrix._trusted(self.rows, self.cols, ent)
+                    del acc[r]
+            if not acc:
+                del cols[c]
+        return Matrix.from_int_columns(self.rows, self.cols, den, cols)
 
     def __neg__(self):
-        return Matrix._trusted(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        cols = {c: {r: -v for r, v in col.items()} for c, col in self.columns.items()}
+        return Matrix.from_int_columns(self.rows, self.cols, self.den, cols)
 
     def scale(self, s):
         _check_scalar(s)
         if s == 0:
             return Matrix.zeros(self.rows, self.cols)
-        return Matrix._trusted(
-            self.rows, self.cols, {k: _norm(v * s) for k, v in self.entries.items()}
-        )
+        p = s.numerator
+        cols = {c: {r: p * v for r, v in col.items()} for c, col in self.columns.items()}
+        return Matrix.from_int_columns(self.rows, self.cols, self.den * s.denominator, cols)
 
     def is_zero(self):
-        return not self.entries
-
-    def column(self, j):
-        return dict(self.colmap().get(j, {}))
+        return not self.columns
 
     def apply(self, vec):
-        """Matrix-vector product on a sparse {index: value} column vector;
-        integral entries come back as ints."""
-        cm = self.colmap()
+        """Matrix-vector product on a sparse {index: value} column vector,
+        on integers: vec is scaled once, to the lcm of its denominators, and
+        each output entry divided once; integral entries come back as ints."""
+        vden = _denominator(vec.values())
+        cm = self.columns
         acc = {}
         for c, x in vec.items():
             col = cm.get(c)
             if col is None or x == 0:
                 continue
+            x = x.numerator * (vden // x.denominator)
             for r, a in col.items():
                 s = acc.get(r, 0) + a * x
                 if s == 0:
                     acc.pop(r, None)
                 else:
                     acc[r] = s
-        return {r: _norm(s) for r, s in acc.items()}
+        den = self.den * vden
+        if den == 1:
+            return acc
+        out = {}
+        for r, s in acc.items():
+            q, rem = divmod(s, den)
+            out[r] = Fraction(s, den) if rem else q
+        return out
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        da, acols = self.intcols()
-        db, bcols = other.intcols()
-        den = da * db
-        ent = {}
+        acols = self.columns
         cols = {}
-        for j, col in bcols.items():
+        for j, col in other.columns.items():
             acc = {}
             for k, x in col.items():
                 inner = acols.get(k)
@@ -305,20 +293,15 @@ class Matrix:
                     continue
                 for r, a in inner.items():
                     acc[r] = acc.get(r, 0) + a * x
-            out = {}
-            for r, v in acc.items():
-                if v:
-                    out[r] = v
-                    q, rem = divmod(v, den)
-                    ent[(r, j)] = Fraction(v, den) if rem else q
-            if out:
-                cols[j] = out
-        m = Matrix._trusted(self.rows, other.cols, ent)
-        m._intcols = den, cols
-        return m
+            if not all(acc.values()):
+                acc = {r: v for r, v in acc.items() if v}
+            if acc:
+                cols[j] = acc
+        return Matrix.from_int_columns(self.rows, other.cols, self.den * other.den, cols)
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self.columns.values()))
+        return f"Matrix({self.rows}x{self.cols}, nnz={nnz})"
 
     def _shape_match(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -332,7 +315,8 @@ def block(grid):
     column their column count; a ragged grid raises ValueError.
     """
     widths = [m.cols for m in grid[0]]
-    ent = {}
+    den = math.lcm(*(m.den for row in grid for m in row))
+    cols = {}
     top = 0
     for row in grid:
         height = row[0].rows
@@ -340,20 +324,25 @@ def block(grid):
             raise ValueError("ragged block grid")
         left = 0
         for m in row:
-            for (r, c), v in m.entries.items():
-                ent[(top + r, left + c)] = v
+            f = den // m.den
+            for c, col in m.columns.items():
+                out = cols.setdefault(left + c, {})
+                for r, v in col.items():
+                    out[top + r] = f * v
             left += m.cols
         top += height
-    return Matrix._trusted(top, sum(widths), ent)
+    return Matrix.from_int_columns(top, sum(widths), den, cols)
 
 
 def kron(a, b):
     """Kronecker product, row-major blocks: (a⊗b)[(i,k),(j,l)] = a[i,j]*b[k,l]."""
-    ent = {}
-    for (i, j), av in a.entries.items():
-        for (k, l), bv in b.entries.items():
-            ent[(i * b.rows + k, j * b.cols + l)] = _norm(av * bv)
-    return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, ent)
+    cols = {}
+    for j, acol in a.columns.items():
+        for l, bcol in b.columns.items():
+            cols[j * b.cols + l] = {
+                i * b.rows + k: av * bv for i, av in acol.items() for k, bv in bcol.items()
+            }
+    return Matrix.from_int_columns(a.rows * b.rows, a.cols * b.cols, a.den * b.den, cols)
 
 
 # -- elimination ---------------------------------------------------------------
@@ -377,10 +366,10 @@ def _combine(a, x, b, y):
 
 
 def rank(m):
-    """Rank over Q: the dimension of the EchelonSpan of m's rows."""
+    """Rank over Q: the dimension of the EchelonSpan of m's columns."""
     span = EchelonSpan()
-    for row in m.rowmap().values():
-        span.insert(row)
+    for col in m.columns.values():
+        span.insert(col)
     return span.dim
 
 
@@ -394,7 +383,7 @@ def kernel_basis(m):
     this the reduced basis read off the reduced row echelon form.
     """
     span = EchelonSpan()
-    cm = m.colmap()
+    cm = m.columns
     independent = []  # the column of each basis id
     basis = []
     for j in range(m.cols):
@@ -428,45 +417,22 @@ def joint_kernel(ops, vectors):
 
 
 def eval_operator_polynomial(op, roots, divisor=1):
-    """Product of (op - r*Id) over the given roots, factors left to right,
-    divided by the nonzero scalar `divisor`.
+    """Product of (op - r*Id) over the given roots, divided by the nonzero
+    scalar `divisor`.
 
-    The factors commute, so the order cannot change the value.  The product
-    runs on integers: with den the lcm of the denominators of op's entries
-    and of the roots, each factor is (den*op - den*r*Id), columns are produced
-    by repeated matrix-vector application on integer vectors (never
-    densifying the intermediate products), and every entry is divided once,
-    by den**len(roots) * divisor, at the end.
+    The factors commute, so their order cannot change the value; they are
+    multiplied right to left, each product on the integer columns.
     """
     if op.rows != op.cols:
         raise ValueError("operator polynomial needs a square matrix")
     for r in roots:
         _check_scalar(r)
     _check_scalar(divisor)
-    den = math.lcm(_denominator(op.entries.values()), _denominator(roots))
-    int_op = op if den == 1 else op.scale(den)
-    int_roots = [int(den * r) for r in reversed(roots)]
-    divisor = Fraction(divisor)
-    num_scale, den_scale = divisor.denominator, divisor.numerator * den ** len(roots)
-    n = op.rows
-    ent = {}
-    for j in range(n):
-        w = {j: 1}
-        for r in int_roots:
-            w2 = int_op.apply(w)
-            if r != 0:
-                for i, x in w.items():
-                    s = w2.get(i, 0) - r * x
-                    if s == 0:
-                        w2.pop(i, None)
-                    else:
-                        w2[i] = s
-            w = w2
-            if not w:
-                break
-        for i, v in w.items():
-            ent[(i, j)] = _norm(Fraction(v * num_scale, den_scale))
-    return Matrix._trusted(n, n, ent)
+    ident = Matrix.identity(op.rows)
+    out = ident
+    for r in reversed(roots):
+        out = (op - ident.scale(r)) @ out
+    return out.scale(Fraction(1, divisor))
 
 
 def idempotent_from_spectrum(op, target, others):
@@ -588,10 +554,10 @@ def charpoly(m):
     n = m.rows
     if n == 0:
         return [Fraction(1)]
-    den = _denominator(m.entries.values())
-    # the nonzero entries of each row of den*m, as (column, int) pairs
-    rm = m.rowmap()
-    a = [[(c, v.numerator * (den // v.denominator)) for c, v in rm.get(r, {}).items()] for r in range(n)]
+    den = m.den
+    # the rows of the transpose of den*m, as (column, int) pairs: a matrix and
+    # its transpose have one characteristic polynomial
+    a = [list(m.columns.get(c, {}).items()) for c in range(n)]
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
     for k in range(1, n + 1):

@@ -132,11 +132,11 @@ def check_action_oracle(V, k_max=2):
     for k in range(k_max + 1):
         src = graded_basis(V, k)
         for name, op in spanning_operators(V.n):
-            cols = operator_matrix(op, V, k).colmap()
+            m = operator_matrix(op, V, k)
             dst = graded_basis(V, k + op.degree_shift())
             for col, lab in enumerate(src.labels):
                 image = act(op, GradedElement(k, {lab: 1}), V)
-                if cols.get(col, {}) != {dst.index[x]: v for x, v in image.coords.items()}:
+                if m.column(col) != {dst.index[x]: v for x, v in image.coords.items()}:
                     return False, f"{name} column {lab} at degree {k} differs from act"
     return True, f"every spanning matrix column equals act through degree {k_max}"
 

@@ -337,7 +337,7 @@ def test_operator_matrix_columns_equal_act(case):
             assert v != 0 and (type(v) is int or (type(v) is F and v.denominator > 1))
         for col, lab in enumerate(src.labels):
             image = act(op, GradedElement(k, {lab: 1}), V)
-            assert m.colmap().get(col, {}) == {dst.index[x]: v for x, v in image.coords.items()}, (op, lab)
+            assert m.column(col) == {dst.index[x]: v for x, v in image.coords.items()}, (op, lab)
 
 
 def test_operator_matrix_rejects_operators_outside_the_span():

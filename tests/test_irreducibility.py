@@ -363,6 +363,25 @@ def test_casimir_acts_by_the_central_character(dynkin, b, c):
     assert check_casimir(V, 2)[0]
 
 
+# criterion 1's grid: n <= 3, labels <= 2, six values of b
+CRITERION_1_GRID = [
+    (n, dynkin, b)
+    for n in (1, 2, 3)
+    for dynkin in itertools.product(range(3), repeat=n - 1)
+    for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2))
+]
+
+
+def test_casimir_acts_by_the_central_character_over_criterion_1_grid():
+    assert len(CRITERION_1_GRID) == 78
+    failed = []
+    for n, dynkin, b in CRITERION_1_GRID:
+        ok, detail = check_casimir(cached_module(n, dynkin, b), 3)
+        if not ok:
+            failed.append((n, dynkin, b, detail))
+    assert failed == []
+
+
 def test_casimir_suite_catches_one_corrupted_generator_entry():
     V = cached_module(3, (1, 1), F(1, 3))
     assert check_casimir(V)[0]

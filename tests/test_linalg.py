@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -154,21 +155,42 @@ def test_operator_polynomial_rejects_float_roots():
             idempotent_from_spectrum(m, 1, [0.5])
 
 
-def test_operator_polynomial_applies_integer_matrices_only(monkeypatch):
-    seen = []
-    original = Matrix.apply
+def _count_fraction_arithmetic(monkeypatch, calls):
+    """Append the name of every Fraction add, multiply and subtract to `calls`
+    until monkeypatch.undo()."""
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__"):
+        original = getattr(F, name)
 
-    def recording_apply(self, vec):
-        seen.extend(self.entries.values())
-        seen.extend(vec.values())
-        return original(self, vec)
+        def counting(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
 
-    monkeypatch.setattr(Matrix, "apply", recording_apply)
-    op = from_rows([[F(1, 2), F(2, 3), 0], [0, F(-5, 6), 1], [F(7, 4), 0, 3]])
-    result = eval_operator_polynomial(op, [F(1, 3), 2, F(-3, 5)])
-    p = idempotent_from_spectrum(op, F(1, 2), [F(1, 3), 2])
-    assert seen and all(type(v) is int for v in seen)
-    assert not result.is_zero() and not p.is_zero()
+        monkeypatch.setattr(F, name, counting)
+
+
+def test_operator_polynomial_does_no_fraction_arithmetic_per_entry(monkeypatch):
+    # the same roots on a 3x3 and on a 30x30 operator: any Fraction work per
+    # entry would make the two counts differ
+    rng = random.Random(5)
+
+    def rational(n):
+        return from_rows([
+            [F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7])) if rng.randint(0, 2) else 0
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+
+    roots, target = [F(1, 3), 2, F(-3, 5)], F(1, 2)
+    counts = []
+    for op in (rational(3), rational(30)):
+        calls = []
+        _count_fraction_arithmetic(monkeypatch, calls)
+        result = eval_operator_polynomial(op, roots)
+        p = idempotent_from_spectrum(op, target, roots)
+        monkeypatch.undo()
+        assert not result.is_zero() and not p.is_zero()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_products_and_sums_run_without_fraction_arithmetic(monkeypatch):
@@ -184,14 +206,7 @@ def test_products_and_sums_run_without_fraction_arithmetic(monkeypatch):
     ab, cd = dense_product(to_dense(a), to_dense(b)), dense_product(to_dense(c), to_dense(d))
     expected = [[x - y for x, y in zip(r, r2)] for r, r2 in zip(ab, cd)]
     calls = []
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__"):
-        original = getattr(F, name)
-
-        def counting(self, other, original=original, name=name):
-            calls.append(name)
-            return original(self, other)
-
-        monkeypatch.setattr(F, name, counting)
+    _count_fraction_arithmetic(monkeypatch, calls)
     result = a @ b - c @ d
     monkeypatch.undo()
     assert calls == []
@@ -521,6 +536,14 @@ def assert_clean(m):
         assert v != 0
         assert type(v) is int or (type(v) is F and v.denominator > 1)
     assert Matrix(m.rows, m.cols, m.entries).entries == m.entries
+    # the stored form is canonical: integer columns, none empty, over a
+    # positive denominator that shares no factor with them
+    assert type(m.den) is int and m.den >= 1
+    for c, col in m.columns.items():
+        assert 0 <= c < m.cols and col
+        assert all(type(v) is int and v != 0 and 0 <= r < m.rows for r, v in col.items())
+    assert math.gcd(m.den, *(v for col in m.columns.values() for v in col.values())) == 1
+    assert Matrix(m.rows, m.cols, m.entries) == m
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,6 +563,13 @@ def test_exact_operations_match_dense_and_store_clean_entries(mats, s):
     assert to_dense(commutator_like) == dense_product(to_dense(diff), bd)
     for m in (prod, total, diff, commutator_like, -a, a.scale(s), kron(a, b)):
         assert_clean(m)
+    assert_clean(block([[a, a2], [a2, a]]))
+    # a sum that cancels to zero keeps no denominator
+    frac = a + Matrix(a.rows, a.cols, {(0, 0): F(1, 11)})
+    assert frac.den % 11 == 0
+    zero = frac - frac
+    assert_clean(zero)
+    assert zero.is_zero() and zero.den == 1 and zero == Matrix.zeros(a.rows, a.cols)
 
 
 def _reference_product(op, roots):
@@ -571,3 +601,18 @@ def test_integer_operator_product_matches_matrix_product(op, roots, target):
     p = idempotent_from_spectrum(op, target, others)
     assert p == _reference_product(op, others).scale(1 / den)
     assert_clean(p)
+    assert_clean(op - Matrix.identity(op.rows).scale(target))
+
+
+@pytest.mark.parametrize("n,dynkin,b", [(2, (2,), F(1, 2)), (3, (1, 1), F(1, 3)), (3, (2, 0), F(-2))])
+def test_weight_blocks_store_the_canonical_form(n, dynkin, b):
+    from projrep.charident import adjoint_blocks, sigma2_tilde, weight_blocks
+    from projrep.glmodules import cached_module
+
+    V = cached_module(n, dynkin, b)
+    s2 = sigma2_tilde(V)
+    assert_clean(s2)
+    for blocks in (weight_blocks(V, s2, dual=False), adjoint_blocks(V, True), adjoint_blocks(V, False)):
+        for m, _ in blocks:
+            assert_clean(m)
+            assert_clean(m - Matrix.identity(m.rows).scale(b))

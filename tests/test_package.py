@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import projrep
 from projrep.linalg import Matrix
@@ -158,3 +160,10 @@ def test_benchmark_traced_names_resolve():
     missing += [f"Matrix.{attr}" for attrs in tables["METHODS"].values() for attr in attrs
                 if attr not in Matrix.__dict__]
     assert missing == []
+    # its counters read rows, cols and the (row, col) keys of entries off a
+    # matrix, and the entries argument of the constructor by position
+    m = Matrix(2, 3, {(1, 2): 5, (0, 0): Fraction(1, 2)})
+    assert (m.rows, m.cols) == (2, 3)
+    assert sorted(m.entries) == [(0, 0), (1, 2)]
+    assert list(inspect.signature(Matrix.__init__).parameters)[:4] == [
+        "self", "rows", "cols", "entries"]
