@@ -412,11 +412,8 @@ def graded_basis(V, k):
 
 
 def _twist(coeffs, V):
-    """sum of c * E_{i+1,j+1} over {(i, j): c}, as {(row, col): value}."""
-    out = {}
-    for (i, j), c in coeffs.items():
-        add_into(out, V.e(i, j).entries.items(), c)
-    return out
+    """sum of c * E_{i+1,j+1} over {(i, j): c}, as a Matrix."""
+    return sum((V.e(i, j).scale(c) for (i, j), c in coeffs.items()), Matrix.zeros(V.dim, V.dim))
 
 
 def _pseudo_twist(pseudo, V):
@@ -445,17 +442,8 @@ def _assemble(op, V, src, dst):
     blocks = [(None, _twist(gl, V))] if gl else []
     if pseudo:
         blocks += list(_pseudo_twist(pseudo, V).items())
-    den = math.lcm(
-        *(c.denominator for c, _, _ in moves),
-        *(a.denominator for _, twist in blocks for a in twist.values()),
-    )
+    den = math.lcm(*(c.denominator for c, _, _ in moves), *(twist.den for _, twist in blocks))
     moves = [(c.numerator * (den // c.denominator), up, down) for c, up, down in moves]
-    int_blocks = []  # (index raised, {t: [(r, int)]}): the blocks' integer columns
-    for up, twist in blocks:
-        tcols = {}
-        for (r, t), a in twist.items():
-            tcols.setdefault(t, []).append((r, a.numerator * (den // a.denominator)))
-        int_blocks.append((up, tcols))
     # keys take their positions from this list, so the cached columns share
     # one int object per position instead of holding fresh sums
     pos = list(range(max(src.dim, dst.dim)))
@@ -474,13 +462,14 @@ def _assemble(op, V, src, dst):
                 row = dst.index[(m, 0)]
                 for t in range(d):
                     out[t][pos[row + t]] = s
-        for up, tcols in int_blocks:
+        for up, twist in blocks:
             row = dst.index[(_shift_mono(mono, up), 0)]
-            for t, entries in tcols.items():
+            f = den // twist.den
+            for t, entries in twist.columns.items():
                 acc = out[t]
-                for r, a in entries:
+                for r, a in entries.items():
                     key = pos[row + r]
-                    s = acc.get(key, 0) + a
+                    s = acc.get(key, 0) + a * f
                     if s:
                         acc[key] = s
                     else:

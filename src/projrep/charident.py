@@ -17,7 +17,8 @@ Each block operator commutes with the diagonal gl(n) action on C^n (x) V
 grid): the index (i, q), global i*dim + q, has weight w_q + e_i, or w_q - e_i
 on the dual.  Its operator polynomials, eigenspaces and projectors are then
 gl(n)-submodules or module maps, so the command line reads them off the
-square blocks on the dominant weight spaces alone (`weight_blocks`): a
+square blocks on the dominant weight spaces alone (`weight_blocks`, over the
+positions that `glmodules.dominant_weight_spaces` groups by weight): a
 residual vanishes iff it vanishes on every dominant block (a nonzero
 quotient has a dominant highest weight), and a kernel's or image's
 dimension is the sum over dominant w of its dimension on the block of w
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyViolationError
-from .glmodules import is_dominant, module_memo, orbit_size
+from .glmodules import dominant_weight_spaces, module_memo, orbit_size
 from .linalg import (
     DegenerateSpectrumError,
     Matrix,
@@ -163,32 +164,11 @@ def tensor_projector(V, r, dual):
 
 
 def _dominant_weight_spaces(V, dual):
-    """{weight: [global indices]} over the dominant weight spaces of C^n (x) V
-    (dual: of its dual), memoized per module.  Weights are integer tuples,
-    shifted by the constant that makes the module's weights integral, which
-    changes neither dominance nor orbit sizes."""
-
-    def build():
-        sign = -1 if dual else 1
-        base = V.highest_weight[-1]
-        num, den = base.numerator, base.denominator
-        spaces = {}
-        for q, wq in enumerate(V.basis_weights):
-            # x - base on integers: every entry has base's denominator
-            w = []
-            for x in wq:
-                k, rem = divmod(x.numerator - num, den)
-                if rem or x.denominator != den:
-                    raise ConsistencyViolationError(f"{V!r}: weight {wq} is not integral over {base}")
-                w.append(k)
-            for i in range(V.n):
-                w[i] += sign
-                if is_dominant(w):
-                    spaces.setdefault(tuple(w), []).append(i * V.dim + q)
-                w[i] -= sign
-        return spaces
-
-    return module_memo(V, "dominant_spaces", dual, build)
+    """dominant_weight_spaces of C^n (x) V (dual: of its dual), whose index
+    (i, q) has weight w_q + e_i (dual: w_q - e_i), memoized per module."""
+    sign = -1 if dual else 1
+    shifts = [tuple(sign if t == i else 0 for t in range(V.n)) for i in range(V.n)]
+    return module_memo(V, "dominant_spaces", dual, lambda: dominant_weight_spaces(V, shifts))
 
 
 def weight_blocks(V, op, dual):

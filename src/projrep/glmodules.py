@@ -10,13 +10,16 @@ module.  The Cartan diagonal is then shifted so the identity acts by b.  Only
 the lowerings act on the symmetric powers.  Their columns are read off the
 span's insertions, the simple raisings follow from
 E_i F_j = F_j E_i + delta_ij H_i in module coordinates, and every other
-E_{i,j} is a commutator of two generators nearer the diagonal.  Weights are
-plain n-tuples (Fractions or ints), index i holding the E_{i,i} eigenvalue.
+E_{i,j} is a commutator of two generators nearer the diagonal.  A weight is
+an n-tuple, index i holding the E_{i,i} eigenvalue.  The weights of a module
+differ by roots, so a module stores each as an integer tuple relative to
+mu_n, and only `dominant_weight_spaces` decides dominance, on those tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -32,6 +35,7 @@ __all__ = [
     "build_irreducible",
     "clear_caches",
     "dominant_gaps",
+    "dominant_weight_spaces",
     "is_dominant",
     "module_memo",
     "orbit_size",
@@ -66,7 +70,7 @@ class DominantLabels:
 
 
 def weight_add(mu, c):
-    return tuple(m + x for m, x in zip(mu, c))
+    return tuple(map(operator.add, mu, c))
 
 
 def dominant_gaps(mu):
@@ -84,7 +88,7 @@ def is_dominant(w):
     """Whether the weight is non-increasing, w_1 >= w_2 >= ... >= w_n: the one
     weight of its S_n-orbit that a finite-dimensional module's highest
     weights and dominant weight spaces are taken from."""
-    return all(a >= b for a, b in zip(w, w[1:]))
+    return all(map(operator.ge, w, w[1:]))
 
 
 def orbit_size(w):
@@ -146,18 +150,23 @@ def pieri_index_set(mu, j):
 class GlModule:
     """Concrete gl(n)-module: weights per basis vector and all E_{i,j} matrices.
 
-    ``action[i][j]`` is the matrix of E_{i+1,j+1} (0-based storage of the
-    1-based generators).  Instances are immutable after construction;
-    ``memo`` holds the derived data that ``module_memo`` caches for them.
+    ``lattice_weights[q]`` is the weight of basis vector q minus mu_n, ints,
+    and ``basis_weights[q]`` the weight.  ``action[i][j]`` is the matrix of
+    E_{i+1,j+1} (0-based storage of the 1-based generators).  Instances are
+    immutable after construction; ``memo`` holds the derived data that
+    ``module_memo`` caches for them.
     """
 
-    def __init__(self, labels, basis_weights, action, highest_index=0):
+    highest_index = 0  # the lowering closure starts from the highest vector
+
+    def __init__(self, labels, lattice_weights, action):
         self.labels = labels
         self.n = labels.n
-        self.dim = len(basis_weights)
-        self.basis_weights = tuple(tuple(w) for w in basis_weights)
+        self.lattice_weights = tuple(tuple(w) for w in lattice_weights)
+        self.dim = len(self.lattice_weights)
+        base = weight_from_labels(labels)[-1]
+        self.basis_weights = tuple(tuple(x + base for x in w) for w in self.lattice_weights)
         self.action = tuple(tuple(row) for row in action)
-        self.highest_index = highest_index
         self.memo = {}
 
     @property
@@ -177,6 +186,25 @@ class GlModule:
             f"GlModule(n={self.n}, dynkin={self.labels.dynkin}, "
             f"b={self.labels.b}, dim={self.dim})"
         )
+
+
+def dominant_weight_spaces(V, shifts):
+    """{w: [t * dim + q]}: the positions of shifts x basis, row-major, whose
+    weight w = lattice_weights[q] + shifts[t] is dominant, ascending per w.
+
+    Shifts the monomials of one degree give positions in that graded piece;
+    shifts +-e_i give the indices of C^n (x) V or of its dual.  Keys relative
+    to mu_n have the dominance and orbit sizes of the weights themselves.
+    """
+    spaces = {}
+    pos = 0
+    for s in shifts:
+        for lw in V.lattice_weights:
+            w = weight_add(lw, s)
+            if is_dominant(w):
+                spaces.setdefault(w, []).append(pos)
+            pos += 1
+    return spaces
 
 
 # -- construction -------------------------------------------------------------
@@ -379,14 +407,12 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         cols = {j: dict(sorted(m.columns[j].items())) for j in sorted(m.columns)}
         return Matrix.from_int_columns(dim, dim, m.den, cols)
 
-    shift = Fraction(labels.b - sum(fund), n)
-    basis_weights = [tuple(x + shift for x in w) for w, _ in names]
-
+    # E_{i,i} is diagonal with entries w_i + mu_n, integers over mu_n's denominator
+    num, den = mu[-1].numerator, mu[-1].denominator
     action = [[None] * n for _ in range(n)]
     for i in range(n):
-        action[i][i] = Matrix(
-            dim, dim, {(col, col): w[i] for col, w in enumerate(basis_weights) if w[i] != 0}
-        )
+        diag = {col: {col: v} for col, (w, _) in enumerate(names) if (v := w[i] * den + num)}
+        action[i][i] = Matrix.from_int_columns(dim, dim, den, diag)
     for j in range(n - 1):
         action[j + 1][j] = from_columns(lower[j])
         action[j][j + 1] = from_columns(raise_[j])
@@ -397,7 +423,7 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             action[i][j] = commutator(action[i][i + 1], action[i + 1][j])
             action[j][i] = commutator(action[j][j - 1], action[j - 1][i])
 
-    mod = GlModule(labels, basis_weights, action, highest_index=0)
+    mod = GlModule(labels, [w for w, _ in names], action)
     if mod.highest_weight != mu:
         raise ConsistencyViolationError(
             "built module's highest weight differs from the requested labels"

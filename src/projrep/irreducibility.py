@@ -25,7 +25,7 @@ from .action import (
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
-    is_dominant,
+    dominant_weight_spaces,
     module_memo,
     orbit_size,
     pieri_index_set,
@@ -183,10 +183,6 @@ def up_submodule_matrix(V, k):
     return Matrix.from_cols(cols, gb.dim)
 
 
-def _label_weight(V, mono, q):
-    return weight_add(V.basis_weights[q], mono)
-
-
 def up_submodule_rank(V, k):
     """Dimension of the degree-k piece of the span of all p-chains.
 
@@ -194,22 +190,25 @@ def up_submodule_rank(V, k):
     ([x_i d_j, p_l] = delta_jl p_i and 1 (x) V is gl(n)-stable), so its weight
     multiplicities are invariant under S_n, which permutes coordinates.  Only
     chain vectors of dominant (non-increasing) weight are built and eliminated,
-    one EchelonSpan per weight; each span's dimension counts once per weight
-    in its S_n-orbit.  Memoized per module and degree.
+    one EchelonSpan per weight (`dominant_weight_spaces`); each span's
+    dimension counts once per weight in its S_n-orbit.  Memoized per module
+    and degree.
     """
 
     def compute():
         if k == 0:
             return V.dim
-        spans = {}
-        for c in monomials_of_degree(V.n, k):
-            for q in range(V.dim):
-                w = _label_weight(V, c, q)
-                if is_dominant(w):
-                    vec = _p_chain_vector(V, c, q)
-                    if vec:
-                        spans.setdefault(w, EchelonSpan()).insert(vec)
-        return sum(span.dim * orbit_size(w) for w, span in spans.items())
+        monos = monomials_of_degree(V.n, k)
+        total = 0
+        for w, positions in dominant_weight_spaces(V, monos).items():
+            span = EchelonSpan()
+            for pos in positions:
+                t, q = divmod(pos, V.dim)
+                vec = _p_chain_vector(V, monos[t], q)
+                if vec:
+                    span.insert(vec)
+            total += span.dim * orbit_size(w)
+        return total
 
     return module_memo(V, "rank", k, compute)
 
@@ -222,11 +221,11 @@ def maximal_vector(V, c):
     if tuple(c) not in pieri_index_set(mu, j):
         raise ValueError(f"{c} is not an admissible shift for {mu}")
     gb = graded_basis(V, j)
-    target = weight_add(mu, c)
-    support = [pos for pos, (mono, q) in enumerate(gb.labels)
-               if _label_weight(V, mono, q) == target]
+    # mu + c is dominant for every admissible c
+    target = weight_add(V.lattice_weights[V.highest_index], c)
+    support = dominant_weight_spaces(V, monomials_of_degree(V.n, j)).get(target)
     if not support:
-        raise MultiplicityAnomalyError(f"empty weight space for {target}")
+        raise MultiplicityAnomalyError(f"empty weight space for {weight_add(mu, c)}")
     raisers = [
         operator_matrix(scaling_op(V.n, a, b), V, j)
         for a in range(V.n)

@@ -22,7 +22,7 @@ from projrep.action import (
     verify_bracket_consistency,
 )
 from projrep.errors import UnsupportedOperatorError
-from projrep.glmodules import cached_module
+from projrep.glmodules import DominantLabels, build_irreducible, cached_module
 from projrep.linalg import Matrix
 from projrep.selfcheck import (
     check_action_oracle,
@@ -235,16 +235,12 @@ def test_derivative_chain_identity_random():
 def test_sign_flip_in_twisted_action_breaks_bracket_consistency(monkeypatch):
     """An injected fault in the pseudo-translation twist must be caught."""
     import projrep.action as action_mod
-    from projrep.glmodules import DominantLabels, build_irreducible
 
     original = action_mod._pseudo_twist
 
     def flipped(pseudo, V):
         # flip the sign of the summed generator twist, keep the rest
-        return {
-            j: {rc: -v for rc, v in twist.items()}
-            for j, twist in original(pseudo, V).items()
-        }
+        return {j: -twist for j, twist in original(pseudo, V).items()}
 
     # fresh module instances: operator matrices are cached per instance
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
@@ -252,6 +248,20 @@ def test_sign_flip_in_twisted_action_breaks_bracket_consistency(monkeypatch):
     W = build_irreducible(DominantLabels(2, (1,), F(1)))
     monkeypatch.setattr(action_mod, "_pseudo_twist", flipped)
     assert not verify_bracket_consistency(2, W, 2)
+
+
+def test_twist_blocks_assemble_without_fraction_arithmetic(monkeypatch):
+    # b = 1/2 puts Fractions in every generator; the twist blocks are summed
+    # on their integer columns
+    from test_linalg import _count_fraction_arithmetic
+
+    V = build_irreducible(DominantLabels(3, (2, 1), F(1, 2)))
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    matrices = [operator_matrix(scaling_op(3, i, j), V, 2) for i in range(3) for j in range(3)]
+    monkeypatch.undo()
+    assert calls == []
+    assert all(m.den > 1 for m in matrices[::4])  # x_i d_i carries E_ii, weights in 1/6 Z
 
 
 def test_witt_bracket_antisymmetry_and_jacobi():
@@ -375,7 +385,6 @@ def test_bracket_check_catches_a_nonzero_bracket_reported_as_zero(monkeypatch):
 
 def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
     import projrep.action as action_mod
-    from projrep.glmodules import DominantLabels, build_irreducible
 
     original = action_mod._assemble
     assembled = []

@@ -226,7 +226,7 @@ def _with_off_weight_entry(V):
     action = [list(row) for row in V.action]
     e12 = V.e(0, 1)
     action[0][1] = Matrix(V.dim, V.dim, {**e12.entries, (hi, hi): 1})
-    return GlModule(V.labels, V.basis_weights, action, hi)
+    return GlModule(V.labels, V.lattice_weights, action)
 
 
 @pytest.mark.parametrize("command", ["verify-identity", "decompose"])

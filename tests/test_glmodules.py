@@ -14,6 +14,8 @@ from projrep.glmodules import (
     cached_module,
     clear_caches,
     dominant_gaps,
+    dominant_weight_spaces,
+    is_dominant,
     pieri_index_set,
     validate_module,
     weight_add,
@@ -142,6 +144,47 @@ def test_tensor_multiplicity_free(n, dynkin, b, k):
         ]
         found = joint_kernel(raisers, support)
         assert len(found) == (1 if c in admissible else 0), (c, len(found))
+
+
+def _oracle_dominant_weight_spaces(V, shifts):
+    """dominant_weight_spaces from the exact basis weights: each position's
+    weight w_q + s, kept if dominant, keyed by w_q + s - mu_n."""
+    mu_n = V.highest_weight[-1]
+    spaces = {}
+    for t, s in enumerate(shifts):
+        for q in range(V.dim):
+            w = weight_add(V.basis_weights[q], s)
+            if is_dominant(w):
+                spaces.setdefault(tuple(x - mu_n for x in w), []).append(t * V.dim + q)
+    return spaces
+
+
+# criterion 1's grid (n <= 3, labels <= 2, six values of b), the repeated
+# wedge factors and two n = 5 modules
+DOMINANT_SPACE_MODULES = [
+    (n, dynkin, b)
+    for n in (1, 2, 3)
+    for dynkin in itertools.product(range(3), repeat=n - 1)
+    for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2))
+] + REPEATED_SWEEP + [(5, (1, 0, 0, 1), F(1, 2)), (5, (0, 1, 0, 1), F(2, 5))]
+
+
+def test_dominant_weight_spaces_match_the_exact_weights():
+    assert len(DOMINANT_SPACE_MODULES) == 82
+    for n, dynkin, b in DOMINANT_SPACE_MODULES:
+        V = cached_module(n, dynkin, b)
+        mu_n = V.highest_weight[-1]
+        assert all(type(x) is int for lw in V.lattice_weights for x in lw)
+        assert all(
+            V.basis_weights[q][i] == V.lattice_weights[q][i] + mu_n
+            for q in range(V.dim) for i in range(n)
+        )
+        unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+        shift_lists = [unit, [tuple(-x for x in e) for e in unit]]
+        shift_lists += [monomials_of_degree(n, k) for k in range(4)]
+        for shifts in shift_lists:
+            expected = _oracle_dominant_weight_spaces(V, shifts)
+            assert dominant_weight_spaces(V, shifts) == expected, (n, dynkin, b, shifts)
 
 
 def test_clear_caches_empties_the_module_cache():

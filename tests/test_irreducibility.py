@@ -17,6 +17,7 @@ from projrep.errors import ConsistencyViolationError
 from projrep.glmodules import (
     DominantLabels,
     GlModule,
+    build_irreducible,
     cached_module,
     pieri_index_set,
     weight_add,
@@ -187,6 +188,21 @@ def test_chain_vectors_store_integers_as_int():
         for q in range(V.dim):
             for v in _p_chain_vector(V, c, q).values():
                 assert not (isinstance(v, F) and v.denominator == 1), (c, q, v)
+
+
+def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
+    # the weights of n = 4, labels 1,1,1, b = 0 lie in -3/2 + Z^4: once the
+    # chain vectors are memoized, the rank is elimination on them alone
+    from test_linalg import _count_fraction_arithmetic
+
+    V = build_irreducible(DominantLabels(4, (1, 1, 1), F(0)))
+    up_submodule_matrix(V, 3)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    r = up_submodule_rank(V, 3)
+    monkeypatch.undo()
+    assert calls == []
+    assert r == all_weights_rank(V, 3)
 
 
 def test_criterion_examples():
@@ -389,7 +405,7 @@ def test_casimir_suite_catches_one_corrupted_generator_entry():
     e = action[0][1]
     pos, value = next(iter(e.entries.items()))
     action[0][1] = Matrix(e.rows, e.cols, {**e.entries, pos: value + 1})
-    corrupted = GlModule(V.labels, V.basis_weights, action, V.highest_index)
+    corrupted = GlModule(V.labels, V.lattice_weights, action)
     ok, detail = check_casimir(corrupted)
     assert not ok and detail == "C_0 is not 130/27 * Id"
 

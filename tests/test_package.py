@@ -60,6 +60,22 @@ def test_package_modules_use_every_name_they_import():
     assert found == []
 
 
+def test_only_glmodules_names_is_dominant():
+    # weights are compared in one form, by glmodules.dominant_weight_spaces
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "glmodules.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "is_dominant":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = (
         "import sys, projrep.cli; "
