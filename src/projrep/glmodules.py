@@ -2,32 +2,29 @@
 
 A module is labelled by nonnegative Dynkin labels (a_1, ..., a_{n-1}) for the
 traceless part plus a rational central scalar b for the identity matrix.
-Construction realizes it inside the product of the symmetric powers
-Sym^{a_d}(Lambda^d) of the exterior powers of the vector representation (the
-Plucker realization): the product of the top wedges is a highest-weight
-vector, and its cyclic span under the simple lowerings F_j = E_{j+1,j} is the
-module.  The Cartan diagonal is then shifted so the identity acts by b.  Only
-the lowerings act on the symmetric powers.  Their columns are read off the
-span's insertions, the simple raisings follow from
-E_i F_j = F_j E_i + delta_ij H_i in module coordinates, and every other
-E_{i,j} is a commutator of two generators nearer the diagonal.  A weight is
-an n-tuple, index i holding the E_{i,i} eigenvalue.  The weights of a module
-differ by roots, so a module stores each as an integer tuple relative to
-mu_n, and only `dominant_weight_spaces` decides dominance, on those tuples.
+Construction uses the Gelfand-Tsetlin basis: one basis vector per pattern,
+a triangular array of integer rows, row n (the top) being mu - mu_n and row
+k - 1 interlacing row k.  A pattern's weight is read off its row sums, and
+the simple generators E_{k,k+1} and E_{k+1,k} act by closed-form rational
+coefficients in the l-values l_ki = L_ki - i + 1 of rows k and k +- 1 (see
+`build_irreducible`); every other E_{i,j} is a commutator of two generators
+nearer the diagonal.  No elimination is involved.  A weight is an n-tuple,
+index i holding the E_{i,i} eigenvalue.  The weights of a module differ by
+roots, so a module stores each as an integer tuple relative to mu_n, and
+only `dominant_weight_spaces` decides dominance, on those tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import EchelonSpan, Matrix, add_into
+from .linalg import Matrix
 
 __all__ = [
     "DominantLabels",
@@ -157,7 +154,7 @@ class GlModule:
     ``module_memo`` caches for them.
     """
 
-    highest_index = 0  # the lowering closure starts from the highest vector
+    highest_index = 0  # patterns are sorted by weight, the highest first
 
     def __init__(self, labels, lattice_weights, action):
         self.labels = labels
@@ -210,63 +207,41 @@ def dominant_weight_spaces(V, shifts):
 # -- construction -------------------------------------------------------------
 
 
-def _wedge_basis(n, d):
-    return list(itertools.combinations(range(n), d))
+def _gt_patterns(top):
+    """Every Gelfand-Tsetlin pattern with top row `top`, as a tuple of rows
+    from row 1 (one entry) up to the top row: row k - 1 interlaces row k,
+    row_k[i] >= row_{k-1}[i] >= row_k[i+1]."""
+    patterns = []
 
+    def below(rows):
+        upper = rows[0]
+        if len(upper) == 1:
+            patterns.append(rows)
+            return
+        ranges = [range(lo, hi + 1) for hi, lo in zip(upper, upper[1:])]
+        for row in itertools.product(*ranges):
+            below((row,) + rows)
 
-def _wedge_apply(n, i, j, subset):
-    """E_{i,j} on a wedge basis element; returns (target_subset, sign) or None."""
-    if j not in subset:
-        return None
-    if i == j:
-        return subset, 1
-    if i in subset:
-        return None
-    lst = [i if s == j else s for s in subset]
-    lo, hi = min(i, j), max(i, j)
-    crossings = sum(1 for s in subset if lo < s < hi and s != j)
-    target = tuple(sorted(lst))
-    return target, (-1) ** crossings
-
-
-def _wedge_table(n, d):
-    """E_{i,j} on the degree-d wedge basis, tabulated: table[i][j][idx] is
-    (target index, sign) or None for the basis element at position idx."""
-    basis = _wedge_basis(n, d)
-    position = {subset: idx for idx, subset in enumerate(basis)}
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            row = []
-            for subset in basis:
-                hit = _wedge_apply(n, i, j, subset)
-                row.append(None if hit is None else (position[hit[0]], hit[1]))
-            table[i][j] = row
-    return table
+    below((tuple(top),))
+    return patterns
 
 
 def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     """Construct the irreducible module for the given labels.
 
-    Refuses construction when the Weyl dimension exceeds `dim_cap`.  A basis
-    vector of prod_d Sym^{a_d}(Lambda^d) is a key of wedge-basis positions,
-    one per factor, with the a_d factors of degree d in one block kept sorted
-    ascending: a monomial.  A lowering acts as a derivation, through a table
-    of its action on each wedge basis built once per module (`_wedge_table`):
-    a wedge element x that occurs m times in a block, and that the table maps
-    to (tgt, sign), adds m * sign times the monomial with one x replaced by
-    tgt.  A block of one factor is the factor itself.
+    Refuses construction when the Weyl dimension exceeds `dim_cap`.  The basis
+    is the Gelfand-Tsetlin basis: one vector xi_L per pattern L with top row
+    mu - mu_n, all integers (`_gt_patterns`), sorted by weight, descending,
+    so the highest pattern comes first.  E_kk acts on xi_L by the lattice
+    weight sum row_k - sum row_{k-1}, plus mu_n.  With l_ki = L_ki - i + 1
+    (i 1-based), the simple generators act in closed form (Gelfand and
+    Tsetlin 1950; Molev, arXiv math/0211289, Thm. 2.3):
 
-    The lowering closure runs first in, first out.  Each image F_j u enters
-    the EchelonSpan of its weight once: a new basis vector v gives F_j a unit
-    column, and a dependent image gives its coordinates.  A basis vector is
-    a fixed word in the F_j applied to the top vector, and whether an image
-    is new, and its coordinates when it is not, depend only on the module and
-    not on the space around it; so the basis and every generator are those of
-    the closure in the full tensor product prod_d (Lambda^d)^{(x) a_d}.  For a
-    new v = F_j u the raisings are E_i v = F_j (E_i u) + delta_ij (w_i -
-    w_{i+1}) u, where w is u's weight; E_i u and the F_j columns of the
-    vectors above u are known by then.  E_{i,j} with |i - j| >= 2 is
+      E_{k,k+1} xi_L = -sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L+d_ki}
+      E_{k+1,k} xi_L =  sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L-d_ki}
+
+    L +- d_ki is L with entry i of row k raised or lowered by 1; a term whose
+    array is not a pattern is dropped.  E_{i,j} with |i - j| >= 2 is
     [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}].  Entries are stored
     column by column, rows ascending within a column.
     """
@@ -278,129 +253,39 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             f"module dimension {target_dim} exceeds cap {dim_cap}"
         )
 
-    # a_d factors of the d-th exterior power, in one contiguous block per d
-    fund = [i + 1 for i, ai in enumerate(labels.dynkin) for _ in range(ai)]
-    wedge = {d: _wedge_basis(n, d) for d in set(fund)}
-    table = {d: _wedge_table(n, d) for d in wedge}
-    blocks = []
-    for d in sorted(wedge):
-        lo = fund.index(d)
-        blocks.append((lo, lo + fund.count(d), d))
+    def lattice_weight(pattern):
+        sums = [0] + [sum(row) for row in pattern]
+        return tuple(sums[k + 1] - sums[k] for k in range(n))
 
-    def key_weight(key):
-        w = [0] * n
-        for f, d in enumerate(fund):
-            for s in wedge[d][key[f]]:
-                w[s] += 1
-        return tuple(w)
-
-    def sym_apply(i, j, vec):
-        # a block of one factor acts as that factor does: no count, no sort
-        singles = [(lo, table[d][i][j]) for lo, hi, d in blocks if hi - lo == 1]
-        multis = [(lo, hi, table[d][i][j]) for lo, hi, d in blocks if hi - lo > 1]
-        out = {}
-        for key, val in vec.items():
-            for f, row in singles:
-                hit = row[key[f]]
-                if hit is None:
-                    continue
-                tgt, sign = hit
-                nk = key[:f] + (tgt,) + key[f + 1:]
-                s = out.get(nk, 0) + sign * val
-                if s == 0:
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
-            for lo, hi, row in multis:
-                p = lo
-                while p < hi:
-                    x = key[p]
-                    q = bisect_right(key, x, p, hi)
-                    hit = row[x]
-                    if hit is not None:
-                        # one of the q - p copies of x becomes tgt; the block stays sorted
-                        tgt, sign = hit
-                        at = bisect_right(key, tgt, lo, hi)
-                        if at > p:
-                            nk = key[:p] + key[p + 1:at] + (tgt,) + key[at:]
-                        else:
-                            nk = key[:at] + (tgt,) + key[at:p] + key[p + 1:]
-                        s = out.get(nk, 0) + (q - p) * sign * val
-                        if s == 0:
-                            out.pop(nk, None)
-                        else:
-                            out[nk] = s
-                    p = q
-        return out
-
-    top_key = tuple(wedge[d].index(tuple(range(d))) for d in fund)
-    top = {top_key: 1}
-
-    # cyclic span of the top vector under the simple lowerings, weight by weight
-    flat = {}
-
-    def flatten(vec):
-        out = {}
-        for key, val in vec.items():
-            idx = flat.get(key)
-            if idx is None:
-                idx = flat[key] = len(flat)
-            out[idx] = val
-        return out
-
-    # A basis vector is named (weight, id in its weight's span).  lower[j] and
-    # raise_[j] map each name to its column of F_j = E_{j+1,j} and of
-    # E_j = E_{j,j+1}, as {name: coefficient}.
-    top_weight = key_weight(top_key)
-    top_name = (top_weight, 0)
-    spans = {top_weight: EchelonSpan()}
-    spans[top_weight].insert(flatten(top))
-    lower = [{} for _ in range(n - 1)]
-    raise_ = [{top_name: {}} for _ in range(n - 1)]
-    # First in, first out: a vector is taken only after every vector one
-    # lowering nearer the top, so the F columns the raisings read are known.
-    queue = deque([(top, top_name)])
-    while queue:
-        vec, u = queue.popleft()
-        w = u[0]
-        for j in range(n - 1):
-            img = sym_apply(j + 1, j, vec)
-            if not img:
-                lower[j][u] = {}
-                continue
-            tw = tuple(w[t] + (1 if t == j + 1 else 0) - (1 if t == j else 0) for t in range(n))
-            span = spans.get(tw)
-            if span is None:
-                span = spans[tw] = EchelonSpan()
-            new_id, coords = span.insert_or_coords(flatten(img))
-            if new_id is None:
-                lower[j][u] = {(tw, t): c for t, c in enumerate(coords) if c != 0}
-                continue
-            v = (tw, new_id)
-            lower[j][u] = {v: 1}
-            queue.append((img, v))
-            # E_i v = E_i F_j u = F_j E_i u + delta_ij (w_i - w_{i+1}) u
-            for i in range(n - 1):
-                col = {}
-                for x, c in raise_[i][u].items():
-                    add_into(col, lower[j][x].items(), c)
-                if i == j:
-                    add_into(col, [(u, w[i] - w[i + 1])])
-                raise_[i][v] = col
-
-    names = [(w, t) for w in sorted(spans, reverse=True) for t in range(spans[w].dim)]
-    dim = len(names)
+    patterns = sorted(_gt_patterns(int(x - mu[-1]) for x in mu), key=lattice_weight, reverse=True)
+    dim = len(patterns)
     if dim != target_dim:
         raise ConsistencyViolationError(
-            f"lowering closure produced dimension {dim}, Weyl formula says {target_dim}"
+            f"{dim} Gelfand-Tsetlin patterns, Weyl formula says {target_dim}"
         )
-    index_of = {name: idx for idx, name in enumerate(names)}
+    index_of = {pattern: idx for idx, pattern in enumerate(patterns)}
+    weights = [lattice_weight(pattern) for pattern in patterns]
+    # lvals[p][r][i] = L_{r+1,i+1} - i: the l-values of pattern p, 0-based
+    lvals = [[[x - i for i, x in enumerate(row)] for row in pattern] for pattern in patterns]
 
-    # generators are stored with columns ascending, and rows ascending in each
-    def from_columns(columns):
-        return Matrix.from_cols(
-            [dict(sorted((index_of[x], c) for x, c in columns[u].items())) for u in names], dim
-        )
+    def simple(k, step):
+        """E_{k+1,k+2} (step 1) or E_{k+2,k+1} (step -1), k 0-based: row k of
+        each pattern moves, and the numerators read the l-values of row
+        k + step."""
+        columns = []
+        for pattern, lv in zip(patterns, lvals):
+            row, other = lv[k], lv[k + step] if k + step >= 0 else ()
+            col = {}
+            moved = pattern[k]
+            for i, li in enumerate(row):
+                shifted = moved[:i] + (moved[i] + step,) + moved[i + 1:]
+                tgt = index_of.get(pattern[:k] + (shifted,) + pattern[k + 1:])
+                if tgt is not None:
+                    num = prod(li - x for x in other)
+                    den = prod(li - x for j, x in enumerate(row) if j != i)
+                    col[tgt] = Fraction(-step * num, den)
+            columns.append(dict(sorted(col.items())))
+        return Matrix.from_cols(columns, dim)
 
     def commutator(a, b):
         m = a @ b - b @ a
@@ -411,11 +296,11 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     num, den = mu[-1].numerator, mu[-1].denominator
     action = [[None] * n for _ in range(n)]
     for i in range(n):
-        diag = {col: {col: v} for col, (w, _) in enumerate(names) if (v := w[i] * den + num)}
+        diag = {col: {col: v} for col, w in enumerate(weights) if (v := w[i] * den + num)}
         action[i][i] = Matrix.from_int_columns(dim, dim, den, diag)
-    for j in range(n - 1):
-        action[j + 1][j] = from_columns(lower[j])
-        action[j][j + 1] = from_columns(raise_[j])
+    for k in range(n - 1):
+        action[k][k + 1] = simple(k, 1)
+        action[k + 1][k] = simple(k, -1)
     # [E_{i,i+1}, E_{i+1,j}] = E_{i,j} and [E_{j,j-1}, E_{j-1,i}] = E_{j,i}
     for gap in range(2, n):
         for i in range(n - gap):
@@ -423,7 +308,7 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             action[i][j] = commutator(action[i][i + 1], action[i + 1][j])
             action[j][i] = commutator(action[j][j - 1], action[j - 1][i])
 
-    mod = GlModule(labels, [w for w, _ in names], action)
+    mod = GlModule(labels, weights, action)
     if mod.highest_weight != mu:
         raise ConsistencyViolationError(
             "built module's highest weight differs from the requested labels"

@@ -54,12 +54,20 @@ __all__ = [
 # -- closed form ---------------------------------------------------------------
 
 
+def _admissible(mu, c):
+    """c as a tuple of ints, once checked to be a shift of `pieri_index_set`:
+    n entries, each >= 0, with c_{s+1} <= mu_s - mu_{s+1}."""
+    c = tuple(int(x) for x in c)
+    gaps = dominant_gaps(mu)
+    if len(c) != len(mu) or min(c, default=0) < 0 or any(x > g for x, g in zip(c[1:], gaps)):
+        raise ValueError(f"{c} is not an admissible shift for {mu}")
+    return c
+
+
 def q_coefficient(mu, c):
     """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1."""
     n = len(mu)
-    c = tuple(int(x) for x in c)
-    if c not in pieri_index_set(mu, sum(c)):
-        raise ValueError(f"{c} is not an admissible shift for {mu}")
+    c = _admissible(mu, c)
     tot = sum(mu)
     q = Fraction(1)
     for s in range(n):
@@ -217,9 +225,8 @@ def maximal_vector(V, c):
     """The maximal vector of the degree-|c| summand with shifted weight mu+c,
     normalized so the coefficient of x^c tensor (highest basis vector) is 1."""
     mu = V.highest_weight
+    c = _admissible(mu, c)
     j = sum(c)
-    if tuple(c) not in pieri_index_set(mu, j):
-        raise ValueError(f"{c} is not an admissible shift for {mu}")
     gb = graded_basis(V, j)
     # mu + c is dominant for every admissible c
     target = weight_add(V.lattice_weights[V.highest_index], c)

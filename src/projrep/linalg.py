@@ -17,10 +17,9 @@ read-only views of the stored form.
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and records, for every echelon row,
 the integer combination of inserted vectors that it equals.  ``rank``, the
-spans of module construction (``insert_or_coords``), the chain ranks of the
-irreducibility check and ``kernel_basis`` all go through it; only
-``insert_or_coords`` and ``kernel_basis`` make fractions, when they read
-coefficients off a relation.
+chain ranks of the irreducibility check and ``kernel_basis`` all go through
+it; only ``kernel_basis`` makes fractions, when it reads coefficients off a
+relation.
 """
 
 from __future__ import annotations
@@ -464,15 +463,15 @@ def idempotent_from_spectrum(op, target, others):
 
 
 class EchelonSpan:
-    """Incrementally built subspace with exact membership and coordinates.
+    """Incrementally built subspace with exact membership and relations.
 
     Fraction-free: an inserted vector is scaled to integers, and each echelon
     row is an integer vector stored with the integer combination of inserted
     vectors that it equals.  A reduction step replaces vec by a*vec - b*row,
     where a and b are the row's pivot and vec's entry at that column over
     their gcd; vec and its combination are then divided by their joint gcd.
-    No Fraction arises until insert_or_coords() or kernel_basis reads
-    coefficients off a relation.
+    A dependent vector's reduction ends in a relation (`_insert`), from which
+    kernel_basis reads coefficients; no Fraction arises before that.
     """
 
     def __init__(self):
@@ -524,20 +523,6 @@ class EchelonSpan:
         self._rows.append((residual, comb))
         self.dim += 1
         return new_id, comb
-
-    def insert_or_coords(self, vec):
-        """Insert vec if it lies outside the span: returns (its basis id, None).
-        Otherwise returns (None, coords), its coefficients over the inserted
-        basis; the span is then unchanged."""
-        new_id, comb = self._insert(vec)
-        if new_id is not None:
-            return new_id, None
-        # comb[dim] * vec + sum(comb[i] * vector i) = 0
-        lead = comb.pop(self.dim)
-        out = [0] * self.dim
-        for i, v in comb.items():
-            out[i] = _norm(Fraction(-v, lead))
-        return None, out
 
 
 # -- characteristic polynomial (spectrum oracle substrate) -------------------

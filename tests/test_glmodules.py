@@ -7,9 +7,10 @@ import pytest
 
 import projrep.glmodules as glmodules
 from projrep.action import graded_basis, monomials_of_degree, operator_matrix, scaling_op
-from projrep.errors import DimensionCapError
+from projrep.errors import ConsistencyViolationError, DimensionCapError
 from projrep.glmodules import (
     DominantLabels,
+    GlModule,
     build_irreducible,
     cached_module,
     clear_caches,
@@ -22,7 +23,7 @@ from projrep.glmodules import (
     weight_from_labels,
     weyl_dimension,
 )
-from projrep.linalg import EchelonSpan, joint_kernel
+from projrep.linalg import EchelonSpan, Matrix, joint_kernel
 
 SMALL_SWEEP = [
     (1, (), F(0)), (1, (), F(-2)), (1, (), F(1, 2)),
@@ -95,8 +96,8 @@ WIDE_SWEEP = [
     (4, (1, 0, 1), F(1, 2)), (4, (1, 1, 1), F(-1, 3)),
     (5, (1, 0, 0, 1), F(1, 2)), (5, (0, 1, 0, 1), F(2, 5)),
 ]
-# some a_d >= 3 at n >= 3, past the selfcheck sweep's labels: the lowerings
-# act on monomials in which one wedge element occurs three or more times
+# some a_d >= 3 at n >= 3, past the selfcheck sweep's labels: pattern
+# entries that can move by three or more, and weights of multiplicity > 1
 REPEATED_SWEEP = [(3, (4, 1), F(1, 2)), (4, (3, 0, 1), F(0))]
 
 
@@ -159,8 +160,8 @@ def _oracle_dominant_weight_spaces(V, shifts):
     return spaces
 
 
-# criterion 1's grid (n <= 3, labels <= 2, six values of b), the repeated
-# wedge factors and two n = 5 modules
+# criterion 1's grid (n <= 3, labels <= 2, six values of b), the larger
+# labels of REPEATED_SWEEP and two n = 5 modules
 DOMINANT_SPACE_MODULES = [
     (n, dynkin, b)
     for n in (1, 2, 3)
@@ -196,79 +197,36 @@ def test_clear_caches_empties_the_module_cache():
     assert W is not V and W.memo == {}
 
 
-def _oracle_wedge_image(i, j, subset):
-    """E_{i,j} on a wedge basis element by replacing j with i in the ordered
-    tuple and sorting; the sign is the parity of the inversions undone."""
-    if j not in subset or (i != j and i in subset):
-        return None
-    lst = [i if s == j else s for s in subset]
-    inversions = sum(1 for a in range(len(lst)) for b in range(a + 1, len(lst)) if lst[a] > lst[b])
-    return tuple(sorted(lst)), (-1) ** inversions
+def test_build_eliminates_nothing(monkeypatch):
+    """The Gelfand-Tsetlin coefficients are closed forms: no module build
+    enters an EchelonSpan."""
+
+    def refuse(self, vec, key):
+        raise AssertionError("build_irreducible eliminated a vector")
+
+    monkeypatch.setattr(EchelonSpan, "_reduce", refuse)
+    for n, dynkin, b in [(3, (2, 1), F(1, 2)), (4, (1, 1, 1), F(0)), (5, (0, 1, 0, 1), F(2, 5))]:
+        V = build_irreducible(DominantLabels(n, dynkin, b))
+        assert V.dim == weyl_dimension(V.highest_weight)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_wedge_table_matches_inversion_oracle(n):
-    for d in range(n + 1):
-        basis = list(itertools.combinations(range(n), d))
-        table = glmodules._wedge_table(n, d)
-        for i in range(n):
-            for j in range(n):
-                for idx, subset in enumerate(basis):
-                    hit = _oracle_wedge_image(i, j, subset)
-                    expected = None if hit is None else (basis.index(hit[0]), hit[1])
-                    assert table[i][j][idx] == expected, (n, d, i, j, subset)
-
-
-def test_build_tabulates_the_wedge_action_once(monkeypatch):
-    calls = []
-    original = glmodules._wedge_apply
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(glmodules, "_wedge_apply", counting)
-    n = 3
-    V = build_irreducible(DominantLabels(n, (2, 1), F(0)))
-    assert V.dim == 15
-    assert 0 < len(calls) <= n * n * sum(math.comb(n, d) for d in range(n + 1))
-
-
-@pytest.mark.parametrize("n,dynkin", [(3, (2, 1)), (4, (1, 1, 1)), (5, (0, 1, 0, 1))])
-def test_build_eliminates_only_the_lowering_closure(monkeypatch, n, dynkin):
-    """One reduction per lowering image of a basis vector, plus the top vector:
-    the raisings and the other generators never enter an EchelonSpan."""
-    calls = []
-    original = EchelonSpan._reduce
-
-    def counting(self, vec, key):
-        calls.append(key)
-        return original(self, vec, key)
-
-    monkeypatch.setattr(EchelonSpan, "_reduce", counting)
-    V = build_irreducible(DominantLabels(n, dynkin, F(1, 2)))
-    assert 0 < len(calls) <= (n - 1) * V.dim + 1
-
-
-@pytest.mark.parametrize("n,dynkin", [(3, (4, 4)), (5, (1, 1, 1, 1))])
-def test_lowering_closure_runs_in_the_symmetric_powers(monkeypatch, n, dynkin):
-    """Every vector the closure eliminates lives in the product of the
-    Sym^{a_d}(Lambda^d): its flattened keys never outnumber their monomials,
-    prod_d C(C(n, d) + a_d - 1, a_d) (225 for n = 3, labels 4,4, where the
-    tensor product has 3^8 = 6,561 keys)."""
-    ambient = [0]
-    original = EchelonSpan.insert_or_coords
-
-    def recording(self, vec):
-        ambient[0] = max(ambient[0], max(vec) + 1)
-        return original(self, vec)
-
-    monkeypatch.setattr(EchelonSpan, "insert_or_coords", recording)
-    build_irreducible(DominantLabels(n, dynkin, F(0)))
-    bound = math.prod(
-        math.comb(math.comb(n, d) + a - 1, a) for d, a in enumerate(dynkin, start=1)
-    )
-    assert 0 < ambient[0] <= bound
+@pytest.mark.parametrize("n,dynkin,b,k", [
+    (2, (2,), F(0), 0), (3, (1, 1), F(1, 2), 0), (3, (2, 1), F(0), 1), (4, (1, 0, 1), F(-1, 3), 2),
+])
+def test_a_flipped_raising_coefficient_fails_validation(n, dynkin, b, k):
+    """validate_module certifies the build: negating one coefficient of
+    E_{k+1,k+2}, the other generators as built, breaks a relation."""
+    V = build_irreducible(DominantLabels(n, dynkin, b))
+    raising = V.e(k, k + 1)
+    (row, col), value = next(iter(raising.entries.items()))
+    flipped = dict(raising.entries)
+    flipped[(row, col)] = -value
+    action = [list(r) for r in V.action]
+    action[k][k + 1] = Matrix(V.dim, V.dim, flipped)
+    mutant = GlModule(V.labels, V.lattice_weights, action)
+    assert validate_module(V)
+    with pytest.raises(ConsistencyViolationError):
+        validate_module(mutant)
 
 
 def _generator_digest(V):
@@ -285,22 +243,23 @@ def _generator_digest(V):
 
 @pytest.mark.parametrize("n,dynkin,b,dim,digest", [
     (2, (3,), F(1, 2), 4, "54b03f752a4418bc73db0a1cb19895ca0bd17346e7423a3af6a88845c3514b20"),
-    (3, (2, 2), F(0), 27, "59ae571a2c92bb6b740bbf0773e3aecc12ac0aea6387e7feb14927b13d31486b"),
-    (3, (1, 1), F(1, 3), 8, "558a6312a2dcb60e04765453708606f3822ad63e1e2cbef4d6dbc473bf649856"),
-    (4, (1, 0, 1), F(1, 2), 15, "8a9e8feb5a61b442a7ee89a5210d0c172b03e249dc1c7551a9f3d493db8e6f5e"),
-    (4, (1, 1, 0), F(-2), 20, "3ad14346a942d720782792c67cff162c5f3d64e2b91682b1586663028081720a"),
-    (5, (1, 0, 0, 1), F(2), 24, "3ed562360ccdea4ae10f88e84e26c4c0b60f625dd3c87571802dc5c48b9abfee"),
-    # repeated wedge factors: a_d = 4 and 6 at n = 3, where a monomial
-    # repeats a wedge element up to six times, and a_1 = a_3 = 2 at n = 4
-    (3, (4, 4), F(1, 2), 125, "a10dd87b627a68a613c3bab261fb68b42dc5445e5fbc9c87962d32ae2b6f631f"),
-    (4, (2, 0, 2), F(0), 84, "b1ceaeef842e4ed57d1df7f55c23dcc7f8e1aea4ec2d7d561e37915dc31fd207"),
-    (3, (6, 6), F(0), 343, "68ab83b9414aef7758a274c52eeeec55283f84e5283cf377730ea257d6e334ab"),
+    (3, (2, 2), F(0), 27, "6208017b42bec3ed85e4a9c11e8f3d220cc7a8ad2b7aad3d5f72a4cbd7271d75"),
+    (3, (1, 1), F(1, 3), 8, "8c159ee7032a6a3cde1861f4c1a7bf30f9705fe6ead9bc2f74b5ad6d0ef83a68"),
+    (4, (1, 0, 1), F(1, 2), 15, "37c48592497eb6a697be61bad44813299caca4339b8feeff34d0947680ce5f8b"),
+    (4, (1, 1, 0), F(-2), 20, "f9e7d9bafd673237e2882ddd56de000fb73f76ef47847ffdcca5f2031d71e00d"),
+    (5, (1, 0, 0, 1), F(2), 24, "e150639bb99ff034b12686906aa544f117b0809f2770a2c4c26b5d23d84da037"),
+    # larger labels: a_d = 4 and 6 at n = 3, where rows of a pattern range
+    # over up to seven values, and a_1 = a_3 = 2 at n = 4
+    (3, (4, 4), F(1, 2), 125, "239201011096770b6d530e6244e46810bc6d4f1bf068d5b1b8625c35220e6d67"),
+    (4, (2, 0, 2), F(0), 84, "9ac865e7c8f8644a590dca71e0c9f871c889c6591395ead905e9ab8e184c721f"),
+    (3, (6, 6), F(0), 343, "b06dffa005a75058445ea3e4d2219e869b1bae27600d28a0dd08281e07dd1ebe"),
 ])
 def test_generators_are_pinned_bit_for_bit(n, dynkin, b, dim, digest):
     """The basis and every generator matrix, value, type and entry order,
-    as the build that ran the lowering closure in the full tensor product
-    (Lambda^d)^{(x) a_d} made them: the closure in the symmetric powers must
-    not change a bit."""
+    as the Gelfand-Tsetlin build records them: patterns sorted by weight,
+    descending, and the simple generators' closed-form coefficients
+    unscaled.  validate_module passes on each of these modules; a change to
+    the basis order or to the normalization of a pattern shows here."""
     V = build_irreducible(DominantLabels(n, dynkin, b))
     assert V.dim == dim
     assert _generator_digest(V) == digest

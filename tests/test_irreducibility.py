@@ -62,6 +62,40 @@ def test_q_closed_form_examples():
         q_coefficient((F(1), F(0)), (0, 2))  # violates the gap constraint
 
 
+def test_residual_summands_builds_the_index_set_once(monkeypatch):
+    """q_coefficient checks its shift from the definition, so one degree of
+    residual_summands enumerates pieri_index_set once, not once per shift."""
+    calls = []
+    original = irreducibility.pieri_index_set
+
+    def counting(mu, j):
+        calls.append(j)
+        return original(mu, j)
+
+    monkeypatch.setattr(irreducibility, "pieri_index_set", counting)
+    mu = mu_of(4, (2, 1, 2), F(-3))
+    for j in range(5):
+        calls.clear()
+        residual_summands(mu, j)
+        assert len(calls) <= 1, (j, calls)
+
+
+def test_admissibility_is_the_index_set():
+    mu = mu_of(3, (1, 2), F(1, 2))
+    for j in range(4):
+        members = set(pieri_index_set(mu, j))
+        for c in itertools.product(range(-1, j + 1), repeat=3):
+            if sum(c) != j:
+                continue
+            if c in members:
+                q_coefficient(mu, c)
+            else:
+                with pytest.raises(ValueError):
+                    q_coefficient(mu, c)
+    with pytest.raises(ValueError):
+        q_coefficient(mu, (1, 0))
+
+
 def test_q_bruteforce_examples():
     V = cached_module(2, (1,), F(1))
     assert q_coefficient_bruteforce(V, (0, 0)) == 1

@@ -383,6 +383,21 @@ def test_spectral_resolution(diag, seed):
     assert recombined == a
 
 
+def relation_coords(span, vec):
+    """vec's coefficients over the span's inserted vectors, read off the
+    relation that `_insert` returns, as kernel_basis reads it; None, after
+    inserting vec, when vec lies outside the span."""
+    new_id, comb = span._insert(vec)
+    if new_id is not None:
+        return None
+    # comb[new] * vec + sum(comb[i] * vector i) = 0, with new = span.dim
+    lead = comb.pop(span.dim)
+    coords = [F(0)] * span.dim
+    for i, v in comb.items():
+        coords[i] = F(-v, lead)
+    return coords
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(small_frac, min_size=4, max_size=4), min_size=1, max_size=6))
 def test_echelon_span_membership_and_coords(rows):
@@ -395,7 +410,7 @@ def test_echelon_span_membership_and_coords(rows):
     assert span.dim == len(inserted)
     assert span.dim == rank(from_rows(rows))
     for vec in inserted:
-        _, coords = span.insert_or_coords(vec)
+        coords = relation_coords(span, vec)
         assert coords is not None
         rebuilt = {}
         for x, base in zip(coords, inserted):
@@ -501,9 +516,9 @@ def test_elimination_matches_dense_gauss_jordan(drawn, extra):
     assert span.dim == len(rref) == len(inserted)
     assert gauss_jordan(inserted, cols)[0] == rref
     combination = [sum(x * row[i] for x, row in zip(extra, data)) for i in range(cols)]
-    # extra comes last: insert_or_coords inserts it when it lies outside
+    # extra comes last: relation_coords inserts it when it lies outside
     for vec in data + [combination, extra[:cols]]:
-        _, coords = span.insert_or_coords({i: v for i, v in enumerate(vec) if v != 0})
+        coords = relation_coords(span, {i: v for i, v in enumerate(vec) if v != 0})
         assert coords == oracle_coords(inserted, vec, cols)
 
 
