@@ -16,6 +16,7 @@ only `dominant_weight_spaces` decides dominance, on those tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -148,10 +149,11 @@ class GlModule:
     """Concrete gl(n)-module: weights per basis vector and all E_{i,j} matrices.
 
     ``lattice_weights[q]`` is the weight of basis vector q minus mu_n, ints,
-    and ``basis_weights[q]`` the weight.  ``action[i][j]`` is the matrix of
-    E_{i+1,j+1} (0-based storage of the 1-based generators).  Instances are
-    immutable after construction; ``memo`` holds the derived data that
-    ``module_memo`` caches for them.
+    and ``basis_weights[q]`` the weight, computed on first read, as is
+    ``highest_weight``.  ``action[i][j]`` is the matrix of E_{i+1,j+1}
+    (0-based storage of the 1-based generators).  Instances are immutable
+    after construction; ``memo`` holds the derived data that ``module_memo``
+    caches for them.
     """
 
     highest_index = 0  # patterns are sorted by weight, the highest first
@@ -161,8 +163,6 @@ class GlModule:
         self.n = labels.n
         self.lattice_weights = tuple(tuple(w) for w in lattice_weights)
         self.dim = len(self.lattice_weights)
-        base = weight_from_labels(labels)[-1]
-        self.basis_weights = tuple(tuple(x + base for x in w) for w in self.lattice_weights)
         self.action = tuple(tuple(row) for row in action)
         self.memo = {}
 
@@ -170,9 +170,18 @@ class GlModule:
     def b(self):
         return self.labels.b
 
-    @property
+    def _weights(self, lattice_weights):
+        """The weights of these lattice weights: mu_n added to each entry."""
+        mu_n = weight_from_labels(self.labels)[-1]
+        return tuple(tuple(x + mu_n for x in w) for w in lattice_weights)
+
+    @functools.cached_property
+    def basis_weights(self):
+        return self._weights(self.lattice_weights)
+
+    @functools.cached_property
     def highest_weight(self):
-        return self.basis_weights[self.highest_index]
+        return self._weights([self.lattice_weights[self.highest_index]])[0]
 
     def e(self, i, j):
         """Matrix of E_{i+1,j+1} (arguments 0-based)."""

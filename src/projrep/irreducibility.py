@@ -10,6 +10,7 @@ two-step composition series and the residual quotient data are reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from .action import (
     graded_dimension,
     monomials_of_degree,
     operator_matrix,
-    pseudo_translation_op,
     scaling_op,
 )
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
@@ -164,31 +164,99 @@ def residual_summands(mu, j):
 
 # -- brute force ---------------------------------------------------------------
 
-def _p_chain_vector(V, c, q):
-    """Sparse coordinates of p^c applied to the degree-zero basis vector q,
-    expressed in the degree-|c| basis.  Outermost factor has the lowest index."""
+def _chain_step(V, k):
+    """(L, move, starts, twists): the integer data of one step L * p_i from
+    degree k to k + 1, memoized per module and degree.
+
+    p_i (x^m (x) v_q) = (|m| + b) x^(m+e_i) (x) v_q + sum_j x^(m+e_j) (x) E_ij v_q.
+    L is the lcm of b's denominator and of every generator's, so move =
+    L (k + b) is an int and twists[i][q] lists (j, r, a) with a = L E_ij[r, q]
+    an int.  starts[t][j] is the position of x^(m+e_j) (x) v_0 in degree
+    k + 1, m the t-th monomial of degree k.  L and twists do not depend on k
+    and are shared with degree 0.
+    """
+
+    def build():
+        n = V.n
+        if k:
+            L, _, _, twists = _chain_step(V, 0)
+        else:
+            L = math.lcm(V.b.denominator, *(V.e(i, j).den for i in range(n) for j in range(n)))
+            twists = [[[] for _ in range(V.dim)] for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    e = V.e(i, j)
+                    f = L // e.den
+                    for q, col in e.columns.items():
+                        twists[i][q] += [(j, r, a * f) for r, a in col.items()]
+        move = L * k + V.b.numerator * (L // V.b.denominator)
+        up = {m: t * V.dim for t, m in enumerate(monomials_of_degree(n, k + 1))}
+        starts = [
+            [up[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(n)]
+            for m in monomials_of_degree(n, k)
+        ]
+        return L, move, starts, twists
+
+    return module_memo(V, "chain_step", k, build)
+
+
+def _chain_vector(V, c, q):
+    """p^c (1 (x) v_q) in the degree-|c| basis as (den, {position: int}) in
+    lowest terms: the exact vector is the ints over den.  Built from the
+    chain with c's first nonzero exponent lowered by one step L * p_i on
+    the integer vector, so no operator matrix is assembled."""
 
     def build():
         if sum(c) == 0:
-            return {graded_basis(V, 0).index[(c, q)]: 1}
+            return 1, {q: 1}
         i = next(t for t, x in enumerate(c) if x)
         prev = c[:i] + (c[i] - 1,) + c[i + 1:]
-        pm = operator_matrix(pseudo_translation_op(V.n, i), V, sum(c) - 1)
-        return pm.apply(_p_chain_vector(V, prev, q))
+        den, vec = _chain_vector(V, prev, q)
+        L, move, starts, twists = _chain_step(V, sum(prev))
+        twist, dim = twists[i], V.dim
+        acc = {}
+        for pos, x in vec.items():
+            t, s = divmod(pos, dim)
+            start = starts[t]
+            if move:
+                r = start[i] + s
+                acc[r] = acc.get(r, 0) + move * x
+            for j, r, a in twist[s]:
+                r += start[j]
+                acc[r] = acc.get(r, 0) + a * x
+        if not all(acc.values()):
+            acc = {r: v for r, v in acc.items() if v}
+        den *= L
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {r: v // g for r, v in acc.items()}
+        return den, acc
 
-    return module_memo(V, "pvec", (c, q), build)
+    return module_memo(V, "chain", (c, q), build)
+
+
+def _p_chain_vector(V, c, q):
+    """Sparse exact coordinates {position: value} of p^c applied to the
+    degree-zero basis vector q, in the degree-|c| basis: ints where the
+    value is integral, Fractions otherwise."""
+    den, vec = _chain_vector(V, c, q)
+    if den == 1:
+        return dict(vec)
+    return {r: Fraction(v, den) if v % den else v // den for r, v in vec.items()}
 
 
 def up_submodule_matrix(V, k):
     """The degree-k chain matrix: columns are all ordered p-products applied
     to the degree-zero basis, in lexicographic chain order."""
-    gb = graded_basis(V, k)
-    cols = [
-        _p_chain_vector(V, c, q)
-        for c in monomials_of_degree(V.n, k)
-        for q in range(V.dim)
-    ]
-    return Matrix.from_cols(cols, gb.dim)
+    chains = [_chain_vector(V, c, q) for c in monomials_of_degree(V.n, k) for q in range(V.dim)]
+    den = math.lcm(*(d for d, _ in chains))
+    cols = {
+        t: {r: v * (den // d) for r, v in vec.items()}
+        for t, (d, vec) in enumerate(chains)
+        if vec
+    }
+    return Matrix.from_int_columns(graded_dimension(V, k), len(chains), den, cols)
 
 
 def up_submodule_rank(V, k):
@@ -212,7 +280,7 @@ def up_submodule_rank(V, k):
             span = EchelonSpan()
             for pos in positions:
                 t, q = divmod(pos, V.dim)
-                vec = _p_chain_vector(V, monos[t], q)
+                _, vec = _chain_vector(V, monos[t], q)
                 if vec:
                     span.insert(vec)
             total += span.dim * orbit_size(w)

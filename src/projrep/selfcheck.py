@@ -23,6 +23,7 @@ from .action import (
     derivative_op,
     graded_basis,
     graded_dimension,
+    monomials_of_degree,
     operator_matrix,
     pseudo_translation_op,
     scaling_op,
@@ -56,6 +57,7 @@ from .glmodules import (
 )
 from .irreducibility import (
     _central_character,
+    _p_chain_vector,
     criterion,
     criterion_equivalence_check,
     first_rank_deficiency,
@@ -298,6 +300,27 @@ def check_q_equivalence(V, c_max=3):
     return True, f"all shifts through |c|={c_max}"
 
 
+def check_chain_oracle(V, k_max=3):
+    """Every chain vector p^c (1 (x) v_q) through degree k_max against the
+    p_i operator matrices applied factor by factor.  The oracle lowers c's
+    last nonzero exponent where the chain vectors lower the first, so the
+    two also differ in the order of the commuting factors."""
+    n = V.n
+    prev = {((0,) * n, q): {q: 1} for q in range(V.dim)}
+    for k in range(1, k_max + 1):
+        cur = {}
+        for c in monomials_of_degree(n, k):
+            i = max(t for t, x in enumerate(c) if x)
+            lower = c[:i] + (c[i] - 1,) + c[i + 1:]
+            p_i = operator_matrix(pseudo_translation_op(n, i), V, k - 1)
+            for q in range(V.dim):
+                cur[(c, q)] = vec = p_i.apply(prev[(lower, q)])
+                if vec != _p_chain_vector(V, c, q):
+                    return False, f"chain vector of {c} on basis vector {q} differs"
+        prev = cur
+    return True, f"every chain vector matches the p_i matrices through degree {k_max}"
+
+
 def check_criterion_vs_bruteforce(V, k_max=4):
     wit = criterion(V.highest_weight)
     deficient = first_rank_deficiency(V, k_max)
@@ -536,6 +559,7 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             ("block-spectra", lambda: check_block_spectra(V)),
             ("spectrum-oracle", lambda: check_spectrum_oracle(V)),
             ("q-closed-form-vs-oracle", lambda: check_q_equivalence(V, 3)),
+            ("chain-oracle", lambda: check_chain_oracle(V, min(degree_cap, 3))),
             ("criterion-vs-bruteforce", lambda: check_criterion_vs_bruteforce(V, degree_cap)),
             ("criterion-equivalence", lambda: check_criterion_equivalence(V)),
             ("jordan-holder", lambda: check_jordan_holder(V)),

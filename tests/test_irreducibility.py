@@ -43,6 +43,7 @@ from projrep.linalg import EchelonSpan, Matrix, block, kernel_basis, rank
 from projrep.selfcheck import (
     _casimir,
     check_casimir,
+    check_chain_oracle,
     check_derivative_escape,
     check_intertwiner,
     check_jordan_holder,
@@ -237,6 +238,55 @@ def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert r == all_weights_rank(V, 3)
+
+
+# b = 1/2 at n = 2, 3, 4, and n = 4, labels 1,1,1, b = 0, whose weights lie
+# in -3/2 + Z^4
+CHAIN_ORACLE_MODULES = [
+    (2, (1,), F(1, 2)),
+    (3, (1, 1), F(1, 2)),
+    (4, (1, 0, 1), F(1, 2)),
+    (4, (1, 1, 1), F(0)),
+]
+
+
+@pytest.mark.parametrize("n,dynkin,b", CHAIN_ORACLE_MODULES)
+def test_chain_oracle_suite_passes(n, dynkin, b):
+    V = build_irreducible(DominantLabels(n, dynkin, b))
+    ok, detail = check_chain_oracle(V)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("n,dynkin,b", [m for m in CHAIN_ORACLE_MODULES if m[2] != 0])
+def test_chain_oracle_catches_a_step_without_b(monkeypatch, n, dynkin, b):
+    """The move coefficient of L * p_i on degree k is L (k + b); with L k in
+    its place the chain vectors differ from the p_i matrices' images."""
+    original = irreducibility._chain_step
+
+    def without_b(V, k):
+        L, _, starts, twists = original(V, k)
+        return L, L * k, starts, twists
+
+    monkeypatch.setattr(irreducibility, "_chain_step", without_b)
+    # a fresh module instance: chain vectors are memoized per instance
+    V = build_irreducible(DominantLabels(n, dynkin, b))
+    assert not check_chain_oracle(V)[0]
+
+
+def test_chain_ranks_assemble_no_operator_matrix(monkeypatch):
+    """Chain vectors are built from the generator columns: neither the
+    operator-matrix assembly nor Matrix.apply runs under up_submodule_rank."""
+    import projrep.action as action_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chain ranks must not go through operator matrices")
+
+    monkeypatch.setattr(action_mod, "_assemble", forbidden)
+    monkeypatch.setattr(Matrix, "apply", forbidden)
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    r = up_submodule_rank(V, 3)
+    monkeypatch.undo()
+    assert r == rank(up_submodule_matrix(V, 3))
 
 
 def test_criterion_examples():
