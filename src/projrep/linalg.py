@@ -15,11 +15,11 @@ takes integer columns as they are.  ``entries`` and ``column`` are exact
 read-only views of the stored form.
 
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
-integer vectors by integer row operations and records, for every echelon row,
-the integer combination of inserted vectors that it equals.  ``rank``, the
-chain ranks of the irreducibility check and ``kernel_basis`` all go through
-it; only ``kernel_basis`` makes fractions, when it reads coefficients off a
-relation.
+integer vectors by integer row operations and keeps one primitive integer
+vector per echelon row.  ``rank``, the chain ranks of the irreducibility
+check and ``kernel_basis`` all go through it.  ``kernel_basis`` reads its
+relations from tagged columns, column j with a 1 at index rows + j; it alone
+makes fractions, when it scales a relation.
 """
 
 from __future__ import annotations
@@ -375,26 +375,28 @@ def rank(m):
 def kernel_basis(m):
     """Basis of the right null space, one vector per dependent column.
 
-    The columns enter an EchelonSpan from left to right.  A column that
-    depends on the ones before it gives the integer relation its reduction
-    ends with: nonzero at that column, 0 at every other dependent column.
+    Column j enters an EchelonSpan from left to right, tagged with a 1 at
+    index m.rows + j.  No tag is ever a pivot, so the tags of a reduced
+    column are the combination of columns that it equals.  A column whose
+    residual has an entry below m.rows is independent and becomes a row; one
+    whose residual is tags only is dependent, and the residual is its
+    relation: nonzero at that column, 0 at every other dependent column.
     Each vector is then scaled so its first nonzero entry is 1, which makes
     this the reduced basis read off the reduced row echelon form.
     """
     span = EchelonSpan()
-    cm = m.columns
-    independent = []  # the column of each basis id
+    rows, cm = m.rows, m.columns
     basis = []
     for j in range(m.cols):
-        new_id, comb = span._insert(cm.get(j, {}))
-        if new_id is not None:
-            independent.append(j)
+        residual = span._reduce({**cm.get(j, {}), rows + j: 1})
+        first = min(residual)
+        if first < rows:
+            span._add(residual)
             continue
-        at = independent + [j]
-        lead = comb[min(comb)]  # ids follow column order
+        lead = residual[first]
         vec = [Fraction(0)] * m.cols
-        for i, v in comb.items():
-            vec[at[i]] = Fraction(v, lead)
+        for i, v in residual.items():
+            vec[i - rows] = Fraction(v, lead)
         basis.append(tuple(vec))
     return basis
 
@@ -463,66 +465,50 @@ def idempotent_from_spectrum(op, target, others):
 
 
 class EchelonSpan:
-    """Incrementally built subspace with exact membership and relations.
+    """Incrementally built subspace with exact membership.
 
     Fraction-free: an inserted vector is scaled to integers, and each echelon
-    row is an integer vector stored with the integer combination of inserted
-    vectors that it equals.  A reduction step replaces vec by a*vec - b*row,
-    where a and b are the row's pivot and vec's entry at that column over
-    their gcd; vec and its combination are then divided by their joint gcd.
-    A dependent vector's reduction ends in a relation (`_insert`), from which
-    kernel_basis reads coefficients; no Fraction arises before that.
+    row is a primitive integer vector whose pivot, its least index, is
+    positive.  vec is divided by the gcd of its entries before every
+    reduction step, which replaces vec by a*vec - b*row, where a and b are
+    the row's pivot and vec's entry at that column over their gcd.  No
+    Fraction arises.
     """
 
     def __init__(self):
-        self._rows = []           # (integer vector, integer combination over insert ids)
-        self._pivots = {}         # pivot column -> row index; pivot entries are positive
+        self._pivots = {}  # pivot index -> echelon row
         self.dim = 0
 
-    def _reduce(self, vec, key):
-        """(residual, comb): the reduced integer vector and the combination,
-        with vec under `key`, of vec and the inserted vectors that it equals."""
+    def _reduce(self, vec):
+        """The residual of vec: a primitive integer vector with no entry at a
+        pivot, zero exactly when vec lies in the span.  vec is not changed."""
         den = _denominator(vec.values())
         vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v != 0}
-        comb = {key: den}
-        pivots, rows = self._pivots, self._rows
+        pivots = self._pivots
         while True:
+            g = math.gcd(*vec.values())
+            if g > 1:
+                vec = {c: v // g for c, v in vec.items()}
             hit = min((c for c in vec if c in pivots), default=None)
             if hit is None:
-                return vec, comb
-            rvec, rcomb = rows[pivots[hit]]
-            g = math.gcd(rvec[hit], vec[hit])
-            a, b = rvec[hit] // g, vec[hit] // g
-            vec = _combine(a, vec, b, rvec)
-            comb = _combine(a, comb, b, rcomb)
-            g = math.gcd(*vec.values(), *comb.values())
-            if g != 1:
-                vec = {c: v // g for c, v in vec.items()}
-                comb = {c: v // g for c, v in comb.items()}
+                return vec
+            row = pivots[hit]
+            g = math.gcd(row[hit], vec[hit])
+            vec = _combine(row[hit] // g, vec, vec[hit] // g, row)
 
-    def insert(self, vec):
-        """Insert a sparse vector; returns its basis id, or None if dependent."""
-        return self._insert(vec)[0]
-
-    def _insert(self, vec):
-        """insert(vec) and the integer combination its reduction ends with.
-
-        The combination maps basis ids, with vec under the next free id, to
-        integers.  When vec is dependent it is a relation: the combination of
-        the vectors is 0, and vec's coefficient is nonzero.
-        """
-        new_id = self.dim
-        residual, comb = self._reduce(vec, new_id)
-        if not residual:
-            return None, comb
+    def _add(self, residual):
+        """Append a nonzero residual as an echelon row; returns its basis id."""
         pcol = min(residual)
         if residual[pcol] < 0:
             residual = {c: -v for c, v in residual.items()}
-            comb = {c: -v for c, v in comb.items()}
-        self._pivots[pcol] = len(self._rows)
-        self._rows.append((residual, comb))
+        self._pivots[pcol] = residual
         self.dim += 1
-        return new_id, comb
+        return self.dim - 1
+
+    def insert(self, vec):
+        """Insert a sparse vector; returns its basis id, or None if dependent."""
+        residual = self._reduce(vec)
+        return self._add(residual) if residual else None
 
 
 # -- characteristic polynomial (spectrum oracle substrate) -------------------

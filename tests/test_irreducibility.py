@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction as F
 
@@ -238,6 +239,20 @@ def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert r == all_weights_rank(V, 3)
+
+
+@pytest.mark.parametrize("b", [F(0), F(1, 2)])
+def test_elimination_leaves_its_input_vectors_unchanged(b):
+    # the chain ranks hand the memoized chain vectors to EchelonSpan, which
+    # combines vectors in place once it has copied them
+    V = build_irreducible(DominantLabels(3, (1, 1), b))
+    m = up_submodule_matrix(V, 3)
+    columns, chains = copy.deepcopy(m.columns), copy.deepcopy(V.memo["chain"])
+    r = rank(m)
+    kernel = kernel_basis(m)
+    assert up_submodule_rank(V, 3) == r == m.cols - len(kernel)
+    assert m.columns == columns
+    assert V.memo["chain"] == chains
 
 
 # b = 1/2 at n = 2, 3, 4, and n = 4, labels 1,1,1, b = 0, whose weights lie

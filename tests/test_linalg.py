@@ -56,6 +56,19 @@ def test_kernel_proportional_rows():
     assert kernel_basis(from_rows([[1, 2], [2, 4]])) == [(F(1), F(-1, 2))]
 
 
+def test_kernel_without_rows_is_every_unit_vector():
+    assert kernel_basis(Matrix.zeros(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_kernel_without_columns_is_empty():
+    assert kernel_basis(Matrix.zeros(2, 0)) == []
+
+
+def test_kernel_tags_sit_past_every_row():
+    # column 1 is zero; a tag at index 1 instead of rows + 1 would be a pivot
+    assert kernel_basis(Matrix(2, 3, {(0, 0): 1, (1, 2): 1})) == [(0, 1, 0)]
+
+
 def test_eval_poly_scalar_matrix():
     op = Matrix.identity(3).scale(2)
     assert eval_operator_polynomial(op, [2]).is_zero()
@@ -383,19 +396,16 @@ def test_spectral_resolution(diag, seed):
     assert recombined == a
 
 
-def relation_coords(span, vec):
-    """vec's coefficients over the span's inserted vectors, read off the
-    relation that `_insert` returns, as kernel_basis reads it; None, after
-    inserting vec, when vec lies outside the span."""
-    new_id, comb = span._insert(vec)
-    if new_id is not None:
+def relation_coords(inserted, vec, cols):
+    """vec's coefficients over the independent vectors `inserted`, read off
+    kernel_basis of the matrix [inserted | vec]; None when vec lies outside
+    their span."""
+    kernel = kernel_basis(Matrix.from_cols(inserted + [vec], cols))
+    if not kernel:
         return None
-    # comb[new] * vec + sum(comb[i] * vector i) = 0, with new = span.dim
-    lead = comb.pop(span.dim)
-    coords = [F(0)] * span.dim
-    for i, v in comb.items():
-        coords[i] = F(-v, lead)
-    return coords
+    # the one relation has a nonzero last entry, as the inserted are independent
+    (relation,) = kernel
+    return [-x / relation[-1] for x in relation[:-1]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -410,7 +420,8 @@ def test_echelon_span_membership_and_coords(rows):
     assert span.dim == len(inserted)
     assert span.dim == rank(from_rows(rows))
     for vec in inserted:
-        coords = relation_coords(span, vec)
+        assert span.insert(vec) is None
+        coords = relation_coords(inserted, vec, 4)
         assert coords is not None
         rebuilt = {}
         for x, base in zip(coords, inserted):
@@ -516,10 +527,13 @@ def test_elimination_matches_dense_gauss_jordan(drawn, extra):
     assert span.dim == len(rref) == len(inserted)
     assert gauss_jordan(inserted, cols)[0] == rref
     combination = [sum(x * row[i] for x, row in zip(extra, data)) for i in range(cols)]
-    # extra comes last: relation_coords inserts it when it lies outside
+    sparse = [{i: v for i, v in enumerate(row) if v != 0} for row in inserted]
+    # extra comes last: the membership check inserts it when it lies outside
     for vec in data + [combination, extra[:cols]]:
-        coords = relation_coords(span, {i: v for i, v in enumerate(vec) if v != 0})
-        assert coords == oracle_coords(inserted, vec, cols)
+        expected = oracle_coords(inserted, vec, cols)
+        sparse_vec = {i: v for i, v in enumerate(vec) if v != 0}
+        assert relation_coords(sparse, sparse_vec, cols) == expected
+        assert (span.insert(sparse_vec) is None) == (expected is not None)
 
 
 # coprime denominators, so the common denominator of a matrix is a real lcm

@@ -60,20 +60,30 @@ def test_package_modules_use_every_name_they_import():
     assert found == []
 
 
-def test_only_glmodules_names_is_dominant():
-    # weights are compared in one form, by glmodules.dominant_weight_spaces
+def names_outside(owner, names):
+    """Where a package module other than `owner` names one of `names`."""
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "glmodules.py":
+        if path.name == owner:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
-            if name == "is_dominant":
+            if name in names:
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_only_glmodules_names_is_dominant():
+    # weights are compared in one form, by glmodules.dominant_weight_spaces
+    assert names_outside("glmodules.py", {"is_dominant"}) == []
+
+
+def test_only_linalg_names_the_elimination_internals():
+    # elimination stays behind rank, kernel_basis and EchelonSpan.insert
+    assert names_outside("linalg.py", {"_reduce", "_add", "_rows", "_pivots"}) == []
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
