@@ -11,11 +11,14 @@ Id_V plus shifted copies of the generator matrices E_{i,j} = V.e(i, j).
 (`projective_components`) and assembles its exact sparse matrix on a graded
 piece block by block, one dim(V)-square block per monomial.  The target degree
 is read off the operator, so only a nonzero operator with a uniform degree
-shift has a matrix.  `commutator_matrix` is the matrix side of a Lie relation:
-the bracket check and the Chevalley relations compare it with the matrix of
-the symbolic bracket.  `act` applies an operator to one graded element term by
-term; the matrix path never calls it, and it is the independent oracle that
-the `action-oracle` suite of `selfcheck` compares every column with.
+shift has a matrix.  `commutator_equals` is the matrix side of a Lie relation:
+whether the commutator of two operator matrices equals a target (the matrix
+of the symbolic bracket, or zero), decided in one exact pass of
+`linalg.product_difference_equals` that builds no product; the bracket check
+and the Chevalley relations both use it.  `act` applies an operator to one
+graded element term by term; the matrix path never calls it, and it is the
+independent oracle that the `action-oracle` suite of `selfcheck` compares
+every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedOperatorError
 from .glmodules import module_memo
-from .linalg import Matrix, _check_scalar, _norm, add_into
+from .linalg import Matrix, _check_scalar, _norm, add_into, product_difference_equals
 
 __all__ = [
     "ChevalleySet",
@@ -40,7 +43,7 @@ __all__ = [
     "WittElement",
     "act",
     "chevalley_generators",
-    "commutator_matrix",
+    "commutator_equals",
     "derivative_op",
     "graded_basis",
     "graded_dimension",
@@ -261,14 +264,14 @@ def projective_components(op):
                 pseudo[d] = pseudo.get(d, 0) + v
         else:
             raise UnsupportedOperatorError(f"term of degree {deg} in {op!r}")
-    rebuilt = WittElement(n)
+    rebuilt = {}
     for i, v in deriv.items():
-        rebuilt = rebuilt + v * derivative_op(n, i)
+        add_into(rebuilt, derivative_op(n, i).terms.items(), v)
     for (i, j), v in gl.items():
-        rebuilt = rebuilt + v * scaling_op(n, i, j)
+        add_into(rebuilt, scaling_op(n, i, j).terms.items(), v)
     for i, v in pseudo.items():
-        rebuilt = rebuilt + v * pseudo_translation_op(n, i)
-    if rebuilt != op:
+        add_into(rebuilt, pseudo_translation_op(n, i).terms.items(), v)
+    if rebuilt != op.terms:
         raise UnsupportedOperatorError(f"{op!r} is outside the projective span")
     return deriv, gl, pseudo
 
@@ -412,8 +415,16 @@ def graded_basis(V, k):
 
 
 def _twist(coeffs, V):
-    """sum of c * E_{i+1,j+1} over {(i, j): c}, as a Matrix."""
-    return sum((V.e(i, j).scale(c) for (i, j), c in coeffs.items()), Matrix.zeros(V.dim, V.dim))
+    """sum of c * E_{i+1,j+1} over {(i, j): c}, as a Matrix summed on the
+    generators' integer columns over the lcm of c.den * E_{i+1,j+1}.den."""
+    terms = [(c, V.e(i, j)) for (i, j), c in coeffs.items()]
+    den = math.lcm(*(c.denominator * e.den for c, e in terms))
+    cols = {}
+    for c, e in terms:
+        f = c.numerator * (den // (c.denominator * e.den))
+        for t, col in e.columns.items():
+            add_into(cols.setdefault(t, {}), col.items(), f)
+    return Matrix.from_int_columns(V.dim, V.dim, den, {t: col for t, col in cols.items() if col})
 
 
 def _pseudo_twist(pseudo, V):
@@ -500,12 +511,15 @@ def operator_matrix(op, V, k):
     return module_memo(V, "matrix", (op, k), build)
 
 
-def commutator_matrix(u, w, V, k):
-    """Matrix of uw - wu on the degree-k piece, from the operator matrices."""
-    u_k, w_k = operator_matrix(u, V, k), operator_matrix(w, V, k)
-    return (
-        operator_matrix(u, V, k + w.degree_shift()) @ w_k
-        - operator_matrix(w, V, k + u.degree_shift()) @ u_k
+def commutator_equals(u, w, V, k, target):
+    """Whether the matrix of uw - wu on the degree-k piece equals target, a
+    Matrix, or zero when it is None; exact, and the commutator is never built."""
+    return product_difference_equals(
+        operator_matrix(u, V, k + w.degree_shift()),
+        operator_matrix(w, V, k),
+        operator_matrix(w, V, k + u.degree_shift()),
+        operator_matrix(u, V, k),
+        target,
     )
 
 
@@ -533,17 +547,17 @@ def verify_bracket_consistency(n, V, k_max):
 
     For every unordered pair from the spanning set and every degree up to
     k_max the commutator of the operator matrices must equal the matrix of
-    the symbolic bracket exactly, or vanish where the bracket does.
+    the symbolic bracket exactly, or vanish where the bracket does.  A
+    negative k_max leaves no degree to check and raises ValueError.
     """
+    if k_max < 0:
+        raise ValueError(f"degree cap must be >= 0, got {k_max}")
     ops = [op for _, op in spanning_operators(n)]
     for a, u in enumerate(ops):
         for w in ops[a + 1:]:
             bracket = u.bracket(w)
             for k in range(k_max + 1):
-                rhs = commutator_matrix(u, w, V, k)
-                if bracket.is_zero():
-                    if not rhs.is_zero():
-                        return False
-                elif operator_matrix(bracket, V, k) != rhs:
+                target = None if bracket.is_zero() else operator_matrix(bracket, V, k)
+                if not commutator_equals(u, w, V, k, target):
                     return False
     return True

@@ -19,7 +19,7 @@ from .action import (
     GradedElement,
     act,
     chevalley_generators,
-    commutator_matrix,
+    commutator_equals,
     derivative_op,
     graded_basis,
     graded_dimension,
@@ -149,13 +149,13 @@ def check_chevalley_relations(V, k_max=2, gens=None):
     g = gens if gens is not None else chevalley_generators(n)
     for k in range(k_max + 1):
         for i in range(n):
-            if commutator_matrix(g.h[i], g.e[i], V, k) != operator_matrix(g.e[i], V, k).scale(2):
+            if not commutator_equals(g.h[i], g.e[i], V, k, operator_matrix(g.e[i], V, k).scale(2)):
                 return False, f"[h_{i+1}, e_{i+1}] != 2e at degree {k}"
-            if commutator_matrix(g.h[i], g.f[i], V, k) != operator_matrix(g.f[i], V, k).scale(-2):
+            if not commutator_equals(g.h[i], g.f[i], V, k, operator_matrix(g.f[i], V, k).scale(-2)):
                 return False, f"[h_{i+1}, f_{i+1}] != -2f at degree {k}"
             for j in range(n):
-                ef = commutator_matrix(g.e[i], g.f[j], V, k)
-                if (ef != operator_matrix(g.h[i], V, k)) if i == j else not ef.is_zero():
+                h = operator_matrix(g.h[i], V, k) if i == j else None
+                if not commutator_equals(g.e[i], g.f[j], V, k, h):
                     return False, f"[e_{i+1}, f_{j+1}] wrong at degree {k}"
     return True, f"triple relations hold through degree {k_max}"
 

@@ -9,6 +9,7 @@ from projrep.action import (
     WittElement,
     act,
     chevalley_generators,
+    commutator_equals,
     derivative_op,
     graded_basis,
     graded_dimension,
@@ -112,6 +113,16 @@ def test_projective_components_rejects_outside_span():
         projective_components(broken)
 
 
+def test_projective_components_rejects_a_wrong_coefficient():
+    # every key of p_1 is present; only the x1*x2*d2 coefficient is doubled
+    n = 2
+    p1 = pseudo_translation_op(n, 0)
+    assert p1.terms == {((2, 0), 0): 1, ((1, 1), 1): 1}
+    doubled = WittElement(n, {((2, 0), 0): 1, ((1, 1), 1): 2})
+    with pytest.raises(UnsupportedOperatorError):
+        projective_components(doubled)
+
+
 def test_act_derivative_kills_constants():
     V = cached_module(2, (1,), F(1))
     one = GradedElement(0, {((0, 0), 0): 1})
@@ -204,6 +215,105 @@ def test_grading_shapes():
 def test_bracket_consistency_small(n, dynkin, b):
     V = cached_module(n, dynkin, b)
     assert verify_bracket_consistency(n, V, 3)
+
+
+def test_bracket_consistency_rejects_a_negative_degree_cap():
+    V = cached_module(2, (1,), F(1))
+    with pytest.raises(ValueError):
+        verify_bracket_consistency(2, V, -1)
+
+
+def test_commutator_equals_matches_explicit_products():
+    # the fused check against a @ b - c @ d == target, on every spanning pair
+    # of a grid of modules: zero brackets, nonzero ones, and targets scaled
+    # off the true value or onto another denominator
+    zero_brackets = mixed_dens = 0
+    for n, dynkin in ((1, ()), (2, (1,)), (3, (1, 0))):
+        for b in (F(0), F(1, 2), F(-3, 2)):
+            V = cached_module(n, dynkin, b)
+            ops = [op for _, op in spanning_operators(n)]
+            for x, u in enumerate(ops):
+                for w in ops[x + 1:]:
+                    bracket = u.bracket(w)
+                    for k in range(2):
+                        uw = operator_matrix(u, V, k + w.degree_shift()) @ operator_matrix(w, V, k)
+                        wu = operator_matrix(w, V, k + u.degree_shift()) @ operator_matrix(u, V, k)
+                        commutator = uw - wu
+                        mixed_dens += uw.den != wu.den
+                        if bracket.is_zero():
+                            zero_brackets += 1
+                            targets = [None]
+                        else:
+                            m = operator_matrix(bracket, V, k)
+                            targets = [None, m, m.scale(2), m.scale(F(1, 3))]
+                        zero = Matrix.zeros(commutator.rows, commutator.cols)
+                        for target in targets:
+                            expected = commutator == (zero if target is None else target)
+                            assert commutator_equals(u, w, V, k, target) == expected, (u, w, k)
+    assert zero_brackets and mixed_dens
+
+
+def _corrupt_assembly(monkeypatch, op, degree, edit):
+    """Make `_assemble` pass op's integer columns at this degree through
+    edit(den, cols) before the matrix is built."""
+    import projrep.action as action_mod
+
+    original = action_mod._assemble
+
+    def corrupted(o, V, src, dst):
+        den, cols = original(o, V, src, dst)
+        if o == op and src.degree == degree:
+            edit(den, cols)
+        return den, cols
+
+    monkeypatch.setattr(action_mod, "_assemble", corrupted)
+
+
+def test_bracket_check_catches_a_perturbed_bracket_entry(monkeypatch):
+    # x1d3 = [x1d2, x2d3] = [d3, p1] is a nonzero bracket; one entry of its
+    # degree-1 matrix is doubled
+    x1d3 = scaling_op(3, 0, 2)
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    assert verify_bracket_consistency(3, V, 1)
+
+    def double(den, cols):
+        col = cols[min(cols)]
+        col[min(col)] *= 2
+
+    _corrupt_assembly(monkeypatch, x1d3, 1, double)
+    W = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    assert not verify_bracket_consistency(3, W, 1)
+
+
+def test_bracket_check_catches_a_target_column_where_the_commutator_vanishes(monkeypatch):
+    # [x1d2, x2d1] = x1d1 - x2d2, which no other pair reaches; on degree 0 it
+    # is E_11 - E_22, zero on the basis vectors with w_1 = w_2
+    h = scaling_op(3, 0, 0) - scaling_op(3, 1, 1)
+    assert scaling_op(3, 0, 1).bracket(scaling_op(3, 1, 0)) == h
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    zero_cols = set(range(V.dim)) - set(operator_matrix(h, V, 0).columns)
+    assert zero_cols
+    assert verify_bracket_consistency(3, V, 0)
+
+    def fill(den, cols):
+        cols[min(zero_cols)] = {0: den}
+
+    _corrupt_assembly(monkeypatch, h, 0, fill)
+    W = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    assert not verify_bracket_consistency(3, W, 0)
+
+
+def test_bracket_check_builds_no_product_difference_or_twist_sum(monkeypatch):
+    # b = 1/2 puts Fractions in every generator; the module is built first,
+    # since its own commutators use products
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bracket check must not build an intermediate Matrix")
+
+    for name in ("__matmul__", "__sub__", "__add__", "scale"):
+        monkeypatch.setattr(Matrix, name, forbidden)
+    assert verify_bracket_consistency(3, V, 1)
 
 
 def test_chevalley_relations_hold():

@@ -17,6 +17,7 @@ from projrep.linalg import (
     kernel_basis,
     kron,
     parse_rational,
+    product_difference_equals,
     rank,
 )
 
@@ -248,6 +249,72 @@ def test_matmul_huge_entries_fallback():
     assert c[0][0] == big * big + 1
     assert c[1][0] == big
     assert c[1][1] == big
+
+
+def _explicit(a, b, c, d, target):
+    return a @ b - c @ d == (target if target is not None else Matrix.zeros(a.rows, b.cols))
+
+
+def test_product_difference_hand_made_cases():
+    ident = Matrix.identity(3)
+    assert product_difference_equals(ident, ident, ident, ident)
+    assert not product_difference_equals(ident, ident, ident, ident, ident)
+    # a @ b column 0 is {0: 1, 1: 1} and c @ d column 0 is {0: 1}: the
+    # difference is e_1 alone, and row 0 cancels to a zero in the sum
+    a = from_rows([[1, 0, 0], [1, 0, 0], [0, 0, 0]])
+    e00 = from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    e10 = from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    e20 = from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    assert product_difference_equals(a, e00, e00, e00, e10)
+    # as many target entries as accumulated ones, but row 2 is never met
+    assert not product_difference_equals(a, e00, e00, e00, e10 + e20)
+    assert not product_difference_equals(a, e00, e00, e00, e20)
+    assert not product_difference_equals(a, e00, e00, e00)
+    # a target column that neither product stores
+    assert product_difference_equals(e00, e00, e00, e00)
+    assert not product_difference_equals(e00, e00, e00, e00, from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    # denominators 6 and 5 on the products, 30 and then 35 on the target
+    half, third = ident.scale(F(1, 2)), ident.scale(F(1, 3))
+    fifth = ident.scale(F(1, 5))
+    target = ident.scale(F(1, 6) - F(1, 5))
+    assert product_difference_equals(half, third, fifth, ident, target)
+    assert not product_difference_equals(half, third, fifth, ident, target.scale(F(6, 7)))
+    assert not product_difference_equals(half, third, fifth, ident)
+
+
+def test_product_difference_rejects_shape_mismatch():
+    sq, wide = Matrix.zeros(2, 2), Matrix.zeros(2, 3)
+    with pytest.raises(ValueError):
+        product_difference_equals(sq, wide, sq, sq)
+    with pytest.raises(ValueError):
+        product_difference_equals(wide, sq, sq, sq)
+    with pytest.raises(ValueError):
+        product_difference_equals(sq, sq, sq, sq, wide)
+
+
+def test_product_difference_matches_explicit_products():
+    # random sparse rational factors with unrelated denominators; the target
+    # is the true difference, zero, or the difference with one entry moved,
+    # added or rescaled
+    rng = random.Random(19)
+    values = [0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(2, 3), F(5, 7)]
+
+    def rand(rows, cols):
+        return from_rows([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+
+    outcomes = set()
+    for _ in range(300):
+        p, q, r, s = (rng.randint(1, 4) for _ in range(4))
+        a, b, c, d = rand(p, q), rand(q, s), rand(p, r), rand(r, s)
+        true = a @ b - c @ d
+        ent = dict(true.entries)
+        i, j = rng.randrange(p), rng.randrange(s)
+        ent[(i, j)] = ent.get((i, j), 0) + rng.choice([1, F(1, 3)])
+        for target in (None, true, Matrix(p, s, ent), true.scale(F(7, 11)), rand(p, s)):
+            got = product_difference_equals(a, b, c, d, target)
+            assert got == _explicit(a, b, c, d, target)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_float_rejected():
