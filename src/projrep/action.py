@@ -7,15 +7,16 @@ space tensor V into a representation of that copy.
 
 On x^m tensor V each operator of the span acts as a polynomial move times
 Id_V plus shifted copies of the generator matrices E_{i,j} = V.e(i, j).
-`operator_matrix` uses that structure: it splits the operator once
-(`projective_components`) and assembles its exact sparse matrix on a graded
-piece block by block, one dim(V)-square block per monomial.  The target degree
-is read off the operator, so only a nonzero operator with a uniform degree
-shift has a matrix.  `commutator_equals` is the matrix side of a Lie relation:
-whether the commutator of two operator matrices equals a target (the matrix
-of the symbolic bracket, or zero), decided in one exact pass of
-`linalg.product_difference_equals` that builds no product; the bracket check
-and the Chevalley relations both use it.  `act` applies an operator to one
+`operator_matrix` uses that structure: once per module it splits the
+operator (`projective_components`) and sums its generator blocks, and per
+degree it assembles the exact sparse matrix block by block, one
+dim(V)-square block per monomial.  The target degree is read off the
+operator, whose shift is computed once with its terms, so only a nonzero
+operator with a uniform degree shift has a matrix.  `commutator_equals` is
+the matrix side of a Lie relation: whether the commutator of two operator
+matrices equals a target (the matrix of the symbolic bracket, or zero),
+decided in one exact pass of `linalg.product_difference_equals` that builds
+no product; the bracket check and the Chevalley relations both use it.  `act` applies an operator to one
 graded element term by term; the matrix path never calls it, and it is the
 independent oracle that the `action-oracle` suite of `selfcheck` compares
 every column with.
@@ -64,10 +65,11 @@ __all__ = [
 class WittElement:
     """A polynomial vector field sum_i f_i d_i, stored as {(monomial, i): coeff}.
 
-    Immutable and hashable; usable as a cache key.
+    Immutable and hashable; usable as a cache key.  The degree shift is
+    computed once, with the terms.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_hash", "_shift")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -82,16 +84,15 @@ class WittElement:
                 clean[(tuple(mono), i)] = v
         self.terms = clean
         self._hash = None
+        shifts = {sum(m) - 1 for (m, _) in clean}
+        self._shift = shifts.pop() if len(shifts) == 1 else None
 
     def is_zero(self):
         return not self.terms
 
     def degree_shift(self):
         """Uniform degree shift |monomial| - 1, or None for 0 / mixed elements."""
-        shifts = {sum(m) - 1 for (m, _) in self.terms}
-        if len(shifts) == 1:
-            return shifts.pop()
-        return None
+        return self._shift
 
     def __add__(self, other):
         if self.n != other.n:
@@ -433,6 +434,21 @@ def _pseudo_twist(pseudo, V):
     return {j: _twist({(i, j): c for i, c in pseudo.items()}, V) for j in range(V.n)}
 
 
+def _plan(op, V):
+    """The degree-free part of op's assembly: the moves of d_i and x_i d_j,
+    the p_i coefficients, and the generator blocks.  `_assemble` keeps it
+    per module."""
+    deriv, gl, pseudo = projective_components(op)
+    # (coefficient, index raised, index lowered) of each polynomial move
+    moves = [(c, None, i) for i, c in deriv.items()]
+    moves += [(c, i, j) for (i, j), c in gl.items()]
+    # (index raised, generator block) on the target block of m
+    blocks = [(None, _twist(gl, V))] if gl else []
+    if pseudo:
+        blocks += list(_pseudo_twist(pseudo, V).items())
+    return moves, pseudo, blocks
+
+
 def _assemble(op, V, src, dst):
     """(den, columns): op's matrix from the basis `src` to `dst` as integer
     columns {col: {row: int}} over one denominator.
@@ -441,18 +457,12 @@ def _assemble(op, V, src, dst):
     generator blocks: d_i moves m to m - e_i (weight m_i); x_i d_j moves m to
     m + e_i - e_j (weight m_j) and adds E_{i,j} on the block of m; p_i moves m
     to m + e_i (weight |m| + b) and adds E_{i,j} on the block of m + e_j.  The
-    block of (m, t) starts at the position of (m, 0).
+    block of (m, t) starts at the position of (m, 0).  Only the p_i weight
+    k + b and the positions depend on the degree k; the rest is `_plan`'s.
     """
-    deriv, gl, pseudo = projective_components(op)
+    moves, pseudo, blocks = module_memo(V, "plan", op, lambda: _plan(op, V))
     k, d = src.degree, V.dim
-    # (coefficient, index raised, index lowered) of each polynomial move
-    moves = [(c, None, i) for i, c in deriv.items()]
-    moves += [(c, i, j) for (i, j), c in gl.items()]
-    moves += [(c * (k + V.b), i, None) for i, c in pseudo.items()]
-    # (index raised, generator block) on the target block of m
-    blocks = [(None, _twist(gl, V))] if gl else []
-    if pseudo:
-        blocks += list(_pseudo_twist(pseudo, V).items())
+    moves = moves + [(c * (k + V.b), i, None) for i, c in pseudo.items()]
     den = math.lcm(*(c.denominator for c, _, _ in moves), *(twist.den for _, twist in blocks))
     moves = [(c.numerator * (den // c.denominator), up, down) for c, up, down in moves]
     # keys take their positions from this list, so the cached columns share

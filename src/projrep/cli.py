@@ -10,6 +10,7 @@ strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -20,6 +21,7 @@ from .glmodules import (
     DEFAULT_DIM_CAP,
     DominantLabels,
     build_irreducible,
+    dominant_gaps,
     pieri_index_set,
     weight_add,
     weyl_dimension,
@@ -99,13 +101,18 @@ def _emit(doc, as_json, table_lines):
 
 
 def _summand(mu, c, projector_rank=None):
-    """JSON row and table line of the summand mu + c of a tensor decomposition."""
+    """JSON row and table line of the summand mu + c of a tensor decomposition.
+
+    mu's dominant gaps are computed once; the summand's follow from them and c.
+    """
+    gaps = dominant_gaps(mu)
+    q = q_coefficient(mu, c, gaps)
     summand = weight_add(mu, c)
     row = {
         "c": list(c),
         "summand": [format_rational(x) for x in summand],
-        "weyl_dim": weyl_dimension(summand),
-        "q": format_rational(q_coefficient(mu, c)),
+        "weyl_dim": weyl_dimension(summand, [g + x - y for g, x, y in zip(gaps, c, c[1:])]),
+        "q": format_rational(q),
     }
     line = f"  c={c}  summand {tuple(row['summand'])}  dim {row['weyl_dim']}  q = {row['q']}"
     if projector_rank is not None:
@@ -270,7 +277,10 @@ def _add_module_args(p):
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process and shared by every call of
+    `main`; parsing leaves it as it was."""
     parser = _Parser(prog="projrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,8 +305,11 @@ def main(argv=None):
     p_sc.add_argument("--dim-cap", type=_at_least(1), default=DEFAULT_DIM_CAP)
     p_sc.add_argument("--json", action="store_true")
     p_sc.set_defaults(fn=cmd_selfcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     # internal inconsistencies first: DegenerateSpectrumError is a ValueError

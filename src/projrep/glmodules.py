@@ -105,16 +105,22 @@ def weight_from_labels(labels):
     return tuple(sum(a[j:]) + shift for j in range(n - 1)) + (shift,)
 
 
-def weyl_dimension(mu):
-    """prod_{i<j} (mu_i - mu_j + j - i)/(j - i); requires integer dominant gaps."""
-    dominant_gaps(mu)
-    n = len(mu)
+def weyl_dimension(mu, gaps=None):
+    """prod_{i<j} (mu_i - mu_j + j - i)/(j - i); requires integer dominant gaps.
+
+    mu_i - mu_j is the sum of gaps i..j-1, so the product runs on integers;
+    `gaps` are mu's `dominant_gaps`, computed here when not given.
+    """
+    if gaps is None:
+        gaps = dominant_gaps(mu)
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= int(mu[i] - mu[j]) + j - i
-            den *= j - i
+    for i in range(len(gaps)):
+        diff = 0
+        for j in range(i, len(gaps)):
+            diff += gaps[j]
+            num *= diff + j + 1 - i
+            den *= j + 1 - i
     q, rem = divmod(num, den)
     if rem:
         raise ConsistencyViolationError(f"Weyl dimension {num}/{den} is not an integer")

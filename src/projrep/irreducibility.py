@@ -54,27 +54,35 @@ __all__ = [
 # -- closed form ---------------------------------------------------------------
 
 
-def _admissible(mu, c):
+def _admissible(mu, c, gaps=None):
     """c as a tuple of ints, once checked to be a shift of `pieri_index_set`:
-    n entries, each >= 0, with c_{s+1} <= mu_s - mu_{s+1}."""
+    n entries, each >= 0, with c_{s+1} <= mu_s - mu_{s+1}; `gaps` are mu's
+    `dominant_gaps`, computed here when not given."""
     c = tuple(int(x) for x in c)
-    gaps = dominant_gaps(mu)
+    if gaps is None:
+        gaps = dominant_gaps(mu)
     if len(c) != len(mu) or min(c, default=0) < 0 or any(x > g for x, g in zip(c[1:], gaps)):
         raise ValueError(f"{c} is not an admissible shift for {mu}")
     return c
 
 
-def q_coefficient(mu, c):
-    """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1."""
-    n = len(mu)
-    c = _admissible(mu, c)
-    tot = sum(mu)
-    q = Fraction(1)
-    for s in range(n):
-        base = mu[s] + tot - (s + 1)
-        for i in range(1, c[s] + 1):
-            q *= base + i
-    return q
+def q_coefficient(mu, c, gaps=None):
+    """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1.
+
+    The factors are multiplied as integers over mu's common denominator D,
+    and the product is divided by D^|c| once.  `gaps` are mu's
+    `dominant_gaps`, computed here when not given.
+    """
+    c = _admissible(mu, c, gaps)
+    den = math.lcm(*(x.denominator for x in mu))
+    nums = [x.numerator * (den // x.denominator) for x in mu]
+    tot = sum(nums)
+    q = 1
+    for s, cs in enumerate(c):
+        base = nums[s] + tot - (s + 1) * den
+        for i in range(1, cs + 1):
+            q *= base + i * den
+    return Fraction(q, den ** sum(c))
 
 
 def _is_nonpositive_integer(x):

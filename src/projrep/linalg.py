@@ -11,7 +11,8 @@ common factor.  Sums, products, scaling, ``kron``, ``block`` and ``apply``
 run on integers and divide once, at the end; they are exact at every size
 because Python ints are unbounded.  ``product_difference_equals`` decides
 whether a @ b - c @ d equals a target without building either product: the
-matrix side of a Lie relation.  The public ``Matrix(...)`` constructor
+matrix side of a Lie relation, accumulated in one integer dict keyed by
+position.  The public ``Matrix(...)`` constructor
 validates exact entries and converts them; ``Matrix.from_int_columns``
 takes integer columns as they are.  ``entries`` and ``column`` are exact
 read-only views of the stored form.
@@ -315,36 +316,35 @@ def product_difference_equals(a, b, c, d, target=None):
 
     Exact, and no product or difference is built.  Both sides are scaled to
     integers over a common multiple of L = lcm(a.den * b.den, c.den * d.den)
-    and target.den; each column of b, d or the target accumulates both
-    products and minus the target into one {row: int}, which must be zero.
+    and target.den; both products and minus the target accumulate into one
+    {j * rows + r: int}, a key per position (r, j), which must be all zero.
     """
     if a.cols != b.rows or c.cols != d.rows or (a.rows, b.cols) != (c.rows, d.cols):
         raise ValueError("shape mismatch in a @ b - c @ d")
-    if target is None:
-        target = Matrix.zeros(a.rows, b.cols)
-    elif (target.rows, target.cols) != (a.rows, b.cols):
-        raise ValueError("shape mismatch between a @ b - c @ d and its target")
+    rows = a.rows
     den = math.lcm(a.den * b.den, c.den * d.den)
-    g = math.gcd(den, target.den)
-    tf, af = target.den // g, den // g
-    terms = (
+    tf, acc = 1, {}
+    if target is not None:
+        if (target.rows, target.cols) != (rows, b.cols):
+            raise ValueError("shape mismatch between a @ b - c @ d and its target")
+        g = math.gcd(den, target.den)
+        tf, af = target.den // g, -(den // g)
+        acc = {j * rows + r: af * t for j, col in target.columns.items() for r, t in col.items()}
+    for left, right, f in (
         (a.columns, b.columns, tf * (den // (a.den * b.den))),
         (c.columns, d.columns, -tf * (den // (c.den * d.den))),
-    )
-    tcols = target.columns
-    for j in b.columns.keys() | d.columns.keys() | tcols.keys():
-        acc = {r: -af * t for r, t in tcols.get(j, {}).items()}
-        for left, right, f in terms:
-            for k, x in right.get(j, {}).items():
+    ):
+        for j, col in right.items():
+            base = j * rows
+            for k, x in col.items():
                 inner = left.get(k)
                 if inner is None:
                     continue
                 x *= f
                 for r, v in inner.items():
-                    acc[r] = acc.get(r, 0) + v * x
-        if any(acc.values()):
-            return False
-    return True
+                    key = base + r
+                    acc[key] = acc.get(key, 0) + v * x
+    return not any(acc.values())
 
 
 def block(grid):

@@ -316,6 +316,44 @@ def test_bracket_check_builds_no_product_difference_or_twist_sum(monkeypatch):
     assert verify_bracket_consistency(3, V, 1)
 
 
+def test_each_operator_is_split_once_per_module(monkeypatch):
+    # the degree-free plan (components and twist blocks) of an operator is
+    # built once per module and shared by its matrices at every degree
+    import projrep.action as action_mod
+
+    split, assembled = [], []
+    original_split, original_assemble = action_mod.projective_components, action_mod._assemble
+
+    def counting_split(op):
+        split.append(op)
+        return original_split(op)
+
+    def recording_assemble(op, V, src, dst):
+        assembled.append(op)
+        return original_assemble(op, V, src, dst)
+
+    monkeypatch.setattr(action_mod, "projective_components", counting_split)
+    monkeypatch.setattr(action_mod, "_assemble", recording_assemble)
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    assert verify_bracket_consistency(3, V, 2)
+    assert len(assembled) > len(set(assembled))  # operators assembled at several degrees
+    assert len(split) == len(set(split))
+    assert set(split) == set(assembled)
+
+
+def test_reused_plan_keeps_the_pseudo_translation_weight_per_degree():
+    # p_1 moves x^m to x^(m + e_1) with weight |m| + b: degree 2 first, then
+    # degree 1 from the same plan, each column against the act oracle
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    p1 = pseudo_translation_op(3, 0)
+    for k in (2, 1):
+        m = operator_matrix(p1, V, k)
+        src, dst = graded_basis(V, k), graded_basis(V, k + 1)
+        for col, lab in enumerate(src.labels):
+            image = act(p1, GradedElement(k, {lab: 1}), V)
+            assert m.column(col) == {dst.index[x]: v for x, v in image.coords.items()}, (k, lab)
+
+
 def test_chevalley_relations_hold():
     V = cached_module(2, (1,), F(1, 2))
     ok, detail = check_chevalley_relations(V, k_max=2)

@@ -240,3 +240,40 @@ def test_off_weight_generator_exits_2(capsys, monkeypatch, command, n, labels):
     assert code == 2
     assert "consistency violation" in err and "another weight" in err
     assert out == ""
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_prints_what_a_fresh_parser_prints(capsys):
+    # the parser is built once per process; no flag, default or subcommand
+    # of one call may leak into the next
+    import projrep.cli as cli
+
+    sequence = [
+        ["analyze", "--json", "-n", "2", "-a", "1", "-b", "1/2", "--degree-cap", "2"],
+        ["decompose", "-n", "3", "-a", "1,0", "-b", "0"],
+        ["analyze", "-n", "2", "-a", "1", "-b", "0", "--bogus"],
+        ["decompose", "-n", "2", "-a", "1", "-b", "-3/2", "-k", "2"],
+        ["verify-identity", "--json", "-n", "2", "-a", "1", "-b", "1"],
+        ["analyze", "-n", "2", "-a", "0", "-b", "0"],
+        ["selfcheck", "--n-max", "1", "--degree-cap", "1"],
+        ["decompose", "--json", "-n", "2", "-a", "2", "-b", "1"],
+    ]
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in reused[2][2]

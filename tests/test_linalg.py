@@ -315,6 +315,22 @@ def test_product_difference_matches_explicit_products():
             assert got == _explicit(a, b, c, d, target)
             outcomes.add(got)
     assert outcomes == {True, False}
+    # rectangular shapes up to 12 with narrow inner dimensions; the fault is
+    # a unit at a position P in the last row or column, alone or moved to
+    # any other position Q.  A moved unit cancels under any key that maps
+    # P and Q to one accumulator slot, so every position must keep its own.
+    for p, q, r, s in [(12, 2, 3, 5), (5, 3, 1, 12), (7, 1, 2, 11), (11, 4, 2, 3),
+                       (1, 2, 2, 12), (12, 3, 2, 1), (2, 1, 1, 9), (9, 2, 1, 2)]:
+        a, b, c, d = rand(p, q), rand(q, s), rand(p, r), rand(r, s)
+        true = a @ b - c @ d
+        assert product_difference_equals(a, b, c, d, true)
+        for i, j in {(p - 1, rng.randrange(s)), (rng.randrange(p), s - 1), (p - 1, s - 1)}:
+            unit = Matrix(p, s, {(i, j): 1})
+            assert not product_difference_equals(a, b, c, d, true + unit)
+            for k in range(p * s):
+                target = true + unit - Matrix(p, s, {divmod(k, s): 1})
+                got = product_difference_equals(a, b, c, d, target)
+                assert got == _explicit(a, b, c, d, target) == (divmod(k, s) == (i, j))
 
 
 def test_float_rejected():

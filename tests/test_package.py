@@ -86,6 +86,60 @@ def test_only_linalg_names_the_elimination_internals():
     assert names_outside("linalg.py", {"_reduce", "_add", "_rows", "_pivots"}) == []
 
 
+# the only state that outlives a module or a command: the three operator
+# constructors, the module cache and the argument parser
+PROCESS_WIDE_CACHES = {
+    "action.derivative_op",
+    "action.scaling_op",
+    "action.pseudo_translation_op",
+    "glmodules._module_cache",
+    "cli._parser",
+}
+_CACHE_NAMES = {"cache", "lru_cache"}
+_CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter",
+                    "WeakKeyDictionary", "WeakValueDictionary", "deque"}
+
+
+def _name(node):
+    """The bare name a Name, an Attribute or a call of either refers to."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_process_wide_caches_are_allowlisted():
+    # a cache that outlives its module carries work from one command (or
+    # benchmark task) to the next; memo tables belong on the module (module_memo)
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if _name(d) in _CACHE_NAMES:
+                        found.add(f"{path.stem}.{node.name}")
+                        decorated.add(d.lineno)
+        # functools.cache or lru_cache anywhere but on a def, say cache(f)
+        found.update(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     and _name(node) in _CACHE_NAMES and node.lineno not in decorated)
+        # mutable containers bound at module level or in a class body
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            for node in scope.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                value = getattr(node, "value", None)
+                if isinstance(value, ast.Call):
+                    mutable = _name(value) in _CONTAINER_CALLS
+                else:
+                    mutable = isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp,
+                                                 ast.SetComp, ast.ListComp))
+                found.update(f"{path.stem}.{t.id}" for t in targets
+                             if mutable and isinstance(t, ast.Name) and t.id != "__all__")
+    assert found == PROCESS_WIDE_CACHES
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = (
         "import sys, projrep.cli; "
