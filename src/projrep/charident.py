@@ -22,14 +22,22 @@ positions that `glmodules.dominant_weight_spaces` groups by weight): a
 residual vanishes iff it vanishes on every dominant block (a nonzero
 quotient has a dominant highest weight), and a kernel's or image's
 dimension is the sum over dominant w of its dimension on the block of w
-times |S_n . w|.  `check_characteristic_identity` and `tensor_projector`
-keep the all-columns computation as the oracle of that path.
+times |S_n . w|.  The blocks are cut straight from the generator grid;
+no n*dim operator is built.  Where the identity holds
+on a block and its roots are distinct, the block is diagonalizable over Q,
+and each root's multiplicity comes from the traces of the partial products
+that the residual already forms (`identity_on_blocks`), with no rank.
+Ranks measure multiplicities only where that fails (a nonzero residual or
+a repeated root) and in the oracles: `check_characteristic_identity` and
+`tensor_projector` keep the all-columns computation, by rank, as the
+oracle of the block path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import ConsistencyViolationError
 from .glmodules import dominant_weight_spaces, module_memo, orbit_size
@@ -55,12 +63,20 @@ __all__ = [
     "predicted_adjoint_roots",
     "predicted_sigma2_roots",
     "projector_rank",
+    "sigma2_blocks",
     "sigma2_tilde",
     "tensor_projector",
     "weight_blocks",
 ]
 
 ORACLE_MAX_DIM = 48
+
+
+def _generator_grid(V, transpose):
+    """The n x n grid of generator matrices, E_{i,j} at (i, j), or E_{j,i}
+    when `transpose`; no matrix is copied."""
+    n = V.n
+    return [[V.e(j, i) if transpose else V.e(i, j) for j in range(n)] for i in range(n)]
 
 
 def sigma2_tilde(V):
@@ -73,13 +89,7 @@ def sigma2_tilde(V):
     the m_i below.  Flipping the blocks to E_{i,j} shifts every root by n-1
     and breaks the identity.
     """
-    n, d = V.n, V.dim
-    bid = Matrix.identity(d).scale(V.b)
-    grid = [
-        [V.e(j, i) + bid if i == j else V.e(j, i) for j in range(n)]
-        for i in range(n)
-    ]
-    return block(grid)
+    return block(_generator_grid(V, transpose=True)) + Matrix.identity(V.n * V.dim).scale(V.b)
 
 
 def predicted_sigma2_roots(mu):
@@ -91,12 +101,10 @@ def predicted_sigma2_roots(mu):
 def adjoint_matrices(V, dual):
     """The generator grid M (dual) or its negated block-transpose, built once
     per module and `dual`: every projector of `tensor_projector` shares it."""
-    n = V.n
 
     def build():
-        if dual:
-            return block([[V.e(i, j) for j in range(n)] for i in range(n)])
-        return block([[-V.e(j, i) for j in range(n)] for i in range(n)])
+        m = block(_generator_grid(V, transpose=not dual))
+        return m if dual else -m
 
     return module_memo(V, "adjoint", dual, build)
 
@@ -129,8 +137,12 @@ def _geometric_multiplicity(m, c):
 
 
 def check_characteristic_identity(op, roots):
-    """Evaluate the product of (op - root) and measure each root's eigenspace."""
-    return identity_on_blocks([(op, 1)], roots)
+    """Evaluate the product of (op - root) and measure each root's eigenspace
+    as rank deficiency on all columns: the oracle of `identity_on_blocks`."""
+    roots = list(roots)
+    residual_is_zero = eval_operator_polynomial(op, roots).is_zero()
+    mults = tuple(_geometric_multiplicity(op, r) for r in roots)
+    return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
 
 
 def _projector_roots(V, r, dual):
@@ -171,74 +183,155 @@ def _dominant_weight_spaces(V, dual):
     return module_memo(V, "dominant_spaces", dual, lambda: dominant_weight_spaces(V, shifts))
 
 
-def weight_blocks(V, op, dual):
-    """[(B_w, |S_n . w|)]: the square blocks of the block operator `op` on the
-    dominant weight spaces w of C^n (x) V (dual: of its dual).
+def weight_blocks(V, grid, dual, sign=1, shift=0):
+    """[(B_w, |S_n . w|)]: the square blocks on the dominant weight spaces w
+    of C^n (x) V (dual: of its dual) of the block operator whose block (i, j)
+    is sign * grid[i][j], plus shift * Id when i == j.
 
-    Raises ConsistencyViolationError when a dominant column has an entry in
-    a row of another weight: the blocks then do not describe `op`.
+    Column (j, q) of a block holds column q of grid[i][j] at the rows (i, r),
+    for each i, and the shift on its diagonal; the operator itself is never
+    built.  Raises ConsistencyViolationError when a dominant column has an
+    entry in a row of another weight: the blocks then do not describe the
+    operator.
     """
+    dim = V.dim
+    shift = Fraction(shift)
+    den = lcm(shift.denominator, *(m.den for row in grid for m in row))
+    diagonal = shift.numerator * (den // shift.denominator)
     blocks = []
     for w, indices in _dominant_weight_spaces(V, dual).items():
         position = {g: t for t, g in enumerate(indices)}
         cols = {}
         for t, g in enumerate(indices):
-            col = op.columns.get(g)
-            if col is None:
-                continue
-            out = cols[t] = {}
-            for r, v in col.items():
-                s = position.get(r)
-                if s is None:
-                    raise ConsistencyViolationError(
-                        f"{V!r}: a block operator maps index {g} to index {r} of another weight"
-                    )
-                out[s] = v
+            j, q = divmod(g, dim)
+            out = {}
+            for i, row in enumerate(grid):
+                m = row[j]
+                col = m.columns.get(q)
+                if col is None:
+                    continue
+                f, base = sign * (den // m.den), i * dim
+                for r, v in col.items():
+                    s = position.get(base + r)
+                    if s is None:
+                        raise ConsistencyViolationError(
+                            f"{V!r}: a block operator maps index {g} to index {base + r} of another weight"
+                        )
+                    out[s] = f * v
+            if diagonal:
+                v = out.get(t, 0) + diagonal
+                if v:
+                    out[t] = v
+                else:
+                    del out[t]
+            if out:
+                cols[t] = out
         size = len(indices)
-        blocks.append((Matrix.from_int_columns(size, size, op.den, cols), orbit_size(w)))
+        blocks.append((Matrix.from_int_columns(size, size, den, cols), orbit_size(w)))
     return blocks
+
+
+def sigma2_blocks(V):
+    """weight_blocks of sigma2_tilde: block (i, j) holds E_{j,i}, plus b*Id on
+    the diagonal."""
+    return weight_blocks(V, _generator_grid(V, transpose=True), dual=False, shift=V.b)
 
 
 def adjoint_blocks(V, dual):
     """weight_blocks of the generator grid (dual) or of its negated
     transpose, memoized per module."""
 
-    return module_memo(
-        V, "adjoint_blocks", dual, lambda: weight_blocks(V, adjoint_matrices(V, dual), dual)
-    )
+    def cut():
+        if dual:
+            return weight_blocks(V, _generator_grid(V, transpose=False), dual)
+        return weight_blocks(V, _generator_grid(V, transpose=True), dual, sign=-1)
+
+    return module_memo(V, "adjoint_blocks", dual, cut)
+
+
+def _trace_multiplicities(traces, roots):
+    """Multiplicities m_a of the distinct roots r_a in a diagonalizable block
+    B whose eigenvalues lie among them, from traces[s] = tr P_s, where P_s is
+    the product of (B - r_l) over the last s roots T_s.
+
+    tr P_s = sum over a not in T_s of m_a prod_{l in T_s} (r_a - r_l), and
+    the equation of s = len(roots) - 1 - a adds only m_a to the unknowns of
+    the roots before a, so the system is solved from the first root on.
+    """
+    last = len(roots) - 1
+    mults = []
+    for a, r in enumerate(roots):
+        later = roots[a + 1:]
+        known = sum(m * prod(roots[c] - l for l in later) for c, m in enumerate(mults))
+        m = Fraction(traces[last - a] - known) / prod(r - l for l in later)
+        if m.denominator != 1 or m < 0:
+            raise ConsistencyViolationError(
+                f"trace multiplicity {m} of root {r} is not a nonnegative integer"
+            )
+        mults.append(m.numerator)
+    return mults
 
 
 def identity_on_blocks(blocks, roots):
     """SpectrumReport of an operator given by square blocks [(B, weight)],
     such as its dominant weight blocks (`weight_blocks`): the residual is zero
     iff the product of (B - root) vanishes on every block, and a root's
-    multiplicity is the sum of its eigenspace dimensions on the blocks times
-    their weights."""
+    multiplicity is the sum of its multiplicities on the blocks times their
+    weights.
+
+    Where the product vanishes on a block and the roots are distinct, the
+    block is diagonalizable over Q with eigenvalues among the roots, and its
+    multiplicities come from the traces of the partial products
+    (`_trace_multiplicities`).  Otherwise, a nonzero residual or a repeated
+    root, they are eigenspace dimensions measured by rank, as the oracle
+    `check_characteristic_identity` measures them on all columns.
+    """
     roots = list(roots)
-    residual_is_zero = all(eval_operator_polynomial(b, roots).is_zero() for b, _ in blocks)
-    mults = tuple(
-        sum(_geometric_multiplicity(b, r) * size for b, size in blocks) for r in roots
-    )
-    return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
+    distinct = len(set(roots)) == len(roots)
+    residual_is_zero = True
+    mults = [0] * len(roots)
+    for b, size in blocks:
+        traces = []
+        vanishes = eval_operator_polynomial(b, roots, traces=traces).is_zero()
+        residual_is_zero = residual_is_zero and vanishes
+        if vanishes and distinct:
+            on_block = _trace_multiplicities(traces, roots)
+        else:
+            on_block = [_geometric_multiplicity(b, r) for r in roots]
+        for a, m in enumerate(on_block):
+            mults[a] += m * size
+    return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, tuple(mults))
 
 
 def block_operators(V):
-    """(name, operator, its dominant weight blocks, predicted roots) of each
-    block operator whose characteristic identity `verify-identity` reports."""
+    """(name, dominant weight blocks, predicted roots) of each block operator
+    whose characteristic identity `verify-identity` reports."""
     mu = V.highest_weight
     d, dt = predicted_adjoint_roots(mu)
-    s2 = sigma2_tilde(V)
     return (
-        ("sigma2", s2, weight_blocks(V, s2, dual=False), predicted_sigma2_roots(mu)),
-        ("adjoint", adjoint_matrices(V, dual=True), adjoint_blocks(V, dual=True), d),
-        ("adjoint_dual", adjoint_matrices(V, dual=False), adjoint_blocks(V, dual=False), dt),
+        ("sigma2", sigma2_blocks(V), predicted_sigma2_roots(mu)),
+        ("adjoint", adjoint_blocks(V, dual=True), d),
+        ("adjoint_dual", adjoint_blocks(V, dual=False), dt),
     )
 
 
 def projector_rank(V, r, dual):
-    """rank(tensor_projector(V, r, dual)), from the projectors of the dominant
-    weight blocks; raises DegenerateSpectrumError as tensor_projector does."""
+    """rank(tensor_projector(V, r, dual)), from the dominant weight blocks;
+    raises DegenerateSpectrumError as tensor_projector does.
+
+    Where the adjoint identity holds with distinct roots, the projector is
+    the spectral one and its rank is the target root's multiplicity in the
+    identity report of the blocks, read from traces and memoized per module
+    and `dual`.  Otherwise each block's Lagrange projector has its rank
+    measured.
+    """
     target, others = _projector_roots(V, r, dual)
+    roots = predicted_adjoint_roots(V.highest_weight)[0 if dual else 1]
+    report = module_memo(
+        V, "adjoint_report", dual, lambda: identity_on_blocks(adjoint_blocks(V, dual), roots)
+    )
+    if report.residual_is_zero and len(set(report.roots)) == len(report.roots):
+        return report.multiplicities[r - 1]
     return sum(
         rank(idempotent_from_spectrum(b, target, others)) * size
         for b, size in adjoint_blocks(V, dual)

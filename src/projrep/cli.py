@@ -212,7 +212,7 @@ def cmd_verify_identity(args):
     V = _build(args)
     # every operator commutes with gl(n): its dominant weight blocks decide
     reports = {
-        name: identity_on_blocks(blocks, roots) for name, _, blocks, roots in block_operators(V)
+        name: identity_on_blocks(blocks, roots) for name, blocks, roots in block_operators(V)
     }
     doc = {name: rep.to_json() for name, rep in reports.items()}
     lines = []

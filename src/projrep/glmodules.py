@@ -22,7 +22,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import ConsistencyViolationError, DimensionCapError
 from .linalg import Matrix
@@ -286,9 +286,10 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     def simple(k, step):
         """E_{k+1,k+2} (step 1) or E_{k+2,k+1} (step -1), k 0-based: row k of
         each pattern moves, and the numerators read the l-values of row
-        k + step."""
-        columns = []
-        for pattern, lv in zip(patterns, lvals):
+        k + step.  Each coefficient is an int pair (num, den), den > 0; the
+        matrix is their nums scaled to the lcm of the dens, over that lcm."""
+        columns = {}
+        for c, (pattern, lv) in enumerate(zip(patterns, lvals)):
             row, other = lv[k], lv[k + step] if k + step >= 0 else ()
             col = {}
             moved = pattern[k]
@@ -296,11 +297,18 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
                 shifted = moved[:i] + (moved[i] + step,) + moved[i + 1:]
                 tgt = index_of.get(pattern[:k] + (shifted,) + pattern[k + 1:])
                 if tgt is not None:
-                    num = prod(li - x for x in other)
+                    num = -step * prod(li - x for x in other)
                     den = prod(li - x for j, x in enumerate(row) if j != i)
-                    col[tgt] = Fraction(-step * num, den)
-            columns.append(dict(sorted(col.items())))
-        return Matrix.from_cols(columns, dim)
+                    if num:
+                        col[tgt] = (-num, -den) if den < 0 else (num, den)
+            if col:
+                columns[c] = dict(sorted(col.items()))
+        scale = lcm(*(den for col in columns.values() for _, den in col.values()))
+        ints = {
+            c: {r: num * (scale // den) for r, (num, den) in col.items()}
+            for c, col in columns.items()
+        }
+        return Matrix.from_int_columns(dim, dim, scale, ints)
 
     def commutator(a, b):
         m = a @ b - b @ a

@@ -457,12 +457,15 @@ def joint_kernel(ops, vectors):
 # -- operator polynomials ----------------------------------------------------
 
 
-def eval_operator_polynomial(op, roots, divisor=1):
+def eval_operator_polynomial(op, roots, divisor=1, traces=None):
     """Product of (op - r*Id) over the given roots, divided by the nonzero
     scalar `divisor`.
 
     The factors commute, so their order cannot change the value; they are
-    multiplied right to left, each product on the integer columns.
+    multiplied right to left, each product on the integer columns.  When
+    `traces` is a list, the exact trace of each partial product over the
+    last s roots, s = 0, ..., len(roots) - 1, is appended to it, before the
+    division.
     """
     if op.rows != op.cols:
         raise ValueError("operator polynomial needs a square matrix")
@@ -472,6 +475,9 @@ def eval_operator_polynomial(op, roots, divisor=1):
     ident = Matrix.identity(op.rows)
     out = ident
     for r in reversed(roots):
+        if traces is not None:
+            diagonal = sum(col.get(c, 0) for c, col in out.columns.items())
+            traces.append(Fraction(diagonal, out.den))
         out = (op - ident.scale(r)) @ out
     return out.scale(Fraction(1, divisor))
 

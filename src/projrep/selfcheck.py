@@ -230,12 +230,23 @@ def check_projector_suite(V):
     return True, "idempotence, orthogonality, resolution, ranks"
 
 
+def _full_block_operators(V):
+    """The n*dim block operators of block_operators, by name, for the oracles."""
+    return {
+        "sigma2": sigma2_tilde(V),
+        "adjoint": adjoint_matrices(V, dual=True),
+        "adjoint_dual": adjoint_matrices(V, dual=False),
+    }
+
+
 def check_block_spectra(V):
-    """The dominant-weight-block answers of the command line against the
-    all-columns oracle: identity reports and every projector rank."""
-    for name, op, blocks, roots in block_operators(V):
+    """The dominant-weight-block answers of the command line, multiplicities
+    from traces, against the all-columns oracle, multiplicities from ranks:
+    identity reports and every projector rank."""
+    full_ops = _full_block_operators(V)
+    for name, blocks, roots in block_operators(V):
         on_blocks = identity_on_blocks(blocks, roots)
-        full = check_characteristic_identity(op, roots)
+        full = check_characteristic_identity(full_ops[name], roots)
         if on_blocks != full:
             return False, f"{name}: blocks {on_blocks} != full {full}"
     for dual in (False, True):
@@ -253,8 +264,9 @@ def check_spectrum_oracle(V):
     those multiplicities."""
     if V.n * V.dim > ORACLE_MAX_DIM:
         return True, f"n*dim = {V.n * V.dim} exceeds the oracle's cap; nothing to verify"
-    for name, op, blocks, roots in block_operators(V):
-        spectrum, complete = brute_force_spectrum(op)
+    full_ops = _full_block_operators(V)
+    for name, blocks, roots in block_operators(V):
+        spectrum, complete = brute_force_spectrum(full_ops[name])
         report = identity_on_blocks(blocks, roots)
         measured = {r: m for r, m in zip(report.roots, report.multiplicities) if m}
         if not complete or spectrum != measured:

@@ -1,10 +1,12 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from projrep.charident import (
+    SpectrumReport,
     adjoint_blocks,
     adjoint_matrices,
     brute_force_spectrum,
@@ -13,13 +15,14 @@ from projrep.charident import (
     predicted_adjoint_roots,
     predicted_sigma2_roots,
     projector_rank,
+    sigma2_blocks,
     sigma2_tilde,
     tensor_projector,
-    weight_blocks,
 )
 from projrep.glmodules import (
     DominantLabels,
     cached_module,
+    dominant_weight_spaces,
     is_dominant,
     orbit_size,
     weight_from_labels,
@@ -238,7 +241,8 @@ BLOCK_ORACLE_POINTS = [
     for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2))
 ] + [
     (n, dynkin, b)
-    for n, dynkin in ((4, (1, 0, 1)), (4, (1, 1, 1)), (4, (0, 2, 0)), (5, (1, 0, 0, 1)), (5, (0, 1, 1, 0)))
+    for n, dynkin in ((4, (1, 0, 1)), (4, (1, 1, 1)), (4, (0, 2, 0)), (5, (1, 0, 0, 1)), (5, (0, 1, 1, 0)),
+                      (3, (4, 4)), (4, (2, 0, 2)))
     for b in (F(0), F(1, 2), F(-2))
 ]
 
@@ -253,7 +257,7 @@ def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
     m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
     s2 = sigma2_tilde(V)
     for blocks, op, roots in (
-        (weight_blocks(V, s2, dual=False), s2, predicted_sigma2_roots(mu)),
+        (sigma2_blocks(V), s2, predicted_sigma2_roots(mu)),
         (adjoint_blocks(V, dual=True), m, d),
         (adjoint_blocks(V, dual=False), mt, dt),
     ):
@@ -273,16 +277,100 @@ def test_blocks_are_the_dominant_weight_spaces():
     weight's multiplicity, together covering fewer than n*dim indices."""
     V = cached_module(4, (1, 1, 1), F(0))
     n, dim = V.n, V.dim
-    m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
-    for dual, op in ((False, sigma2_tilde(V)), (False, mt), (True, m)):
+    for dual, blocks, op in ((False, sigma2_blocks(V), sigma2_tilde(V)),
+                             (False, adjoint_blocks(V, False), adjoint_matrices(V, False)),
+                             (True, adjoint_blocks(V, True), adjoint_matrices(V, True))):
         sign = -1 if dual else 1
+        # each block, cut from the generators, is the full operator restricted
+        # to the positions of its weight
+        shifts = [tuple(sign * (t == i) for t in range(n)) for i in range(n)]
+        entries = op.entries
+        for (b, _), indices in zip(blocks, dominant_weight_spaces(V, shifts).values()):
+            restricted = {(s, t): entries.get((g, h), 0)
+                          for s, g in enumerate(indices) for t, h in enumerate(indices)}
+            assert b == Matrix(len(indices), len(indices), restricted)
         mult = Counter(
             tuple(x + sign * (t == i) for t, x in enumerate(w))
             for w in V.basis_weights for i in range(n)
         )
         dominant = sorted((k, orbit_size(w)) for w, k in mult.items() if is_dominant(w))
-        blocks = weight_blocks(V, op, dual)
         assert sorted((b.rows, size) for b, size in blocks) == dominant
         assert all(b.rows == b.cols for b, _ in blocks)
         assert sum(b.rows for b, _ in blocks) < n * dim
         assert sum(b.rows * size for b, size in blocks) == n * dim
+
+
+# -- the trace solver on its own ------------------------------------------------
+
+
+def _conjugated_diagonal(rng, diagonal):
+    """S D S^-1 for D = diag(diagonal) and a random unimodular integer S,
+    built from elementary similarities: row i += c * row j, then column
+    j -= c * column i."""
+    size = len(diagonal)
+    dense = [[diagonal[i] if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        dense[i] = [x + c * y for x, y in zip(dense[i], dense[j])]
+        for row in dense:
+            row[j] -= c * row[i]
+    return Matrix(size, size, {(r, k): v for r, row in enumerate(dense) for k, v in enumerate(row) if v})
+
+
+def _counting_ranks(monkeypatch):
+    """A list that receives one entry per rank taken in charident."""
+    import projrep.charident as charident_mod
+
+    calls = []
+    real = charident_mod.rank
+
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(charident_mod, "rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_trace_multiplicities_equal_rank_multiplicities(seed, monkeypatch):
+    """On a diagonalizable S D S^-1 with prescribed distinct roots, some of
+    them absent from D, the trace multiplicities take no rank and equal the
+    eigenspace dimensions that the rank oracle measures."""
+    rng = random.Random(seed)
+    roots = rng.sample([F(-3), F(-1), F(0), F(1, 2), F(2), F(5, 3), F(4)], rng.randint(1, 5))
+    present = rng.sample(roots, rng.randint(1, len(roots)))
+    diagonal = [rng.choice(present) for _ in range(rng.randint(2, 7))]
+    op = _conjugated_diagonal(rng, diagonal)
+    calls = _counting_ranks(monkeypatch)
+    report = identity_on_blocks([(op, 3)], roots)
+    assert calls == []
+    assert report.residual_is_zero
+    assert report.multiplicities == tuple(3 * diagonal.count(r) for r in roots)
+    monkeypatch.undo()
+    oracle = check_characteristic_identity(op, roots)
+    assert report == SpectrumReport(oracle.roots, True, tuple(3 * m for m in oracle.multiplicities))
+
+
+@pytest.mark.parametrize("case", ["jordan block", "repeated root", "shifted root"])
+def test_trace_solver_falls_back_to_ranks(case, monkeypatch):
+    """Where the traces cannot decide, a nonzero residual or a repeated root,
+    the multiplicities are measured by rank and equal the oracle's."""
+    rng = random.Random(case)
+    roots = [F(2), F(-1), F(1, 2)]
+    if case == "jordan block":
+        dense = {(0, 0): 2, (0, 1): 1, (1, 1): 2, (2, 2): -1, (3, 3): F(1, 2)}
+        op = Matrix(4, 4, dense)
+    else:
+        op = _conjugated_diagonal(rng, [F(2), F(2), F(-1), F(1, 2), F(1, 2)])
+        if case == "repeated root":
+            roots = [F(2), F(-1), F(1, 2), F(2)]
+        else:
+            roots = [F(3), F(-1), F(1, 2)]
+    calls = _counting_ranks(monkeypatch)
+    report = identity_on_blocks([(op, 1)], roots)
+    assert len(calls) == len(roots)
+    monkeypatch.undo()
+    assert report == check_characteristic_identity(op, roots)
+    assert report.residual_is_zero == (case == "repeated root")

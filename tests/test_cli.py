@@ -242,6 +242,26 @@ def test_off_weight_generator_exits_2(capsys, monkeypatch, command, n, labels):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["verify-identity"], ["decompose", "-k", "1"]])
+def test_spectral_commands_take_no_rank_and_build_no_block_operator(capsys, monkeypatch, argv):
+    """The command line reads multiplicities and projector ranks from traces
+    on blocks cut from the generators: no rank, no elimination, no n*dim
+    block operator."""
+    import projrep.charident as charident
+    import projrep.linalg as linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the command-line path")
+
+    for owner, name in ((linalg, "rank"), (charident, "rank"), (linalg.EchelonSpan, "insert"),
+                        (linalg, "block"), (charident, "block"), (charident, "sigma2_tilde"),
+                        (charident, "adjoint_matrices")):
+        monkeypatch.setattr(owner, name, forbidden)
+    code, out, err = run(capsys, *argv, "-n", "4", "-a", "1,1,1", "-b", "1/2", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)
+
+
 def _outcome(capsys, argv):
     """(exit code, stdout, stderr) of main(argv), a usage error's exit included."""
     try:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -275,3 +276,27 @@ def test_generators_are_pinned_bit_for_bit(n, dynkin, b, dim, digest):
     V = build_irreducible(DominantLabels(n, dynkin, b))
     assert V.dim == dim
     assert _generator_digest(V) == digest
+
+
+def test_simple_generators_take_no_fraction_arithmetic(monkeypatch):
+    """The closed-form coefficients are int pairs over one lcm: building
+    labels 2,1,2 (dim 300) does exactly the Fraction work, arithmetic and
+    construction, of building the trivial module, which has no generator
+    entries, so none of it is per entry."""
+    from test_linalg import _count_fraction_arithmetic
+
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append("__new__")
+        return real_new(cls, *args, **kwargs)
+
+    counts = []
+    for dynkin in ((0, 0, 0), (2, 1, 2)):
+        calls = []
+        _count_fraction_arithmetic(monkeypatch, calls)
+        monkeypatch.setattr(F, "__new__", counting_new)
+        V = build_irreducible(DominantLabels(4, dynkin, F(1, 2)))
+        monkeypatch.undo()
+        counts.append(Counter(calls))
+    assert V.dim == 300 and counts[0] == counts[1]
