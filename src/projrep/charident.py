@@ -2,35 +2,35 @@
 
 Three square block matrices are built from a module's generator action: the
 shifted quadratic-Casimir block matrix (identity-plus-generator blocks), and
-the plain generator grid together with its negated transpose.  Each satisfies
-a polynomial identity with explicitly predictable rational roots; the Lagrange
-interpolation idempotents cut tensor products with the (dual) vector
-representation into their isotypic pieces.  Everything is exact; a residual
-is either the zero matrix or the identity fails.  The brute-force spectrum
-oracle finds the rational eigenvalues from the exact characteristic
-polynomial by an integer root search, with the standard library only;
-`selfcheck` runs it on every block operator of dimension up to
-ORACLE_MAX_DIM.
+the plain generator grid together with its negated transpose.  `_definition`
+holds each one's blocks, weights and predicted roots; everything else is
+derived from it.  Each satisfies a polynomial identity with explicitly
+predictable rational roots; the Lagrange interpolation idempotents cut tensor
+products with the (dual) vector representation into their isotypic pieces.
+Everything is exact; a residual is either the zero matrix or the identity
+fails.  The brute-force spectrum oracle finds the rational eigenvalues from
+the exact characteristic polynomial by an integer root search, with the
+standard library only; `selfcheck` runs it on every block operator of
+dimension up to ORACLE_MAX_DIM.
 
 Each block operator commutes with the diagonal gl(n) action on C^n (x) V
-(sigma2_tilde and the negated transpose) or on its dual (the generator
-grid): the index (i, q), global i*dim + q, has weight w_q + e_i, or w_q - e_i
-on the dual.  Its operator polynomials, eigenspaces and projectors are then
-gl(n)-submodules or module maps, so the command line reads them off the
-square blocks on the dominant weight spaces alone (`weight_blocks`, over the
-positions that `glmodules.dominant_weight_spaces` groups by weight): a
-residual vanishes iff it vanishes on every dominant block (a nonzero
-quotient has a dominant highest weight), and a kernel's or image's
-dimension is the sum over dominant w of its dimension on the block of w
-times |S_n . w|.  The blocks are cut straight from the generator grid;
-no n*dim operator is built.  Where the identity holds
-on a block and its roots are distinct, the block is diagonalizable over Q,
-and each root's multiplicity comes from the traces of the partial products
-that the residual already forms (`identity_on_blocks`), with no rank.
-Ranks measure multiplicities only where that fails (a nonzero residual or
-a repeated root) and in the oracles: `check_characteristic_identity` and
-`tensor_projector` keep the all-columns computation, by rank, as the
-oracle of the block path.
+(sigma2 and adjoint_dual) or on its dual (adjoint): the index (i, q),
+global i*dim + q, has weight w_q + e_i, or w_q - e_i on the dual.  Its
+operator polynomials, eigenspaces and projectors are then gl(n)-submodules
+or module maps, so the command line reads them off the square blocks on the
+dominant weight spaces alone (`weight_blocks`, over the positions that
+`glmodules.dominant_weight_spaces` groups by weight): a residual vanishes
+iff it vanishes on every dominant block (a nonzero quotient has a dominant
+highest weight), and a kernel's or image's dimension is the sum over
+dominant w of its dimension on the block of w times |S_n . w|.  The blocks
+are cut straight from the generator grid; no n*dim operator is built.  The
+identity holds on every block and its roots are distinct, so each block is
+diagonalizable over Q, and each root's multiplicity comes from the traces
+of the partial products that the residual already forms
+(`identity_on_blocks`), with no rank; a block where the identity fails, or
+a repeated root, is refused.  `check_characteristic_identity` and
+`tensor_projector` keep the all-columns computation, by rank, as the oracle
+of the block path.
 """
 
 from __future__ import annotations
@@ -53,23 +53,39 @@ from .linalg import (
 )
 
 __all__ = [
+    "OPERATORS",
     "SpectrumReport",
-    "adjoint_blocks",
     "adjoint_matrices",
-    "block_operators",
+    "block_report",
     "brute_force_spectrum",
     "check_characteristic_identity",
+    "full_operator",
     "identity_on_blocks",
     "predicted_adjoint_roots",
     "predicted_sigma2_roots",
     "projector_rank",
-    "sigma2_blocks",
     "sigma2_tilde",
     "tensor_projector",
     "weight_blocks",
 ]
 
 ORACLE_MAX_DIM = 48
+
+# the block operators whose characteristic identities `verify-identity` reports
+OPERATORS = ("sigma2", "adjoint", "adjoint_dual")
+
+
+def predicted_sigma2_roots(mu):
+    """Roots m_i = mu_i + |mu| - i + 1 (i running 1..n)."""
+    tot = sum(mu)
+    return [Fraction(mu[i] + tot - i) for i in range(len(mu))]
+
+
+def predicted_adjoint_roots(mu):
+    """(d, d~) with d_i = mu_i + n - i and d~_i = n - 1 - d_i."""
+    n = len(mu)
+    d = [Fraction(mu[i] + n - (i + 1)) for i in range(n)]
+    return d, [Fraction(n - 1) - x for x in d]
 
 
 def _generator_grid(V, transpose):
@@ -79,41 +95,55 @@ def _generator_grid(V, transpose):
     return [[V.e(j, i) if transpose else V.e(i, j) for j in range(n)] for i in range(n)]
 
 
-def sigma2_tilde(V):
-    """Identity-plus-generator block matrix: block (i,j) holds E_{j,i}, plus
-    b*Id on the diagonal blocks.
+def _definition(V, name):
+    """(grid, dual, sign, shift, roots) of the block operator `name`: block
+    (i, j) is sign * grid[i][j], plus shift * Id when i == j; its index
+    (i, q) has weight w_q + e_i, or w_q - e_i when `dual`; and `roots` are
+    the predicted roots of its characteristic identity.
 
-    The block order matters: with blocks E_{j,i} this is exactly the matrix
-    whose columns are the degree-one raising chains (stack the i-th
-    pseudo-translation of every degree-zero basis vector), and its roots are
-    the m_i below.  Flipping the blocks to E_{i,j} shifts every root by n-1
-    and breaks the identity.
+    sigma2: block (i, j) holds E_{j,i}, plus b*Id on the diagonal.  The
+    block order matters: this is exactly the matrix whose columns are the
+    degree-one raising chains (stack the i-th pseudo-translation of every
+    degree-zero basis vector), and its roots are the m_i.  Flipping the
+    blocks to E_{i,j} shifts every root by n-1 and breaks the identity.
+    adjoint: the generator grid M, on the dual, with roots d.
+    adjoint_dual: its negated block-transpose, with roots d~.
     """
-    return block(_generator_grid(V, transpose=True)) + Matrix.identity(V.n * V.dim).scale(V.b)
+    mu = V.highest_weight
+    if name == "sigma2":
+        return _generator_grid(V, transpose=True), False, 1, V.b, predicted_sigma2_roots(mu)
+    d, dt = predicted_adjoint_roots(mu)
+    if name == "adjoint":
+        return _generator_grid(V, transpose=False), True, 1, Fraction(0), d
+    if name == "adjoint_dual":
+        return _generator_grid(V, transpose=True), False, -1, Fraction(0), dt
+    raise ValueError(f"no block operator named {name!r}")
 
 
-def predicted_sigma2_roots(mu):
-    """Roots m_i = mu_i + |mu| - i + 1 (i running 1..n)."""
-    tot = sum(mu)
-    return [Fraction(mu[i] + tot - i) for i in range(len(mu))]
+def _adjoint(dual):
+    """The name of the adjoint block operator on the dual (or not)."""
+    return "adjoint" if dual else "adjoint_dual"
+
+
+def full_operator(V, name):
+    """The whole n*dim block operator `name`, memoized per module: the input
+    of the oracles, never built on the command line."""
+
+    def build():
+        grid, _, sign, shift, _ = _definition(V, name)
+        return block(grid).scale(sign) + Matrix.identity(V.n * V.dim).scale(shift)
+
+    return module_memo(V, "operator", name, build)
+
+
+def sigma2_tilde(V):
+    """The identity-plus-generator block matrix (`_definition`)."""
+    return full_operator(V, "sigma2")
 
 
 def adjoint_matrices(V, dual):
-    """The generator grid M (dual) or its negated block-transpose, built once
-    per module and `dual`: every projector of `tensor_projector` shares it."""
-
-    def build():
-        m = block(_generator_grid(V, transpose=not dual))
-        return m if dual else -m
-
-    return module_memo(V, "adjoint", dual, build)
-
-
-def predicted_adjoint_roots(mu):
-    """(d, d~) with d_i = mu_i + n - i and d~_i = n - 1 - d_i."""
-    n = len(mu)
-    d = [Fraction(mu[i] + n - (i + 1)) for i in range(n)]
-    return d, [Fraction(n - 1) - x for x in d]
+    """The generator grid M (dual) or its negated block-transpose."""
+    return full_operator(V, _adjoint(dual))
 
 
 @dataclass(frozen=True)
@@ -145,31 +175,15 @@ def check_characteristic_identity(op, roots):
     return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
 
 
-def _projector_roots(V, r, dual):
-    """(target, others): the root of summand r and the roots it is cut from."""
-    n = V.n
-    if not (1 <= r <= n):
-        raise ValueError(f"r must be in 1..{n}")
-    d, dt = predicted_adjoint_roots(V.highest_weight)
-    roots = d if dual else dt
-    target = roots[r - 1]
-    others = [roots[l] for l in range(n) if l != r - 1]
-    for l in range(n):
-        if l != r - 1 and roots[l] == target:
-            raise DegenerateSpectrumError(target, (r, l + 1))
-    return target, others
-
-
 def tensor_projector(V, r, dual):
     """Spectral projector onto one isotypic summand of the tensor with the
-    vector representation (dual=True: its dual).  `r` is 1-based.
-
-    Returns the zero matrix when the summand is absent from the tensor
-    decomposition; raises DegenerateSpectrumError (with the colliding pair)
-    if the needed roots coincide.
-    """
-    target, others = _projector_roots(V, r, dual)
-    return idempotent_from_spectrum(adjoint_matrices(V, dual), target, others)
+    vector representation (dual=True: its dual), the zero matrix when the
+    summand is absent.  `r` is 1-based."""
+    if not (1 <= r <= V.n):
+        raise ValueError(f"r must be in 1..{V.n}")
+    roots = _definition(V, _adjoint(dual))[-1]
+    others = roots[:r - 1] + roots[r:]
+    return idempotent_from_spectrum(adjoint_matrices(V, dual), roots[r - 1], others)
 
 
 # -- the same answers from the dominant weight blocks --------------------------
@@ -183,19 +197,18 @@ def _dominant_weight_spaces(V, dual):
     return module_memo(V, "dominant_spaces", dual, lambda: dominant_weight_spaces(V, shifts))
 
 
-def weight_blocks(V, grid, dual, sign=1, shift=0):
-    """[(B_w, |S_n . w|)]: the square blocks on the dominant weight spaces w
-    of C^n (x) V (dual: of its dual) of the block operator whose block (i, j)
-    is sign * grid[i][j], plus shift * Id when i == j.
+def weight_blocks(V, name):
+    """[(B_w, |S_n . w|)]: the square blocks of the block operator `name` on
+    the dominant weight spaces w of C^n (x) V, or of its dual.
 
-    Column (j, q) of a block holds column q of grid[i][j] at the rows (i, r),
-    for each i, and the shift on its diagonal; the operator itself is never
-    built.  Raises ConsistencyViolationError when a dominant column has an
-    entry in a row of another weight: the blocks then do not describe the
-    operator.
+    Column (j, q) of a block holds column q of sign * grid[i][j] at the rows
+    (i, r), for each i, and the shift on its diagonal (`_definition`); the
+    operator itself is never built.  Raises ConsistencyViolationError when a
+    dominant column has an entry in a row of another weight: the blocks then
+    do not describe the operator.
     """
+    grid, dual, sign, shift, _ = _definition(V, name)
     dim = V.dim
-    shift = Fraction(shift)
     den = lcm(shift.denominator, *(m.den for row in grid for m in row))
     diagonal = shift.numerator * (den // shift.denominator)
     blocks = []
@@ -231,24 +244,6 @@ def weight_blocks(V, grid, dual, sign=1, shift=0):
     return blocks
 
 
-def sigma2_blocks(V):
-    """weight_blocks of sigma2_tilde: block (i, j) holds E_{j,i}, plus b*Id on
-    the diagonal."""
-    return weight_blocks(V, _generator_grid(V, transpose=True), dual=False, shift=V.b)
-
-
-def adjoint_blocks(V, dual):
-    """weight_blocks of the generator grid (dual) or of its negated
-    transpose, memoized per module."""
-
-    def cut():
-        if dual:
-            return weight_blocks(V, _generator_grid(V, transpose=False), dual)
-        return weight_blocks(V, _generator_grid(V, transpose=True), dual, sign=-1)
-
-    return module_memo(V, "adjoint_blocks", dual, cut)
-
-
 def _trace_multiplicities(traces, roots):
     """Multiplicities m_a of the distinct roots r_a in a diagonalizable block
     B whose eigenvalues lie among them, from traces[s] = tr P_s, where P_s is
@@ -274,68 +269,53 @@ def _trace_multiplicities(traces, roots):
 
 def identity_on_blocks(blocks, roots):
     """SpectrumReport of an operator given by square blocks [(B, weight)],
-    such as its dominant weight blocks (`weight_blocks`): the residual is zero
-    iff the product of (B - root) vanishes on every block, and a root's
-    multiplicity is the sum of its multiplicities on the blocks times their
-    weights.
+    such as its dominant weight blocks (`weight_blocks`), whose product of
+    (B - root) vanishes on every block: a root's multiplicity is the sum of
+    its multiplicities on the blocks times their weights.
 
-    Where the product vanishes on a block and the roots are distinct, the
-    block is diagonalizable over Q with eigenvalues among the roots, and its
-    multiplicities come from the traces of the partial products
-    (`_trace_multiplicities`).  Otherwise, a nonzero residual or a repeated
-    root, they are eigenspace dimensions measured by rank, as the oracle
-    `check_characteristic_identity` measures them on all columns.
+    Each block is then diagonalizable over Q with eigenvalues among the
+    distinct roots, and its multiplicities come from the traces of the
+    partial products (`_trace_multiplicities`).  Raises
+    DegenerateSpectrumError on a repeated root and ConsistencyViolationError
+    on a block where the product does not vanish.
     """
     roots = list(roots)
-    distinct = len(set(roots)) == len(roots)
-    residual_is_zero = True
+    for a, r in enumerate(roots):
+        if r in roots[:a]:
+            raise DegenerateSpectrumError(r, (roots.index(r), a))
     mults = [0] * len(roots)
     for b, size in blocks:
         traces = []
-        vanishes = eval_operator_polynomial(b, roots, traces=traces).is_zero()
-        residual_is_zero = residual_is_zero and vanishes
-        if vanishes and distinct:
-            on_block = _trace_multiplicities(traces, roots)
-        else:
-            on_block = [_geometric_multiplicity(b, r) for r in roots]
-        for a, m in enumerate(on_block):
+        if not eval_operator_polynomial(b, roots, traces=traces).is_zero():
+            raise ConsistencyViolationError(
+                f"the characteristic identity with roots {[format_rational(r) for r in roots]} "
+                f"fails on a {b.rows}x{b.rows} block"
+            )
+        for a, m in enumerate(_trace_multiplicities(traces, roots)):
             mults[a] += m * size
-    return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, tuple(mults))
+    return SpectrumReport(tuple(Fraction(r) for r in roots), True, tuple(mults))
 
 
-def block_operators(V):
-    """(name, dominant weight blocks, predicted roots) of each block operator
-    whose characteristic identity `verify-identity` reports."""
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
-    return (
-        ("sigma2", sigma2_blocks(V), predicted_sigma2_roots(mu)),
-        ("adjoint", adjoint_blocks(V, dual=True), d),
-        ("adjoint_dual", adjoint_blocks(V, dual=False), dt),
-    )
+def block_report(V, name):
+    """identity_on_blocks of the block operator `name` on its dominant weight
+    blocks with its predicted roots, memoized per module; a
+    ConsistencyViolationError names the operator."""
+
+    def compute():
+        try:
+            return identity_on_blocks(weight_blocks(V, name), _definition(V, name)[-1])
+        except ConsistencyViolationError as exc:
+            raise ConsistencyViolationError(f"{name}: {exc}") from None
+
+    return module_memo(V, "block_report", name, compute)
 
 
 def projector_rank(V, r, dual):
-    """rank(tensor_projector(V, r, dual)), from the dominant weight blocks;
-    raises DegenerateSpectrumError as tensor_projector does.
-
-    Where the adjoint identity holds with distinct roots, the projector is
-    the spectral one and its rank is the target root's multiplicity in the
-    identity report of the blocks, read from traces and memoized per module
-    and `dual`.  Otherwise each block's Lagrange projector has its rank
-    measured.
-    """
-    target, others = _projector_roots(V, r, dual)
-    roots = predicted_adjoint_roots(V.highest_weight)[0 if dual else 1]
-    report = module_memo(
-        V, "adjoint_report", dual, lambda: identity_on_blocks(adjoint_blocks(V, dual), roots)
-    )
-    if report.residual_is_zero and len(set(report.roots)) == len(report.roots):
-        return report.multiplicities[r - 1]
-    return sum(
-        rank(idempotent_from_spectrum(b, target, others)) * size
-        for b, size in adjoint_blocks(V, dual)
-    )
+    """rank(tensor_projector(V, r, dual)): the multiplicity of summand r's
+    root in the block report of the adjoint operator, read from traces."""
+    if not (1 <= r <= V.n):
+        raise ValueError(f"r must be in 1..{V.n}")
+    return block_report(V, _adjoint(dual)).multiplicities[r - 1]
 
 
 def brute_force_spectrum(m):

@@ -457,21 +457,18 @@ def joint_kernel(ops, vectors):
 # -- operator polynomials ----------------------------------------------------
 
 
-def eval_operator_polynomial(op, roots, divisor=1, traces=None):
-    """Product of (op - r*Id) over the given roots, divided by the nonzero
-    scalar `divisor`.
+def eval_operator_polynomial(op, roots, traces=None):
+    """Product of (op - r*Id) over the given roots.
 
     The factors commute, so their order cannot change the value; they are
     multiplied right to left, each product on the integer columns.  When
     `traces` is a list, the exact trace of each partial product over the
-    last s roots, s = 0, ..., len(roots) - 1, is appended to it, before the
-    division.
+    last s roots, s = 0, ..., len(roots) - 1, is appended to it.
     """
     if op.rows != op.cols:
         raise ValueError("operator polynomial needs a square matrix")
     for r in roots:
         _check_scalar(r)
-    _check_scalar(divisor)
     ident = Matrix.identity(op.rows)
     out = ident
     for r in reversed(roots):
@@ -479,7 +476,7 @@ def eval_operator_polynomial(op, roots, divisor=1, traces=None):
             diagonal = sum(col.get(c, 0) for c, col in out.columns.items())
             traces.append(Fraction(diagonal, out.den))
         out = (op - ident.scale(r)) @ out
-    return out.scale(Fraction(1, divisor))
+    return out
 
 
 def idempotent_from_spectrum(op, target, others):
@@ -504,7 +501,7 @@ def idempotent_from_spectrum(op, target, others):
     den = 1
     for l in others:
         den = den * (target - l)
-    return eval_operator_polynomial(op, list(others), den)
+    return eval_operator_polynomial(op, list(others)).scale(Fraction(1, den))
 
 
 # -- incremental spans -------------------------------------------------------

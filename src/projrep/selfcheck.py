@@ -32,12 +32,13 @@ from .action import (
     verify_bracket_consistency,
 )
 from .charident import (
+    OPERATORS,
     ORACLE_MAX_DIM,
     adjoint_matrices,
-    block_operators,
+    block_report,
     brute_force_spectrum,
     check_characteristic_identity,
-    identity_on_blocks,
+    full_operator,
     predicted_adjoint_roots,
     predicted_sigma2_roots,
     projector_rank,
@@ -230,23 +231,13 @@ def check_projector_suite(V):
     return True, "idempotence, orthogonality, resolution, ranks"
 
 
-def _full_block_operators(V):
-    """The n*dim block operators of block_operators, by name, for the oracles."""
-    return {
-        "sigma2": sigma2_tilde(V),
-        "adjoint": adjoint_matrices(V, dual=True),
-        "adjoint_dual": adjoint_matrices(V, dual=False),
-    }
-
-
 def check_block_spectra(V):
     """The dominant-weight-block answers of the command line, multiplicities
     from traces, against the all-columns oracle, multiplicities from ranks:
     identity reports and every projector rank."""
-    full_ops = _full_block_operators(V)
-    for name, blocks, roots in block_operators(V):
-        on_blocks = identity_on_blocks(blocks, roots)
-        full = check_characteristic_identity(full_ops[name], roots)
+    for name in OPERATORS:
+        on_blocks = block_report(V, name)
+        full = check_characteristic_identity(full_operator(V, name), on_blocks.roots)
         if on_blocks != full:
             return False, f"{name}: blocks {on_blocks} != full {full}"
     for dual in (False, True):
@@ -264,10 +255,9 @@ def check_spectrum_oracle(V):
     those multiplicities."""
     if V.n * V.dim > ORACLE_MAX_DIM:
         return True, f"n*dim = {V.n * V.dim} exceeds the oracle's cap; nothing to verify"
-    full_ops = _full_block_operators(V)
-    for name, blocks, roots in block_operators(V):
-        spectrum, complete = brute_force_spectrum(full_ops[name])
-        report = identity_on_blocks(blocks, roots)
+    for name in OPERATORS:
+        spectrum, complete = brute_force_spectrum(full_operator(V, name))
+        report = block_report(V, name)
         measured = {r: m for r, m in zip(report.roots, report.multiplicities) if m}
         if not complete or spectrum != measured:
             return False, f"{name}: oracle spectrum {spectrum} (complete: {complete}) != {measured}"

@@ -4,30 +4,36 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projrep.charident import (
+    OPERATORS,
     SpectrumReport,
-    adjoint_blocks,
     adjoint_matrices,
+    block_report,
     brute_force_spectrum,
     check_characteristic_identity,
+    full_operator,
     identity_on_blocks,
     predicted_adjoint_roots,
     predicted_sigma2_roots,
     projector_rank,
-    sigma2_blocks,
     sigma2_tilde,
     tensor_projector,
+    weight_blocks,
 )
+from projrep.errors import ConsistencyViolationError
 from projrep.glmodules import (
     DominantLabels,
+    build_irreducible,
     cached_module,
+    clear_caches,
     dominant_weight_spaces,
     is_dominant,
     orbit_size,
     weight_from_labels,
 )
-from projrep.linalg import Matrix, rank
+from projrep.linalg import DegenerateSpectrumError, Matrix, rank
 from projrep.selfcheck import (
     check_adjoint_identities,
     check_projector_equivariance,
@@ -35,6 +41,7 @@ from projrep.selfcheck import (
     check_sigma2_identity,
     check_spectrum_oracle,
     eligible_indices,
+    run_selfcheck,
 )
 
 SWEEP = [
@@ -228,8 +235,13 @@ def test_spectrum_oracle_catches_a_shifted_predicted_root(monkeypatch):
         return [roots[0] + F(1, 3)] + roots[1:]
 
     monkeypatch.setattr(charident_mod, "predicted_sigma2_roots", shifted)
-    ok, detail = check_spectrum_oracle(V)
-    assert not ok and detail.startswith("sigma2:")
+    # the block report is memoized per module: V keeps the one it has
+    with pytest.raises(ConsistencyViolationError, match="^sigma2: "):
+        check_spectrum_oracle(build_irreducible(V.labels))
+    clear_caches()
+    records = [r for r in run_selfcheck(n_max=1) if r.check == "spectrum-oracle"]
+    assert records and not any(r.ok for r in records)
+    assert all(r.detail.startswith("consistency violation: sigma2: ") for r in records)
 
 
 # criterion 1's grid, then larger ranks at an integral, a half-integral and a
@@ -252,23 +264,50 @@ def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
     """Residual flags, multiplicities and projector ranks read off the
     dominant weight blocks equal the all-columns computation."""
     V = cached_module(n, dynkin, b)
-    mu = V.highest_weight
-    d, dt = predicted_adjoint_roots(mu)
-    m, mt = adjoint_matrices(V, dual=True), adjoint_matrices(V, dual=False)
-    s2 = sigma2_tilde(V)
-    for blocks, op, roots in (
-        (sigma2_blocks(V), s2, predicted_sigma2_roots(mu)),
-        (adjoint_blocks(V, dual=True), m, d),
-        (adjoint_blocks(V, dual=False), mt, dt),
-    ):
-        full = check_characteristic_identity(op, roots)
-        assert identity_on_blocks(blocks, roots) == full
-        # a wrong root set must be caught on the blocks as on the full matrix
+    for name in OPERATORS:
+        op = full_operator(V, name)
+        report = block_report(V, name)
+        assert report == check_characteristic_identity(op, report.roots)
+        # a wrong root set: a root that is not realized can move without
+        # breaking the identity; otherwise the blocks refuse it
+        roots = report.roots
         wrong = [roots[0] + 1] + list(roots[1:])
-        assert identity_on_blocks(blocks, wrong) == check_characteristic_identity(op, wrong)
+        oracle = check_characteristic_identity(op, wrong)
+        blocks = weight_blocks(V, name)
+        if len(set(wrong)) < len(wrong):
+            # only d~ steps up, by the first label plus one
+            assert name == "adjoint_dual" and dynkin[0] == 0
+            with pytest.raises(DegenerateSpectrumError):
+                identity_on_blocks(blocks, wrong)
+        elif oracle.residual_is_zero:
+            assert identity_on_blocks(blocks, wrong) == oracle
+        else:
+            with pytest.raises(ConsistencyViolationError):
+                identity_on_blocks(blocks, wrong)
     for dual in (False, True):
         for r in range(1, n + 1):
             assert projector_rank(V, r, dual) == rank(tensor_projector(V, r, dual))
+
+
+@st.composite
+def dominant_labels(draw):
+    n = draw(st.integers(1, 6))
+    dynkin = draw(st.lists(st.integers(0, 5), min_size=n - 1, max_size=n - 1))
+    b = draw(st.fractions(min_value=-10, max_value=10, max_denominator=6))
+    return DominantLabels(n, tuple(dynkin), b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominant_labels())
+def test_predicted_roots_step_by_a_label_plus_one(labels):
+    """Consecutive predicted roots differ by a Dynkin label plus one: the
+    sigma2 roots and d strictly decrease, d~ strictly increases, and no root
+    list repeats a root, so `identity_on_blocks` never meets one that does."""
+    mu = weight_from_labels(labels)
+    d, dt = predicted_adjoint_roots(mu)
+    steps = [a + 1 for a in labels.dynkin]
+    for roots, direction in ((predicted_sigma2_roots(mu), -1), (d, -1), (dt, 1)):
+        assert [direction * (y - x) for x, y in zip(roots, roots[1:])] == steps
 
 
 def test_blocks_are_the_dominant_weight_spaces():
@@ -277,9 +316,8 @@ def test_blocks_are_the_dominant_weight_spaces():
     weight's multiplicity, together covering fewer than n*dim indices."""
     V = cached_module(4, (1, 1, 1), F(0))
     n, dim = V.n, V.dim
-    for dual, blocks, op in ((False, sigma2_blocks(V), sigma2_tilde(V)),
-                             (False, adjoint_blocks(V, False), adjoint_matrices(V, False)),
-                             (True, adjoint_blocks(V, True), adjoint_matrices(V, True))):
+    for dual, name in ((False, "sigma2"), (False, "adjoint_dual"), (True, "adjoint")):
+        blocks, op = weight_blocks(V, name), full_operator(V, name)
         sign = -1 if dual else 1
         # each block, cut from the generators, is the full operator restricted
         # to the positions of its weight
@@ -353,10 +391,17 @@ def test_trace_multiplicities_equal_rank_multiplicities(seed, monkeypatch):
     assert report == SpectrumReport(oracle.roots, True, tuple(3 * m for m in oracle.multiplicities))
 
 
-@pytest.mark.parametrize("case", ["jordan block", "repeated root", "shifted root"])
-def test_trace_solver_falls_back_to_ranks(case, monkeypatch):
+REFUSALS = {
+    "jordan block": ConsistencyViolationError,
+    "repeated root": DegenerateSpectrumError,
+    "shifted root": ConsistencyViolationError,
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_trace_solver_refuses_what_traces_cannot_decide(case, monkeypatch):
     """Where the traces cannot decide, a nonzero residual or a repeated root,
-    the multiplicities are measured by rank and equal the oracle's."""
+    the blocks are refused, and no rank measures them instead."""
     rng = random.Random(case)
     roots = [F(2), F(-1), F(1, 2)]
     if case == "jordan block":
@@ -369,8 +414,6 @@ def test_trace_solver_falls_back_to_ranks(case, monkeypatch):
         else:
             roots = [F(3), F(-1), F(1, 2)]
     calls = _counting_ranks(monkeypatch)
-    report = identity_on_blocks([(op, 1)], roots)
-    assert len(calls) == len(roots)
-    monkeypatch.undo()
-    assert report == check_characteristic_identity(op, roots)
-    assert report.residual_is_zero == (case == "repeated root")
+    with pytest.raises(REFUSALS[case]):
+        identity_on_blocks([(op, 1)], roots)
+    assert calls == []

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from projrep.charident import predicted_adjoint_roots, weight_blocks
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError, MultiplicityAnomalyError
-from projrep.glmodules import GlModule
+from projrep.glmodules import GlModule, cached_module
 from projrep.linalg import DegenerateSpectrumError, Matrix
 
 
@@ -152,7 +154,24 @@ def test_verify_identity_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(charident, "predicted_sigma2_roots", wrong_roots)
     code, out, err = run(capsys, "verify-identity", "-n", "2", "-a", "1", "-b", "1")
     assert code == 2
-    assert "FAILED" in err
+    assert "consistency violation" in err and "sigma2" in err
+
+
+def test_failed_adjoint_identity_exits_2(capsys, monkeypatch):
+    # with d~_1 shifted, the Lagrange projectors are no projectors; their
+    # ranks (15, 21, 18 against Weyl dimensions 15, 6, 3) must not print
+    import projrep.charident as charident
+
+    real = charident.predicted_adjoint_roots
+
+    def wrong_roots(mu):
+        d, dt = real(mu)
+        return d, [dt[0] + 1] + dt[1:]
+
+    monkeypatch.setattr(charident, "predicted_adjoint_roots", wrong_roots)
+    code, out, err = run(capsys, "decompose", "-n", "3", "-a", "1,1", "-b", "1/2", "-k", "1")
+    assert code == 2 and out == ""
+    assert "consistency violation" in err and "adjoint_dual" in err
 
 
 def test_consistency_violation_exit_code(capsys, monkeypatch):
@@ -255,11 +274,34 @@ def test_spectral_commands_take_no_rank_and_build_no_block_operator(capsys, monk
 
     for owner, name in ((linalg, "rank"), (charident, "rank"), (linalg.EchelonSpan, "insert"),
                         (linalg, "block"), (charident, "block"), (charident, "sigma2_tilde"),
-                        (charident, "adjoint_matrices")):
+                        (charident, "adjoint_matrices"), (charident, "full_operator"),
+                        (charident, "_geometric_multiplicity")):
         monkeypatch.setattr(owner, name, forbidden)
     code, out, err = run(capsys, *argv, "-n", "4", "-a", "1,1,1", "-b", "1/2", "--json")
     assert code == 0 and err == ""
     assert json.loads(out)
+
+
+def test_decompose_evaluates_one_operator_polynomial_per_block(capsys, monkeypatch):
+    """decompose -k 1 reads every projector rank from one block report: the
+    adjoint_dual operator polynomial, with all n roots, once per dominant
+    weight block."""
+    import projrep.charident as charident
+
+    V = cached_module(4, (1, 1, 1), F(1, 2))
+    dt = predicted_adjoint_roots(V.highest_weight)[1]
+    expected = [(b.rows, dt) for b, _ in weight_blocks(V, "adjoint_dual")]
+    calls = []
+    real = charident.eval_operator_polynomial
+
+    def counting(op, roots, **kwargs):
+        calls.append((op.rows, list(roots)))
+        return real(op, roots, **kwargs)
+
+    monkeypatch.setattr(charident, "eval_operator_polynomial", counting)
+    code, out, _ = run(capsys, "decompose", "-n", "4", "-a", "1,1,1", "-b", "1/2", "-k", "1")
+    assert code == 0 and out.count("projector rank") == 4
+    assert calls == expected
 
 
 def _outcome(capsys, argv):

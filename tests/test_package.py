@@ -81,6 +81,11 @@ def test_only_glmodules_names_is_dominant():
     assert names_outside("glmodules.py", {"is_dominant"}) == []
 
 
+def test_only_charident_names_the_block_operator_definitions():
+    # every block operator, its blocks and its report derive from one definition
+    assert names_outside("charident.py", {"_definition", "_generator_grid"}) == []
+
+
 def test_only_linalg_names_the_elimination_internals():
     # elimination stays behind rank, kernel_basis and EchelonSpan.insert
     assert names_outside("linalg.py", {"_reduce", "_add", "_rows", "_pivots"}) == []
