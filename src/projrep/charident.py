@@ -26,11 +26,11 @@ dominant w of its dimension on the block of w times |S_n . w|.  The blocks
 are cut straight from the generator grid; no n*dim operator is built.  The
 identity holds on every block and its roots are distinct, so each block is
 diagonalizable over Q, and each root's multiplicity comes from the traces
-of the partial products that the residual already forms
-(`identity_on_blocks`), with no rank; a block where the identity fails, or
-a repeated root, is refused.  `check_characteristic_identity` and
-`tensor_projector` keep the all-columns computation, by rank, as the oracle
-of the block path.
+of the partial products that one integer pass per block records while it
+decides the residual (`identity_on_blocks`), with no rank; a block where
+the identity fails, or a repeated root, is refused.  `full_report`,
+`check_characteristic_identity` and `tensor_projector` keep the all-columns
+computation, by rank, as the oracle of the block path.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .linalg import (
     eval_operator_polynomial,
     format_rational,
     idempotent_from_spectrum,
+    polynomial_traces,
     rank,
 )
 
@@ -60,6 +61,7 @@ __all__ = [
     "brute_force_spectrum",
     "check_characteristic_identity",
     "full_operator",
+    "full_report",
     "identity_on_blocks",
     "predicted_adjoint_roots",
     "predicted_sigma2_roots",
@@ -175,6 +177,15 @@ def check_characteristic_identity(op, roots):
     return SpectrumReport(tuple(Fraction(r) for r in roots), residual_is_zero, mults)
 
 
+def full_report(V, name):
+    """check_characteristic_identity of the whole block operator `name` with
+    its predicted roots, memoized per module: the one oracle report that the
+    selfcheck suites share."""
+    roots = _definition(V, name)[-1]
+    return module_memo(V, "full_report", name,
+                       lambda: check_characteristic_identity(full_operator(V, name), roots))
+
+
 def tensor_projector(V, r, dual):
     """Spectral projector onto one isotypic summand of the tensor with the
     vector representation (dual=True: its dual), the zero matrix when the
@@ -244,54 +255,49 @@ def weight_blocks(V, name):
     return blocks
 
 
-def _trace_multiplicities(traces, roots):
-    """Multiplicities m_a of the distinct roots r_a in a diagonalizable block
-    B whose eigenvalues lie among them, from traces[s] = tr P_s, where P_s is
-    the product of (B - r_l) over the last s roots T_s.
-
-    tr P_s = sum over a not in T_s of m_a prod_{l in T_s} (r_a - r_l), and
-    the equation of s = len(roots) - 1 - a adds only m_a to the unknowns of
-    the roots before a, so the system is solved from the first root on.
-    """
-    last = len(roots) - 1
-    mults = []
-    for a, r in enumerate(roots):
-        later = roots[a + 1:]
-        known = sum(m * prod(roots[c] - l for l in later) for c, m in enumerate(mults))
-        m = Fraction(traces[last - a] - known) / prod(r - l for l in later)
-        if m.denominator != 1 or m < 0:
-            raise ConsistencyViolationError(
-                f"trace multiplicity {m} of root {r} is not a nonnegative integer"
-            )
-        mults.append(m.numerator)
-    return mults
-
-
 def identity_on_blocks(blocks, roots):
     """SpectrumReport of an operator given by square blocks [(B, weight)],
     such as its dominant weight blocks (`weight_blocks`), whose product of
     (B - root) vanishes on every block: a root's multiplicity is the sum of
     its multiplicities on the blocks times their weights.
 
-    Each block is then diagonalizable over Q with eigenvalues among the
-    distinct roots, and its multiplicities come from the traces of the
-    partial products (`_trace_multiplicities`).  Raises
+    Each block B = C / D is then diagonalizable over Q with eigenvalues
+    among the distinct roots r_a = p_a / Q, so the trace of the product P_s
+    over the last s roots is the sum over c <= a of m_c * w[a][c] / Q^s,
+    with s = len(roots) - 1 - a and the table w[a][c] = prod_{l > a}
+    (p_c - p_l).  `polynomial_traces` gives (Q*D)^s * tr P_s, so each m_a,
+    from the first root on, is one exact division.  Raises
     DegenerateSpectrumError on a repeated root and ConsistencyViolationError
-    on a block where the product does not vanish.
+    on a block where the product does not vanish or a multiplicity is not a
+    nonnegative integer.
     """
     roots = list(roots)
     for a, r in enumerate(roots):
         if r in roots[:a]:
             raise DegenerateSpectrumError(r, (roots.index(r), a))
+    q = lcm(*(r.denominator for r in roots))
+    p = [r.numerator * (q // r.denominator) for r in roots]
+    last = len(roots) - 1
+    w = [[prod(pc - pl for pl in p[a + 1:]) for pc in p[:a + 1]] for a in range(len(p))]
     mults = [0] * len(roots)
     for b, size in blocks:
-        traces = []
-        if not eval_operator_polynomial(b, roots, traces=traces).is_zero():
+        traces, vanishes = polynomial_traces(b, p, q)
+        if not vanishes:
             raise ConsistencyViolationError(
                 f"the characteristic identity with roots {[format_rational(r) for r in roots]} "
                 f"fails on a {b.rows}x{b.rows} block"
             )
-        for a, m in enumerate(_trace_multiplicities(traces, roots)):
+        found = []
+        for a, row in enumerate(w):
+            f = b.den ** (last - a)
+            rest = traces[last - a] - f * sum(m * x for m, x in zip(found, row))
+            m, rem = divmod(rest, f * row[a])
+            if rem or m < 0:
+                raise ConsistencyViolationError(
+                    f"trace multiplicity {Fraction(rest, f * row[a])} of root {roots[a]} "
+                    "is not a nonnegative integer"
+                )
+            found.append(m)
             mults[a] += m * size
     return SpectrumReport(tuple(Fraction(r) for r in roots), True, tuple(mults))
 

@@ -12,7 +12,9 @@ run on integers and divide once, at the end; they are exact at every size
 because Python ints are unbounded.  ``product_difference_equals`` decides
 whether a @ b - c @ d equals a target without building either product: the
 matrix side of a Lie relation, accumulated in one integer dict keyed by
-position.  The public ``Matrix(...)`` constructor
+position.  ``polynomial_traces`` records an operator polynomial's scaled
+partial traces, and whether it vanishes, on plain integer columns.  The
+public ``Matrix(...)`` constructor
 validates exact entries and converts them; ``Matrix.from_int_columns``
 takes integer columns as they are.  ``entries`` and ``column`` are exact
 read-only views of the stored form.
@@ -46,6 +48,7 @@ __all__ = [
     "kernel_basis",
     "kron",
     "parse_rational",
+    "polynomial_traces",
     "product_difference_equals",
     "rank",
 ]
@@ -457,13 +460,11 @@ def joint_kernel(ops, vectors):
 # -- operator polynomials ----------------------------------------------------
 
 
-def eval_operator_polynomial(op, roots, traces=None):
+def eval_operator_polynomial(op, roots):
     """Product of (op - r*Id) over the given roots.
 
     The factors commute, so their order cannot change the value; they are
-    multiplied right to left, each product on the integer columns.  When
-    `traces` is a list, the exact trace of each partial product over the
-    last s roots, s = 0, ..., len(roots) - 1, is appended to it.
+    multiplied right to left, each product on the integer columns.
     """
     if op.rows != op.cols:
         raise ValueError("operator polynomial needs a square matrix")
@@ -472,11 +473,40 @@ def eval_operator_polynomial(op, roots, traces=None):
     ident = Matrix.identity(op.rows)
     out = ident
     for r in reversed(roots):
-        if traces is not None:
-            diagonal = sum(col.get(c, 0) for c, col in out.columns.items())
-            traces.append(Fraction(diagonal, out.den))
         out = (op - ident.scale(r)) @ out
     return out
+
+
+def polynomial_traces(op, numerators, den):
+    """(traces, vanishes) of the product of (op - r_l*Id), r_l = numerators[l] / den.
+
+    With op = C / D on its stored integer columns, the integer factors
+    den*C - numerators[l]*D*Id = den*D*(op - r_l) are applied right to left
+    to each unit column e_j in turn, as {row: int}; no Matrix, Fraction or
+    gcd is made.  traces[s] sums the j-th entries before the (s+1)-th
+    factor, (den*D)^s * tr P_s with P_s the product over the last s roots,
+    and `vanishes` tells whether every column of the whole product is zero.
+    """
+    if op.rows != op.cols:
+        raise ValueError("operator polynomial needs a square matrix")
+    left = {k: {r: den * a for r, a in col.items()} for k, col in op.columns.items()}
+    shifts = [-p * op.den for p in reversed(numerators)]
+    traces = [0] * len(shifts)
+    vanishes = True
+    for j in range(op.rows):
+        col = {j: 1}
+        for s, shift in enumerate(shifts):
+            traces[s] += col.get(j, 0)
+            acc = {k: shift * x for k, x in col.items()} if shift else {}
+            for k, x in col.items():
+                inner = left.get(k)
+                if inner is None:
+                    continue
+                for r, a in inner.items():
+                    acc[r] = acc.get(r, 0) + a * x
+            col = acc if all(acc.values()) else {r: v for r, v in acc.items() if v}
+        vanishes = vanishes and not col
+    return traces, vanishes
 
 
 def idempotent_from_spectrum(op, target, others):

@@ -34,13 +34,10 @@ from .action import (
 from .charident import (
     OPERATORS,
     ORACLE_MAX_DIM,
-    adjoint_matrices,
     block_report,
     brute_force_spectrum,
-    check_characteristic_identity,
     full_operator,
-    predicted_adjoint_roots,
-    predicted_sigma2_roots,
+    full_report,
     projector_rank,
     sigma2_tilde,
     tensor_projector,
@@ -163,23 +160,20 @@ def check_chevalley_relations(V, k_max=2, gens=None):
 
 def check_sigma2_identity(V):
     mu = V.highest_weight
-    roots = predicted_sigma2_roots(mu)
-    report = check_characteristic_identity(sigma2_tilde(V), roots)
+    report = full_report(V, "sigma2")
     if not report.residual_is_zero:
         return False, "nonzero residual"
-    if sum(report.multiplicities) != V.n * V.dim:
+    if sum(report.multiplicities) != sigma2_tilde(V).rows:
         return False, f"multiplicities {report.multiplicities} do not fill the space"
     i1 = eligible_indices(mu, 1)
     bad = [i + 1 for i, m in enumerate(report.multiplicities) if m and (i + 1) not in i1]
     if bad:
         return False, f"roots at positions {bad} realized outside the eligible set"
-    return True, f"roots {[str(r) for r in roots]} mult {report.multiplicities}"
+    return True, f"roots {[str(r) for r in report.roots]} mult {report.multiplicities}"
 
 
 def check_adjoint_identities(V):
-    d, dt = predicted_adjoint_roots(V.highest_weight)
-    rep = check_characteristic_identity(adjoint_matrices(V, dual=True), d)
-    rep_t = check_characteristic_identity(adjoint_matrices(V, dual=False), dt)
+    rep, rep_t = full_report(V, "adjoint"), full_report(V, "adjoint_dual")
     ok = rep.residual_is_zero and rep_t.residual_is_zero
     ok = ok and sum(rep.multiplicities) == V.n * V.dim
     ok = ok and sum(rep_t.multiplicities) == V.n * V.dim
@@ -237,7 +231,7 @@ def check_block_spectra(V):
     identity reports and every projector rank."""
     for name in OPERATORS:
         on_blocks = block_report(V, name)
-        full = check_characteristic_identity(full_operator(V, name), on_blocks.roots)
+        full = full_report(V, name)
         if on_blocks != full:
             return False, f"{name}: blocks {on_blocks} != full {full}"
     for dual in (False, True):

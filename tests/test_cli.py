@@ -275,7 +275,8 @@ def test_spectral_commands_take_no_rank_and_build_no_block_operator(capsys, monk
     for owner, name in ((linalg, "rank"), (charident, "rank"), (linalg.EchelonSpan, "insert"),
                         (linalg, "block"), (charident, "block"), (charident, "sigma2_tilde"),
                         (charident, "adjoint_matrices"), (charident, "full_operator"),
-                        (charident, "_geometric_multiplicity")):
+                        (charident, "_geometric_multiplicity"), (charident, "eval_operator_polynomial"),
+                        (linalg.Matrix, "scale")):
         monkeypatch.setattr(owner, name, forbidden)
     code, out, err = run(capsys, *argv, "-n", "4", "-a", "1,1,1", "-b", "1/2", "--json")
     assert code == 0 and err == ""
@@ -284,21 +285,21 @@ def test_spectral_commands_take_no_rank_and_build_no_block_operator(capsys, monk
 
 def test_decompose_evaluates_one_operator_polynomial_per_block(capsys, monkeypatch):
     """decompose -k 1 reads every projector rank from one block report: the
-    adjoint_dual operator polynomial, with all n roots, once per dominant
-    weight block."""
+    integer trace pass of the adjoint_dual operator polynomial, with all n
+    roots, once per dominant weight block."""
     import projrep.charident as charident
 
     V = cached_module(4, (1, 1, 1), F(1, 2))
     dt = predicted_adjoint_roots(V.highest_weight)[1]
     expected = [(b.rows, dt) for b, _ in weight_blocks(V, "adjoint_dual")]
     calls = []
-    real = charident.eval_operator_polynomial
+    real = charident.polynomial_traces
 
-    def counting(op, roots, **kwargs):
-        calls.append((op.rows, list(roots)))
-        return real(op, roots, **kwargs)
+    def counting(op, numerators, den):
+        calls.append((op.rows, [F(p, den) for p in numerators]))
+        return real(op, numerators, den)
 
-    monkeypatch.setattr(charident, "eval_operator_polynomial", counting)
+    monkeypatch.setattr(charident, "polynomial_traces", counting)
     code, out, _ = run(capsys, "decompose", "-n", "4", "-a", "1,1,1", "-b", "1/2", "-k", "1")
     assert code == 0 and out.count("projector rank") == 4
     assert calls == expected

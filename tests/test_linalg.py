@@ -17,6 +17,7 @@ from projrep.linalg import (
     kernel_basis,
     kron,
     parse_rational,
+    polynomial_traces,
     product_difference_equals,
     rank,
 )
@@ -93,6 +94,73 @@ def test_eval_poly_empty_roots_is_identity():
 def test_eval_poly_rejects_nonsquare():
     with pytest.raises(ValueError):
         eval_operator_polynomial(Matrix.zeros(2, 3), [0])
+
+
+def _check_polynomial_traces(op, roots):
+    """polynomial_traces of op on roots p_l / Q against the operator
+    polynomials: traces[s] = (Q * op.den)^s * tr P_s, with P_s the product
+    over the last s roots, and `vanishes` iff the whole product is zero."""
+    q = math.lcm(*(F(r).denominator for r in roots))
+    traces, vanishes = polynomial_traces(op, [int(r * q) for r in roots], q)
+    m = len(roots)
+    expected = [
+        (q * op.den) ** s * sum(eval_operator_polynomial(op, roots[m - s:]).entries.get((i, i), 0)
+                                for i in range(op.rows))
+        for s in range(m)
+    ]
+    assert traces == expected
+    assert all(type(t) is int for t in traces)
+    assert vanishes == eval_operator_polynomial(op, roots).is_zero()
+    return vanishes
+
+
+MIXED_ROOTS = [F(1, 2), F(5, 3), F(-13, 8), F(2), F(0), F(-1)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polynomial_traces_match_the_operator_polynomial(seed):
+    # random integer columns over den 1, 4 or 6: the identity fails on them
+    rng = random.Random(seed)
+    den, size = (1, 4, 6)[seed % 3], rng.randint(1, 7)
+    cols = {c: {r: rng.choice([-3, -1, 1, 2, 5]) for r in range(size) if rng.random() < 0.4}
+            for c in range(size)}
+    cols[0][0] = 1
+    op = Matrix.from_int_columns(size, size, den, {c: col for c, col in cols.items() if col})
+    assert op.den == den
+    roots = rng.sample(MIXED_ROOTS, rng.randint(1, 4))
+    assert not _check_polynomial_traces(op, roots)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polynomial_traces_of_a_vanishing_product(seed):
+    # a triangular matrix with distinct diagonal entries, indices permuted,
+    # is diagonalizable; its spectrum lies among the roots, not all of which
+    # it realizes
+    rng = random.Random(seed)
+    roots = rng.sample(MIXED_ROOTS, rng.randint(2, 5))
+    present = rng.sample(roots, rng.randint(1, len(roots) - 1))
+    size, at = len(present), rng.sample(range(len(present)), len(present))
+    op = Matrix(size, size, {
+        (at[i], at[j]): present[i] if i == j else F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        for i in range(size) for j in range(i, size)
+    })
+    assert _check_polynomial_traces(op, roots)
+    # without one realized root the product is not zero
+    assert not _check_polynomial_traces(op, [r for r in roots if r != present[0]])
+
+
+def test_polynomial_traces_edge_cases():
+    op = from_rows([[F(1, 4), 1], [0, F(-3, 2)]])
+    assert polynomial_traces(op, [], 1) == ([], False)
+    assert polynomial_traces(Matrix.zeros(0, 0), [], 1) == ([], True)
+    assert polynomial_traces(Matrix.zeros(0, 0), [1, -5], 3) == ([0, 0], True)
+    # roots 1/4 and -3/2 over Q = 4, op over D = 4: the first factor is
+    # 4 * C + 6 * 4 * Id with tr C = 1 - 6, so its trace is 4 * (-5) + 48 = 28
+    assert polynomial_traces(op, [1, -6], 4) == ([2, 28], True)
+    assert _check_polynomial_traces(op, [F(1, 4), F(-3, 2)])
+    assert not _check_polynomial_traces(from_rows([[0, 1], [0, 0]]), [F(0)])
+    with pytest.raises(ValueError):
+        polynomial_traces(Matrix.zeros(2, 3), [0], 1)
 
 
 def test_idempotent_diagonal():
