@@ -2,11 +2,12 @@
 
 Three square block matrices are built from a module's generator action: the
 shifted quadratic-Casimir block matrix (identity-plus-generator blocks), and
-the plain generator grid together with its negated transpose.  `_definition`
-holds each one's blocks, weights and predicted roots; everything else is
-derived from it.  Each satisfies a polynomial identity with explicitly
-predictable rational roots; the Lagrange interpolation idempotents cut tensor
-products with the (dual) vector representation into their isotypic pieces.
+the plain generator grid together with its negated transpose: two grids,
+three operators, one report per grid.  `_definition` holds each one's grid,
+sign, diagonal shift and predicted roots; everything else is derived from
+it.  Each satisfies a polynomial identity with explicitly predictable
+rational roots; the Lagrange interpolation idempotents cut tensor products
+with the (dual) vector representation into their isotypic pieces.
 Everything is exact; a residual is either the zero matrix or the identity
 fails.  The brute-force spectrum oracle finds the rational eigenvalues from
 the exact characteristic polynomial by an integer root search, with the
@@ -23,7 +24,9 @@ dominant weight spaces alone (`weight_blocks`, over the positions that
 iff it vanishes on every dominant block (a nonzero quotient has a dominant
 highest weight), and a kernel's or image's dimension is the sum over
 dominant w of its dimension on the block of w times |S_n . w|.  The blocks
-are cut straight from the generator grid; no n*dim operator is built.  The
+are cut straight from the generator grid, and no n*dim operator is built;
+an operator's identity with roots r is its grid's with roots
+(r - shift) / sign, so each grid is checked once (`block_report`).  The
 identity holds on every block and its roots are distinct, so each block is
 diagonalizable over Q, and each root's multiplicity comes from the traces
 of the partial products that one integer pass per block records while it
@@ -90,35 +93,38 @@ def predicted_adjoint_roots(mu):
     return d, [Fraction(n - 1) - x for x in d]
 
 
-def _generator_grid(V, transpose):
-    """The n x n grid of generator matrices, E_{i,j} at (i, j), or E_{j,i}
-    when `transpose`; no matrix is copied."""
+def _generator_grid(V, dual):
+    """The n x n grid of generator matrices, E_{i,j} at (i, j) when `dual`,
+    else E_{j,i}; no matrix is copied."""
     n = V.n
-    return [[V.e(j, i) if transpose else V.e(i, j) for j in range(n)] for i in range(n)]
+    return [[V.e(i, j) if dual else V.e(j, i) for j in range(n)] for i in range(n)]
 
 
 def _definition(V, name):
-    """(grid, dual, sign, shift, roots) of the block operator `name`: block
-    (i, j) is sign * grid[i][j], plus shift * Id when i == j; its index
-    (i, q) has weight w_q + e_i, or w_q - e_i when `dual`; and `roots` are
-    the predicted roots of its characteristic identity.
+    """(dual, sign, shift, roots) of the block operator `name`: block (i, j)
+    is sign * G[i][j], plus shift * Id when i == j, for the generator grid
+    G = _generator_grid(V, dual); its index (i, q) has weight w_q + e_i, or
+    w_q - e_i when `dual`; and `roots` are the predicted roots of its
+    characteristic identity.  Two grids, three operators, one report per
+    grid: the operator's root r is its grid's root (r - shift) / sign.
 
     sigma2: block (i, j) holds E_{j,i}, plus b*Id on the diagonal.  The
     block order matters: this is exactly the matrix whose columns are the
     degree-one raising chains (stack the i-th pseudo-translation of every
     degree-zero basis vector), and its roots are the m_i.  Flipping the
     blocks to E_{i,j} shifts every root by n-1 and breaks the identity.
-    adjoint: the generator grid M, on the dual, with roots d.
-    adjoint_dual: its negated block-transpose, with roots d~.
+    adjoint: the grid E_{i,j}, on the dual, with roots d.
+    adjoint_dual: the negated grid E_{j,i}, with roots d~.  Since |mu| = b,
+    m_i - b = -d~_i: sigma2 and adjoint_dual share their grid's report.
     """
     mu = V.highest_weight
     if name == "sigma2":
-        return _generator_grid(V, transpose=True), False, 1, V.b, predicted_sigma2_roots(mu)
+        return False, 1, V.b, predicted_sigma2_roots(mu)
     d, dt = predicted_adjoint_roots(mu)
     if name == "adjoint":
-        return _generator_grid(V, transpose=False), True, 1, Fraction(0), d
+        return True, 1, Fraction(0), d
     if name == "adjoint_dual":
-        return _generator_grid(V, transpose=True), False, -1, Fraction(0), dt
+        return False, -1, Fraction(0), dt
     raise ValueError(f"no block operator named {name!r}")
 
 
@@ -132,8 +138,8 @@ def full_operator(V, name):
     of the oracles, never built on the command line."""
 
     def build():
-        grid, _, sign, shift, _ = _definition(V, name)
-        return block(grid).scale(sign) + Matrix.identity(V.n * V.dim).scale(shift)
+        dual, sign, shift, _ = _definition(V, name)
+        return block(_generator_grid(V, dual)).scale(sign) + Matrix.identity(V.n * V.dim).scale(shift)
 
     return module_memo(V, "operator", name, build)
 
@@ -208,20 +214,19 @@ def _dominant_weight_spaces(V, dual):
     return module_memo(V, "dominant_spaces", dual, lambda: dominant_weight_spaces(V, shifts))
 
 
-def weight_blocks(V, name):
-    """[(B_w, |S_n . w|)]: the square blocks of the block operator `name` on
-    the dominant weight spaces w of C^n (x) V, or of its dual.
+def weight_blocks(V, dual):
+    """[(B_w, |S_n . w|)]: the square blocks of the generator grid
+    (`_generator_grid`) on the dominant weight spaces w of C^n (x) V, or of
+    its dual.
 
-    Column (j, q) of a block holds column q of sign * grid[i][j] at the rows
-    (i, r), for each i, and the shift on its diagonal (`_definition`); the
-    operator itself is never built.  Raises ConsistencyViolationError when a
-    dominant column has an entry in a row of another weight: the blocks then
-    do not describe the operator.
+    Column (j, q) of a block holds column q of grid[i][j] at the rows
+    (i, r), for each i; the grid's block matrix itself is never built.
+    Raises ConsistencyViolationError when a dominant column has an entry in
+    a row of another weight: the blocks then do not describe the grid.
     """
-    grid, dual, sign, shift, _ = _definition(V, name)
+    grid = _generator_grid(V, dual)
     dim = V.dim
-    den = lcm(shift.denominator, *(m.den for row in grid for m in row))
-    diagonal = shift.numerator * (den // shift.denominator)
+    den = lcm(*(m.den for row in grid for m in row))
     blocks = []
     for w, indices in _dominant_weight_spaces(V, dual).items():
         position = {g: t for t, g in enumerate(indices)}
@@ -234,20 +239,14 @@ def weight_blocks(V, name):
                 col = m.columns.get(q)
                 if col is None:
                     continue
-                f, base = sign * (den // m.den), i * dim
+                f, base = den // m.den, i * dim
                 for r, v in col.items():
                     s = position.get(base + r)
                     if s is None:
                         raise ConsistencyViolationError(
-                            f"{V!r}: a block operator maps index {g} to index {base + r} of another weight"
+                            f"{V!r}: the generator grid maps index {g} to index {base + r} of another weight"
                         )
                     out[s] = f * v
-            if diagonal:
-                v = out.get(t, 0) + diagonal
-                if v:
-                    out[t] = v
-                else:
-                    del out[t]
             if out:
                 cols[t] = out
         size = len(indices)
@@ -303,17 +302,19 @@ def identity_on_blocks(blocks, roots):
 
 
 def block_report(V, name):
-    """identity_on_blocks of the block operator `name` on its dominant weight
-    blocks with its predicted roots, memoized per module; a
-    ConsistencyViolationError names the operator."""
-
-    def compute():
-        try:
-            return identity_on_blocks(weight_blocks(V, name), _definition(V, name)[-1])
-        except ConsistencyViolationError as exc:
-            raise ConsistencyViolationError(f"{name}: {exc}") from None
-
-    return module_memo(V, "block_report", name, compute)
+    """The block operator `name`'s predicted roots with the multiplicities
+    of identity_on_blocks on its grid's dominant weight blocks at the grid
+    roots (r - shift) / sign, memoized per module under (dual, grid roots),
+    so sigma2 and adjoint_dual share one pass; a ConsistencyViolationError
+    names the operator."""
+    dual, sign, shift, roots = _definition(V, name)
+    grid_roots = tuple((r - shift) / sign for r in roots)
+    try:
+        grid = module_memo(V, "block_report", (dual, grid_roots),
+                           lambda: identity_on_blocks(weight_blocks(V, dual), grid_roots))
+    except ConsistencyViolationError as exc:
+        raise ConsistencyViolationError(f"{name}: {exc}") from None
+    return SpectrumReport(tuple(roots), True, grid.multiplicities)
 
 
 def projector_rank(V, r, dual):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import Matrix
+from .linalg import Matrix, product_difference_equals
 
 __all__ = [
     "DominantLabels",
@@ -363,13 +363,11 @@ def validate_module(V):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    lhs = V.e(i, j) @ V.e(k, l) - V.e(k, l) @ V.e(i, j)
-                    rhs = Matrix.zeros(d, d)
-                    if k == j:
-                        rhs = rhs + V.e(i, l)
+                    # [E_ij, E_kl] = delta_kj E_il - delta_il E_kj
+                    rhs = V.e(i, l) if k == j else None
                     if i == l:
-                        rhs = rhs - V.e(k, j)
-                    if lhs != rhs:
+                        rhs = -V.e(k, j) if rhs is None else rhs - V.e(k, j)
+                    if not product_difference_equals(V.e(i, j), V.e(k, l), V.e(k, l), V.e(i, j), rhs):
                         fail(f"commutation fails on E_{i+1},{j+1}, E_{k+1},{l+1}")
     for i in range(n):
         for j in range(i + 1, n):

@@ -259,6 +259,12 @@ BLOCK_ORACLE_POINTS = [
 ]
 
 
+def _grid_of(V, name):
+    """(dual, sign, shift) of the block operator `name` = sign * G + shift * Id,
+    G the generator grid E_{i,j} on the dual, else E_{j,i}."""
+    return {"sigma2": (False, 1, V.b), "adjoint": (True, 1, 0), "adjoint_dual": (False, -1, 0)}[name]
+
+
 @pytest.mark.parametrize("n,dynkin,b", BLOCK_ORACLE_POINTS)
 def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
     """Residual flags, multiplicities and projector ranks read off the
@@ -273,17 +279,20 @@ def test_block_path_matches_full_matrix_oracle(n, dynkin, b):
         roots = report.roots
         wrong = [roots[0] + 1] + list(roots[1:])
         oracle = check_characteristic_identity(op, wrong)
-        blocks = weight_blocks(V, name)
+        dual, sign, shift = _grid_of(V, name)
+        blocks = weight_blocks(V, dual)
+        on_grid = [(r - shift) / sign for r in wrong]
         if len(set(wrong)) < len(wrong):
             # only d~ steps up, by the first label plus one
             assert name == "adjoint_dual" and dynkin[0] == 0
             with pytest.raises(DegenerateSpectrumError):
-                identity_on_blocks(blocks, wrong)
+                identity_on_blocks(blocks, on_grid)
         elif oracle.residual_is_zero:
-            assert identity_on_blocks(blocks, wrong) == oracle
+            assert identity_on_blocks(blocks, on_grid) == SpectrumReport(
+                tuple(on_grid), True, oracle.multiplicities)
         else:
             with pytest.raises(ConsistencyViolationError):
-                identity_on_blocks(blocks, wrong)
+                identity_on_blocks(blocks, on_grid)
     for dual in (False, True):
         for r in range(1, n + 1):
             assert projector_rank(V, r, dual) == rank(tensor_projector(V, r, dual))
@@ -308,6 +317,9 @@ def test_predicted_roots_step_by_a_label_plus_one(labels):
     steps = [a + 1 for a in labels.dynkin]
     for roots, direction in ((predicted_sigma2_roots(mu), -1), (d, -1), (dt, 1)):
         assert [direction * (y - x) for x, y in zip(roots, roots[1:])] == steps
+    # sigma2 = b * Id - adjoint_dual on one grid, and their roots agree
+    m = predicted_sigma2_roots(mu)
+    assert all(m[i] - labels.b == -dt[i] == mu[i] - i for i in range(labels.n))
 
 
 def test_blocks_are_the_dominant_weight_spaces():
@@ -316,17 +328,19 @@ def test_blocks_are_the_dominant_weight_spaces():
     weight's multiplicity, together covering fewer than n*dim indices."""
     V = cached_module(4, (1, 1, 1), F(0))
     n, dim = V.n, V.dim
-    for dual, name in ((False, "sigma2"), (False, "adjoint_dual"), (True, "adjoint")):
-        blocks, op = weight_blocks(V, name), full_operator(V, name)
+    for name in OPERATORS:
+        dual, scale, shift = _grid_of(V, name)
+        blocks, op = weight_blocks(V, dual), full_operator(V, name)
         sign = -1 if dual else 1
-        # each block, cut from the generators, is the full operator restricted
-        # to the positions of its weight
+        # each block, cut from the generators, makes the full operator
+        # restricted to the positions of its weight
         shifts = [tuple(sign * (t == i) for t in range(n)) for i in range(n)]
         entries = op.entries
         for (b, _), indices in zip(blocks, dominant_weight_spaces(V, shifts).values()):
             restricted = {(s, t): entries.get((g, h), 0)
                           for s, g in enumerate(indices) for t, h in enumerate(indices)}
-            assert b == Matrix(len(indices), len(indices), restricted)
+            assert (b.scale(scale) + Matrix.identity(b.rows).scale(shift)
+                    == Matrix(len(indices), len(indices), restricted))
         mult = Counter(
             tuple(x + sign * (t == i) for t, x in enumerate(w))
             for w in V.basis_weights for i in range(n)

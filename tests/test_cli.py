@@ -285,13 +285,35 @@ def test_spectral_commands_take_no_rank_and_build_no_block_operator(capsys, monk
 
 def test_decompose_evaluates_one_operator_polynomial_per_block(capsys, monkeypatch):
     """decompose -k 1 reads every projector rank from one block report: the
-    integer trace pass of the adjoint_dual operator polynomial, with all n
-    roots, once per dominant weight block."""
-    import projrep.charident as charident
-
+    integer trace pass of the adjoint_dual operator's generator grid, with
+    all n roots -d~, once per dominant weight block."""
     V = cached_module(4, (1, 1, 1), F(1, 2))
     dt = predicted_adjoint_roots(V.highest_weight)[1]
-    expected = [(b.rows, dt) for b, _ in weight_blocks(V, "adjoint_dual")]
+    expected = [(b.rows, [-x for x in dt]) for b, _ in weight_blocks(V, False)]
+    calls = _count_polynomial_traces(monkeypatch)
+    code, out, _ = run(capsys, "decompose", "-n", "4", "-a", "1,1,1", "-b", "1/2", "-k", "1")
+    assert code == 0 and out.count("projector rank") == 4
+    assert calls == expected
+
+
+def test_verify_identity_evaluates_one_operator_polynomial_per_grid(capsys, monkeypatch):
+    """verify-identity checks three operators on two generator grids: one
+    integer trace pass per dominant weight block of each grid, with all n
+    roots, since sigma2 and adjoint_dual share theirs."""
+    V = cached_module(4, (1, 1, 1), F(1, 2))
+    d, dt = predicted_adjoint_roots(V.highest_weight)
+    expected = [(b.rows, [-x for x in dt]) for b, _ in weight_blocks(V, False)]
+    expected += [(b.rows, d) for b, _ in weight_blocks(V, True)]
+    calls = _count_polynomial_traces(monkeypatch)
+    code, out, _ = run(capsys, "verify-identity", "-n", "4", "-a", "1,1,1", "-b", "1/2")
+    assert code == 0 and out.count("residual zero: True") == 3
+    assert sorted(calls) == sorted(expected)
+
+
+def _count_polynomial_traces(monkeypatch):
+    """The (block size, roots) of every polynomial_traces call from now on."""
+    import projrep.charident as charident
+
     calls = []
     real = charident.polynomial_traces
 
@@ -300,9 +322,7 @@ def test_decompose_evaluates_one_operator_polynomial_per_block(capsys, monkeypat
         return real(op, numerators, den)
 
     monkeypatch.setattr(charident, "polynomial_traces", counting)
-    code, out, _ = run(capsys, "decompose", "-n", "4", "-a", "1,1,1", "-b", "1/2", "-k", "1")
-    assert code == 0 and out.count("projector rank") == 4
-    assert calls == expected
+    return calls
 
 
 def _outcome(capsys, argv):

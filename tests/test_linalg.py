@@ -786,12 +786,12 @@ def test_integer_operator_product_matches_matrix_product(op, roots, target):
 
 @pytest.mark.parametrize("n,dynkin,b", [(2, (2,), F(1, 2)), (3, (1, 1), F(1, 3)), (3, (2, 0), F(-2))])
 def test_weight_blocks_store_the_canonical_form(n, dynkin, b):
-    from projrep.charident import OPERATORS, sigma2_tilde, weight_blocks
+    from projrep.charident import sigma2_tilde, weight_blocks
     from projrep.glmodules import cached_module
 
     V = cached_module(n, dynkin, b)
     assert_clean(sigma2_tilde(V))
-    for name in OPERATORS:
-        for m, _ in weight_blocks(V, name):
+    for dual in (False, True):
+        for m, _ in weight_blocks(V, dual):
             assert_clean(m)
             assert_clean(m - Matrix.identity(m.rows).scale(b))
