@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnsupportedOperatorError
 from .glmodules import module_memo
@@ -212,13 +212,10 @@ def spanning_operators(n):
     return ops
 
 
-@dataclass(frozen=True)
-class ChevalleySet:
+class ChevalleySet(namedtuple("ChevalleySet", "e f h")):
     """Chevalley generators of the embedded sl(n+1)."""
 
-    e: tuple
-    f: tuple
-    h: tuple
+    __slots__ = ()
 
 
 def chevalley_generators(n):

@@ -38,7 +38,7 @@ computation, by rank, as the oracle of the block path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
 
@@ -154,13 +154,10 @@ def adjoint_matrices(V, dual):
     return full_operator(V, _adjoint(dual))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(namedtuple("SpectrumReport", "roots residual_is_zero multiplicities")):
     """Outcome of a characteristic-identity check."""
 
-    roots: tuple
-    residual_is_zero: bool
-    multiplicities: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -35,7 +35,6 @@ from .irreducibility import (
 )
 from .linalg import DegenerateSpectrumError, format_rational, parse_rational
 from .action import graded_dimension
-from .selfcheck import run_selfcheck
 
 __all__ = ["main"]
 
@@ -224,6 +223,8 @@ def cmd_verify_identity(args):
 
 
 def cmd_selfcheck(args):
+    from .selfcheck import run_selfcheck  # only this command loads the suites
+
     records = run_selfcheck(
         n_max=args.n_max,
         degree_cap=args.degree_cap,

@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -47,24 +46,20 @@ __all__ = [
 DEFAULT_DIM_CAP = 5000
 
 
-@dataclass(frozen=True)
-class DominantLabels:
+class DominantLabels(namedtuple("DominantLabels", "n dynkin b")):
     """Dynkin labels of the traceless part plus the central scalar b."""
 
-    n: int
-    dynkin: tuple
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, dynkin, b):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        dyn = tuple(int(a) for a in self.dynkin)
-        if len(dyn) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} Dynkin labels, got {len(dyn)}")
+        dyn = tuple(int(a) for a in dynkin)
+        if len(dyn) != n - 1:
+            raise ValueError(f"expected {n - 1} Dynkin labels, got {len(dyn)}")
         if any(a < 0 for a in dyn):
             raise ValueError("Dynkin labels must be nonnegative")
-        object.__setattr__(self, "dynkin", dyn)
-        object.__setattr__(self, "b", Fraction(self.b))
+        return super().__new__(cls, n, dyn, Fraction(b))
 
 
 def weight_add(mu, c):

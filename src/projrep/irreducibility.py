@@ -11,7 +11,7 @@ two-step composition series and the residual quotient data are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .action import (
@@ -90,8 +90,7 @@ def _is_nonpositive_integer(x):
     return f.denominator == 1 and f.numerator <= 0
 
 
-@dataclass(frozen=True)
-class CriterionWitness:
+class CriterionWitness(namedtuple("CriterionWitness", "verdict failing_pairs first_failure_degree")):
     """Verdict of the closed-form irreducibility test with its failing pairs.
 
     Failing pairs are (i, s) with i 1-based: the degree-s obstruction at
@@ -99,9 +98,7 @@ class CriterionWitness:
     at least s).  first_failure_degree is the least failing s.
     """
 
-    verdict: str
-    failing_pairs: tuple
-    first_failure_degree: object
+    __slots__ = ()
 
     @property
     def reducible(self):
@@ -375,8 +372,11 @@ def first_rank_deficiency(V, k_max):
     return None
 
 
-@dataclass(frozen=True)
-class JordanHolderReport:
+class JordanHolderReport(namedtuple("JordanHolderReport", (
+    "k i0 corollary_k corollary_consistent residual_index residual_weight"
+    " submodule_dims_by_degree quotient_character finite_dim_flag"
+    " finite_dim_highest_labels finite_dim_total"
+))):
     """Two-step composition series data for a reducible module.
 
     k is the last fully-generated degree (from the closed-form witness);
@@ -386,17 +386,7 @@ class JordanHolderReport:
     1-based r; the quotient carries the central character of mu + (k+1)eps_r.
     """
 
-    k: int
-    i0: int
-    corollary_k: object
-    corollary_consistent: bool
-    residual_index: int
-    residual_weight: tuple
-    submodule_dims_by_degree: tuple
-    quotient_character: tuple
-    finite_dim_flag: bool
-    finite_dim_highest_labels: object
-    finite_dim_total: object
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .action import (
@@ -526,12 +526,8 @@ def check_submodule_invariance(V, j_max=2):
 # -- sweep driver -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    point: tuple
-    check: str
-    ok: bool
-    detail: str
+class CheckRecord(namedtuple("CheckRecord", "point check ok detail")):
+    __slots__ = ()
 
 
 def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):

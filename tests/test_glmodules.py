@@ -39,6 +39,27 @@ def test_weight_from_labels_examples():
     assert weight_from_labels(DominantLabels(3, (1, 0), F(1))) == (1, 0, 0)
 
 
+
+@pytest.mark.parametrize("n, dynkin, message", [
+    (0, (), "n must be >= 1"),
+    (2, (1, 1), "expected 1 Dynkin labels, got 2"),
+    (3, (1,), "expected 2 Dynkin labels, got 1"),
+    (3, (1, -1), "Dynkin labels must be nonnegative"),
+])
+def test_dominant_labels_reject_bad_input(n, dynkin, message):
+    with pytest.raises(ValueError) as exc:
+        DominantLabels(n, dynkin, F(0))
+    assert str(exc.value) == message
+
+
+def test_dominant_labels_normalise_to_int_labels_and_fraction_b():
+    labels = DominantLabels(2, [1], 1)
+    assert labels == DominantLabels(n=2, dynkin=(1,), b=F(1))
+    assert hash(labels) == hash(DominantLabels(n=2, dynkin=(1,), b=F(1)))
+    assert type(labels.dynkin) is tuple and type(labels.dynkin[0]) is int
+    assert type(labels.b) is F
+    assert repr(labels) == "DominantLabels(n=2, dynkin=(1,), b=Fraction(1, 1))"
+
 def test_weyl_dimension_examples():
     assert weyl_dimension((0, 0, 0, 0)) == 1
     assert weyl_dimension((7, 0)) == 8

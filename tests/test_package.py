@@ -10,7 +10,12 @@ import sys
 from fractions import Fraction
 
 import projrep
+from projrep.action import chevalley_generators
+from projrep.charident import SpectrumReport
+from projrep.glmodules import DominantLabels
+from projrep.irreducibility import JordanHolderReport, criterion
 from projrep.linalg import Matrix
+from projrep.selfcheck import CheckRecord
 
 PACKAGE_DIR = pathlib.Path(projrep.__file__).parent
 
@@ -145,17 +150,51 @@ def test_process_wide_caches_are_allowlisted():
     assert found == PROCESS_WIDE_CACHES
 
 
+# modules a command-line run never needs: numerical libraries, the import
+# cost of dataclasses (inspect, ast, dis) and of typing, and the selfcheck
+# suites with their random source, which only `selfcheck` loads
+NOT_LOADED_BY_CLI = (
+    "numpy", "scipy", "dataclasses", "inspect", "typing", "random", "projrep.selfcheck",
+)
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = (
         "import sys, projrep.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        f"print(sorted(m for m in {NOT_LOADED_BY_CLI!r} if m in sys.modules))"
     )
     src_dir = str(PACKAGE_DIR.parent)
+    # -S: no site hook may preload a module
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src_dir}, cwd=src_dir,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_records_refuse_assignment():
+    records = [
+        (DominantLabels(2, (1,), 1), ("n", "dynkin", "b")),
+        (chevalley_generators(2), ("e", "f", "h")),
+        (SpectrumReport((Fraction(0),), True, (1,)),
+         ("roots", "residual_is_zero", "multiplicities")),
+        (criterion((Fraction(0), Fraction(0))),
+         ("verdict", "failing_pairs", "first_failure_degree")),
+        (JordanHolderReport(0, 1, 0, True, 1, (), (), (), False, None, None),
+         ("k", "i0", "corollary_k", "corollary_consistent", "residual_index",
+          "residual_weight", "submodule_dims_by_degree", "quotient_character",
+          "finite_dim_flag", "finite_dim_highest_labels", "finite_dim_total")),
+        (CheckRecord((1, (), Fraction(0)), "labels-roundtrip", True, ""),
+         ("point", "check", "ok", "detail")),
+    ]
+    for record, fields in records:
+        for field in fields:
+            value = getattr(record, field)
+            try:
+                setattr(record, field, value)
+            except AttributeError:
+                continue
+            raise AssertionError(f"{type(record).__name__}.{field} accepted an assignment")
 
 
 def test_package_imports_only_the_standard_library():
