@@ -99,12 +99,12 @@ def _emit(doc, as_json, table_lines):
             print(line)
 
 
-def _summand(mu, c, projector_rank=None):
+def _summand(mu, gaps, c, projector_rank=None):
     """JSON row and table line of the summand mu + c of a tensor decomposition.
 
-    mu's dominant gaps are computed once; the summand's follow from them and c.
+    `gaps` are mu's dominant gaps, computed once per command; the summand's
+    follow from them and c.
     """
-    gaps = dominant_gaps(mu)
     q = q_coefficient(mu, c, gaps)
     summand = weight_add(mu, c)
     row = {
@@ -127,7 +127,8 @@ def cmd_analyze(args):
     equivalent = criterion_equivalence_check(mu)
     cap = args.degree_cap
 
-    summands = [_summand(mu, c) for j in range(cap + 1) for c in pieri_index_set(mu, j)]
+    gaps = dominant_gaps(mu)
+    summands = [_summand(mu, gaps, c) for j in range(cap + 1) for c in pieri_index_set(mu, j)]
     ranks = []
     for j in range(cap + 1):
         ranks.append({
@@ -187,13 +188,14 @@ def cmd_decompose(args):
     V = _build(args)
     mu = V.highest_weight
     k = args.k
+    gaps = dominant_gaps(mu)
     summands = []
     for c in pieri_index_set(mu, k):
         rank_r = None
         if k == 1:
             r = next(t + 1 for t, x in enumerate(c) if x)
             rank_r = projector_rank(V, r, dual=False)
-        summands.append(_summand(mu, c, rank_r))
+        summands.append(_summand(mu, gaps, c, rank_r))
     doc = {
         "n": V.n,
         "dynkin": list(V.labels.dynkin),

@@ -3,14 +3,17 @@
 The raising chains p^c applied to the degree-zero slice either fill every
 graded piece (irreducible case) or first miss a summand at a computable
 degree.  Both sides are implemented: the closed-form product coefficient q_c
-attached to each tensor summand, and a brute-force oracle that builds the
-actual maximal vectors and measures ranks.  When the module is reducible the
+attached to each tensor summand, and brute force that builds the actual
+chain vectors and maximal vectors.  The chain ranks test one weight space
+per Pieri summand, its highest; an elimination over every dominant weight
+space stays behind as their oracle.  When the module is reducible the
 two-step composition series and the residual quotient data are reported.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -20,7 +23,6 @@ from .action import (
     graded_dimension,
     monomials_of_degree,
     operator_matrix,
-    scaling_op,
 )
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
@@ -32,7 +34,7 @@ from .glmodules import (
     weight_add,
     weyl_dimension,
 )
-from .linalg import EchelonSpan, Matrix, add_into, format_rational, joint_kernel
+from .linalg import EchelonSpan, Matrix, add_into, format_rational, integer_kernel
 
 __all__ = [
     "CriterionWitness",
@@ -49,6 +51,11 @@ __all__ = [
     "up_submodule_matrix",
     "up_submodule_rank",
 ]
+
+# Nothing here assembles an operator matrix.  The name stays bound because
+# perfbench's tracer rebinds operator_matrix in every projrep namespace that
+# holds it, and perfbench/test_perfbench.py reads irreducibility.operator_matrix.
+_TRACED = (operator_matrix,)
 
 
 # -- closed form ---------------------------------------------------------------
@@ -164,7 +171,8 @@ def criterion_equivalence_check(mu):
 
 def residual_summands(mu, j):
     """Admissible shifts at degree j whose closed-form coefficient vanishes."""
-    return tuple(c for c in pieri_index_set(mu, j) if q_coefficient(mu, c) == 0)
+    gaps = dominant_gaps(mu)
+    return tuple(c for c in pieri_index_set(mu, j) if q_coefficient(mu, c, gaps) == 0)
 
 
 # -- brute force ---------------------------------------------------------------
@@ -264,72 +272,144 @@ def up_submodule_matrix(V, k):
     return Matrix.from_int_columns(graded_dimension(V, k), len(chains), den, cols)
 
 
+def _monomial_index(V, k):
+    """{m: t}: the index of each degree-k monomial in `monomials_of_degree`
+    order, so x^m (x) v_q sits at position t * dim + q.  Memoized."""
+    return module_memo(
+        V, "monomial_index", k, lambda: {m: t for t, m in enumerate(monomials_of_degree(V.n, k))}
+    )
+
+
+def _top_weight_space(V, c):
+    """[(position, m, q)]: the basis of the degree-|c| weight space of
+    mu + c, the highest weight of the Pieri summand V(mu + c), ascending.
+
+    x^m (x) v_q has weight m + w_q, so the space holds the q with
+    m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise;
+    every lattice weight has one sum, so |m| = |c| follows.
+    """
+    index, dim = _monomial_index(V, sum(c)), V.dim
+    top = weight_add(V.lattice_weights[V.highest_index], c)
+    support = []
+    for q, lw in enumerate(V.lattice_weights):
+        m = tuple(map(operator.sub, top, lw))
+        if min(m) >= 0:
+            support.append((index[m] * dim + q, m, q))
+    support.sort()
+    return support
+
+
+def _maximal_coordinates(V, c, support):
+    """The maximal vector of weight mu + c on its weight space `support`
+    (`_top_weight_space`), as a primitive integer vector {position: int}:
+    the one relation among the columns of the raisers E_ab (a < b) on the
+    support.
+
+    E_ab (x^m (x) v_q) = m_b x^(m + e_a - e_b) (x) v_q + x^m (x) E_ab v_q, the
+    x_a d_b move of `action._assemble`, taken on the generators' integer
+    columns scaled by the lcm L of their denominators.  E_ab carries the
+    weight w to w + e_a - e_b, a different weight for each a < b, so the sum
+    of the raisers keeps their images on disjoint positions and its kernel
+    is their joint kernel.  A space whose kernel is not one-dimensional
+    raises MultiplicityAnomalyError.
+    """
+    n, dim, k = V.n, V.dim, sum(c)
+    index = _monomial_index(V, k)
+    raisers = [(a, b, V.e(a, b)) for a in range(n) for b in range(a + 1, n)]
+    L = math.lcm(*(e.den for _, _, e in raisers))
+    columns = []
+    for pos, m, q in support:
+        col = {}
+        for a, b, e in raisers:
+            if m[b]:
+                up = list(m)
+                up[a] += 1
+                up[b] -= 1
+                r = index[tuple(up)] * dim + q
+                col[r] = col.get(r, 0) + L * m[b]
+            f = L // e.den
+            for r, x in e.columns.get(q, {}).items():
+                r += pos - q  # x^m (x) v_r
+                col[r] = col.get(r, 0) + f * x
+        columns.append({r: x for r, x in col.items() if x})
+    kern = integer_kernel(columns, graded_dimension(V, k))
+    if len(kern) != 1:
+        raise MultiplicityAnomalyError(
+            f"maximal vector space for shift {tuple(c)} has dimension {len(kern)}"
+        )
+    return {support[j][0]: x for j, x in kern[0].items()}
+
+
 def up_submodule_rank(V, k):
-    """Dimension of the degree-k piece of the span of all p-chains.
+    """Dimension of S_k, the degree-k piece of the span of all p-chains.
 
     Equal to the rank of the chain matrix.  The span is a gl(n)-submodule
-    ([x_i d_j, p_l] = delta_jl p_i and 1 (x) V is gl(n)-stable), so its weight
-    multiplicities are invariant under S_n, which permutes coordinates.  Only
-    chain vectors of dominant (non-increasing) weight are built and eliminated,
-    one EchelonSpan per weight (`dominant_weight_spaces`); each span's
-    dimension counts once per weight in its S_n-orbit.  Memoized per module
-    and degree.
+    ([x_i d_j, p_l] = delta_jl p_i and 1 (x) V is gl(n)-stable) of
+    S^k(C^n) (x) V, which by Pieri's rule is the sum of the V(mu + c), c in
+    `pieri_index_set`, each once.  So the span is the sum of some of them,
+    and V(mu + c) lies in it exactly when its maximal vector does.  That is
+    decided on the weight space of mu + c alone: the chain vectors of that
+    weight enter one EchelonSpan; if they fill the space, or if the maximal
+    vector (`_maximal_coordinates`) does not grow their span, the summand
+    counts with its Weyl dimension.  Weights and dimensions are read off the
+    integer lattice weights, and every vector is an integer vector.
+    Memoized per module and degree.
     """
 
     def compute():
-        if k == 0:
-            return V.dim
-        monos = monomials_of_degree(V.n, k)
+        top = V.lattice_weights[V.highest_index]
         total = 0
-        for w, positions in dominant_weight_spaces(V, monos).items():
+        for c in pieri_index_set(top, k):
+            support = _top_weight_space(V, c)
             span = EchelonSpan()
-            for pos in positions:
-                t, q = divmod(pos, V.dim)
-                _, vec = _chain_vector(V, monos[t], q)
+            for _, m, q in support:
+                _, vec = _chain_vector(V, m, q)
                 if vec:
                     span.insert(vec)
-            total += span.dim * orbit_size(w)
+            if span.dim == len(support) or span.insert(_maximal_coordinates(V, c, support)) is None:
+                total += weyl_dimension(weight_add(top, c))
         return total
 
     return module_memo(V, "rank", k, compute)
 
 
+def _all_dominant_rank(V, k):
+    """Oracle for `up_submodule_rank`: every chain vector of dominant weight
+    is built and eliminated, one EchelonSpan per weight
+    (`dominant_weight_spaces`).  The span's weight multiplicities are
+    invariant under S_n, which permutes coordinates, so each span's
+    dimension counts once per weight in its S_n-orbit."""
+    monos = monomials_of_degree(V.n, k)
+    total = 0
+    for w, positions in dominant_weight_spaces(V, monos).items():
+        span = EchelonSpan()
+        for pos in positions:
+            t, q = divmod(pos, V.dim)
+            _, vec = _chain_vector(V, monos[t], q)
+            if vec:
+                span.insert(vec)
+        total += span.dim * orbit_size(w)
+    return total
+
+
 def maximal_vector(V, c):
     """The maximal vector of the degree-|c| summand with shifted weight mu+c,
-    normalized so the coefficient of x^c tensor (highest basis vector) is 1."""
-    mu = V.highest_weight
-    c = _admissible(mu, c)
-    j = sum(c)
-    gb = graded_basis(V, j)
-    # mu + c is dominant for every admissible c
-    target = weight_add(V.lattice_weights[V.highest_index], c)
-    support = dominant_weight_spaces(V, monomials_of_degree(V.n, j)).get(target)
-    if not support:
-        raise MultiplicityAnomalyError(f"empty weight space for {weight_add(mu, c)}")
-    raisers = [
-        operator_matrix(scaling_op(V.n, a, b), V, j)
-        for a in range(V.n)
-        for b in range(a + 1, V.n)
-    ]
-    kern = joint_kernel(raisers, [{pos: 1} for pos in support])
-    if len(kern) != 1:
-        raise MultiplicityAnomalyError(
-            f"maximal vector space for shift {tuple(c)} has dimension {len(kern)}"
-        )
-    coords = {}
-    for t, v in enumerate(kern[0]):
-        if v != 0:
-            coords[gb.labels[support[t]]] = v
-    xi = GradedElement(j, coords)
-    lead = xi.coords.get((tuple(c), V.highest_index), 0)
+    normalized so the coefficient of x^c tensor (highest basis vector) is 1.
+
+    It is `_maximal_coordinates` on the weight space of mu + c
+    (`_top_weight_space`), the space the chain ranks test the summand on.
+    """
+    c = _admissible(V.highest_weight, c)
+    support = _top_weight_space(V, c)
+    xi = _maximal_coordinates(V, c, support)
+    lead = xi.get(next(pos for pos, m, q in support if m == c and q == V.highest_index), 0)
     if lead == 0:
         raise ConsistencyViolationError(
             "maximal vector lacks the distinguished leading coordinate"
         )
-    if lead != 1:
-        inv = Fraction(1) / lead
-        xi = GradedElement(j, {lab: v * inv for lab, v in xi.coords.items()})
-    return xi
+    return GradedElement(
+        sum(c), {(m, q): Fraction(xi[pos], lead) for pos, m, q in support if pos in xi}
+    )
 
 
 def phi_image(V, element):

@@ -22,9 +22,9 @@ read-only views of the stored form.
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and keeps one primitive integer
 vector per echelon row.  ``rank``, the chain ranks of the irreducibility
-check and ``kernel_basis`` all go through it.  ``kernel_basis`` reads its
-relations from tagged columns, column j with a 1 at index rows + j; it alone
-makes fractions, when it scales a relation.
+check and ``integer_kernel`` all go through it.  ``integer_kernel`` reads
+primitive integer relations from tagged columns, column j with a 1 at index
+rows + j; ``kernel_basis`` alone makes fractions, when it scales a relation.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "eval_operator_polynomial",
     "format_rational",
     "idempotent_from_spectrum",
-    "joint_kernel",
+    "integer_kernel",
     "kernel_basis",
     "kron",
     "parse_rational",
@@ -415,46 +415,42 @@ def rank(m):
     return span.dim
 
 
-def kernel_basis(m):
-    """Basis of the right null space, one vector per dependent column.
+def integer_kernel(columns, rows):
+    """Primitive integer relations among sparse integer columns, one per
+    dependent column: {j: int} with sum_j rel[j] * columns[j] = 0.
 
     Column j enters an EchelonSpan from left to right, tagged with a 1 at
-    index m.rows + j.  No tag is ever a pivot, so the tags of a reduced
-    column are the combination of columns that it equals.  A column whose
-    residual has an entry below m.rows is independent and becomes a row; one
-    whose residual is tags only is dependent, and the residual is its
-    relation: nonzero at that column, 0 at every other dependent column.
-    Each vector is then scaled so its first nonzero entry is 1, which makes
-    this the reduced basis read off the reduced row echelon form.
+    index rows + j; every row index of a column is below `rows`.  No tag is
+    ever a pivot, so the tags of a reduced column are the combination of
+    columns that it equals.  A column whose residual has an entry below rows
+    is independent and becomes a row; one whose residual is tags only is
+    dependent, and the residual is its relation: nonzero at that column, 0
+    at every other dependent column.
     """
     span = EchelonSpan()
-    rows, cm = m.rows, m.columns
-    basis = []
-    for j in range(m.cols):
-        residual = span._reduce({**cm.get(j, {}), rows + j: 1})
-        first = min(residual)
-        if first < rows:
+    relations = []
+    for j, col in enumerate(columns):
+        residual = span._reduce({**col, rows + j: 1})
+        if min(residual) < rows:
             span._add(residual)
-            continue
-        lead = residual[first]
+        else:
+            relations.append({i - rows: v for i, v in residual.items()})
+    return relations
+
+
+def kernel_basis(m):
+    """Basis of the right null space, one vector per dependent column: the
+    `integer_kernel` relations among m's columns, each scaled so its first
+    nonzero entry is 1, which makes this the reduced basis read off the
+    reduced row echelon form."""
+    basis = []
+    for rel in integer_kernel([m.columns.get(j, {}) for j in range(m.cols)], m.rows):
+        lead = rel[min(rel)]
         vec = [Fraction(0)] * m.cols
-        for i, v in residual.items():
-            vec[i - rows] = Fraction(v, lead)
+        for j, v in rel.items():
+            vec[j] = Fraction(v, lead)
         basis.append(tuple(vec))
     return basis
-
-
-def joint_kernel(ops, vectors):
-    """Basis of the coefficient tuples x with sum_t x[t] * op.apply(vectors[t])
-    = 0 for every op: the kernel of the op images, stacked op by op."""
-    ent = {}
-    off = 0
-    for op in ops:
-        for c, vec in enumerate(vectors):
-            for r, v in op.apply(vec).items():
-                ent[(off + r, c)] = v
-        off += op.rows
-    return kernel_basis(Matrix(off, len(vectors), ent))
 
 
 # -- operator polynomials ----------------------------------------------------

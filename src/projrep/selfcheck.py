@@ -54,6 +54,7 @@ from .glmodules import (
     weyl_dimension,
 )
 from .irreducibility import (
+    _all_dominant_rank,
     _central_character,
     _p_chain_vector,
     criterion,
@@ -318,6 +319,12 @@ def check_chain_oracle(V, k_max=3):
 
 
 def check_criterion_vs_bruteforce(V, k_max=4):
+    """The closed-form verdict against the first chain-rank deficiency, after
+    the chain ranks through k_max against the all-dominant-weight oracle."""
+    for k in range(k_max + 1):
+        fast, oracle = up_submodule_rank(V, k), _all_dominant_rank(V, k)
+        if fast != oracle:
+            return False, f"degree {k}: chain rank {fast}, all dominant weights {oracle}"
     wit = criterion(V.highest_weight)
     deficient = first_rank_deficiency(V, k_max)
     if wit.reducible:

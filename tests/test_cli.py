@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -71,6 +72,26 @@ def test_analyze_rank3_rational_scalar(capsys):
     assert doc["jordan_holder"]["k"] == 1
     assert doc["jordan_holder"]["residual_index"] == 2
     assert doc["jordan_holder"]["corollary_consistent"] is True
+
+
+# sha256 of `analyze --json` on six modules, two of them reducible: the q
+# table, the chain ranks through degree 4 and the composition series all
+# feed the digest
+ANALYZE_DIGESTS = {
+    "-n 4 -a 1,1,1 -b 0": "de61d34c3fdfcc6b5075a230cd75e5bb1e37331a9e80e81b5dfa91ead600c437",
+    "-n 3 -a 2,2 -b 1/2": "1929135691d6a536c59a9a92d97b436d5595fb283cd5557f3d881b2eff836e72",
+    "-n 3 -a 1,0 -b -2": "c3058f62c2078c6301c532453df5f5ac938d51315b3c78e2291e7a4465f47323",
+    "-n 2 -a 1 -b -1": "1a26cf6db062484511fb2096015d95399f796653d61df0b9bd3f83adf1b8a0ba",
+    "-n 3 -a 2,1 -b -3": "54a88d9c71b8e204b448a108063e78f6426390c1aebbe0fea86601ad33f464c5",
+    "-n 4 -a 1,0,1 -b 1/2": "7dd7a736c2b43d2c08d69209ad4d7ae4ed5b389e2358cb2ac7d745f2fb93852f",
+}
+
+
+@pytest.mark.parametrize("args", ANALYZE_DIGESTS)
+def test_analyze_json_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "analyze", *args.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[args]
 
 
 def test_decompose_table(capsys):

@@ -24,7 +24,7 @@ from projrep.glmodules import (
     weight_from_labels,
     weyl_dimension,
 )
-from projrep.linalg import EchelonSpan, Matrix, joint_kernel
+from projrep.linalg import EchelonSpan, Matrix, kernel_basis
 
 SMALL_SWEEP = [
     (1, (), F(0)), (1, (), F(-2)), (1, (), F(1, 2)),
@@ -139,6 +139,19 @@ def test_labels_roundtrip(n, dynkin, b):
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         build_irreducible(DominantLabels(3, (9, 9), F(0)), dim_cap=100)
+
+
+def joint_kernel(ops, vectors):
+    """Basis of the coefficient tuples x with sum_t x[t] * op.apply(vectors[t])
+    = 0 for every op: the kernel of the op images, stacked op by op."""
+    ent = {}
+    off = 0
+    for op in ops:
+        for c, vec in enumerate(vectors):
+            for r, v in op.apply(vec).items():
+                ent[(off + r, c)] = v
+        off += op.rows
+    return kernel_basis(Matrix(off, len(vectors), ent))
 
 
 @pytest.mark.parametrize("n,dynkin,b,k", [

@@ -218,6 +218,75 @@ def test_dominant_chain_rank_matches_all_weights(case):
         assert r == rank(up_submodule_matrix(V, k))
 
 
+# modules with their degree caps: n = 3, labels 1,0, b = -2 and n = 2,
+# label 1, b = -1 are reducible with finite chain spans, so their top
+# weight spaces go unfilled and the maximal vectors decide; the other two
+# are irreducible
+TOP_WEIGHT_MODULES = [
+    ((3, (1, 0), F(-2)), 5),
+    ((3, (2, 1), F(-3)), 5),
+    ((2, (1,), F(-1)), 6),
+    ((3, (2, 2), F(1, 2)), 4),
+]
+
+
+@pytest.mark.parametrize("point,top", TOP_WEIGHT_MODULES)
+def test_top_weight_chain_rank_matches_all_weights(point, top):
+    V = cached_module(*point)
+    for k in range(top + 1):
+        assert up_submodule_rank(V, k) == all_weights_rank(V, k), (point, k)
+
+
+def test_criterion_suite_compares_the_chain_ranks_with_the_oracle(monkeypatch):
+    import projrep.selfcheck as selfcheck
+
+    V = cached_module(2, (1,), F(-1))
+    assert selfcheck.check_criterion_vs_bruteforce(V) == (True, "first deficiency 2, witness 2")
+    monkeypatch.setattr(
+        selfcheck, "_all_dominant_rank", lambda V, k: up_submodule_rank(V, k) + (k == 3)
+    )
+    assert selfcheck.check_criterion_vs_bruteforce(V) == (
+        False, "degree 3: chain rank 0, all dominant weights 1"
+    )
+
+
+def _count_maximal_vectors(monkeypatch, calls):
+    """Append the shift c of every maximal vector the chain ranks build to
+    `calls` until monkeypatch.undo()."""
+    original = irreducibility._maximal_coordinates
+
+    def counting(V, c, support):
+        calls.append(c)
+        return original(V, c, support)
+
+    monkeypatch.setattr(irreducibility, "_maximal_coordinates", counting)
+
+
+@pytest.mark.parametrize("point,k,c", [
+    ((2, (1,), F(-1)), 1, (0, 1)),
+    ((3, (1, 0), F(-2)), 2, (1, 1, 0)),
+])
+def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypatch, point, k, c):
+    """With one chain vector of the highest weight space of mu + c made
+    empty, the span no longer fills that space, the maximal vector decides,
+    and the summand drops out of the rank."""
+    right = up_submodule_rank(build_irreducible(DominantLabels(*point)), k)
+    V = build_irreducible(DominantLabels(*point))
+    _, m, q = irreducibility._top_weight_space(V, c)[-1]
+    original = irreducibility._chain_vector
+
+    def dropped(W, chain, basis):
+        return (1, {}) if (chain, basis) == (m, q) else original(W, chain, basis)
+
+    monkeypatch.setattr(irreducibility, "_chain_vector", dropped)
+    built = []
+    _count_maximal_vectors(monkeypatch, built)
+    wrong = up_submodule_rank(V, k)
+    monkeypatch.undo()
+    assert c in built
+    assert wrong == right - weyl_dimension(weight_add(V.highest_weight, c))
+
+
 def test_chain_vectors_store_integers_as_int():
     V = cached_module(4, (1, 1, 1), F(0))
     for c in [(2, 1, 0, 0), (1, 1, 1, 0), (0, 2, 0, 1)]:
@@ -227,18 +296,27 @@ def test_chain_vectors_store_integers_as_int():
 
 
 def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
-    # the weights of n = 4, labels 1,1,1, b = 0 lie in -3/2 + Z^4: once the
-    # chain vectors are memoized, the rank is elimination on them alone
+    # once the chain vectors are memoized, the rank is integer work alone:
+    # weights, Weyl dimensions, elimination and the maximal vectors.  The
+    # weights of n = 4, labels 1,1,1, b = 0 lie in -3/2 + Z^4; n = 2,
+    # label 1, b = -1 is reducible, and its degree-2 span fills neither top
+    # weight space, so both maximal vectors are built
     from test_linalg import _count_fraction_arithmetic
 
-    V = build_irreducible(DominantLabels(4, (1, 1, 1), F(0)))
-    up_submodule_matrix(V, 3)
-    calls = []
-    _count_fraction_arithmetic(monkeypatch, calls)
-    r = up_submodule_rank(V, 3)
-    monkeypatch.undo()
-    assert calls == []
-    assert r == all_weights_rank(V, 3)
+    for point, k, maximal in [
+        ((4, (1, 1, 1), F(0)), 3, []),
+        ((2, (1,), F(-1)), 2, [(2, 0), (1, 1)]),
+    ]:
+        V = build_irreducible(DominantLabels(*point))
+        up_submodule_matrix(V, k)
+        calls, built = [], []
+        _count_fraction_arithmetic(monkeypatch, calls)
+        _count_maximal_vectors(monkeypatch, built)
+        r = up_submodule_rank(V, k)
+        monkeypatch.undo()
+        assert calls == [], point
+        assert built == maximal, point
+        assert r == all_weights_rank(V, k), point
 
 
 @pytest.mark.parametrize("b", [F(0), F(1, 2)])
@@ -289,19 +367,28 @@ def test_chain_oracle_catches_a_step_without_b(monkeypatch, n, dynkin, b):
 
 
 def test_chain_ranks_assemble_no_operator_matrix(monkeypatch):
-    """Chain vectors are built from the generator columns: neither the
-    operator-matrix assembly nor Matrix.apply runs under up_submodule_rank."""
+    """Chain vectors and maximal vectors are built from the generator
+    columns: neither the operator-matrix assembly nor Matrix.apply runs
+    under up_submodule_rank, on an irreducible module and on a reducible
+    one whose rank builds maximal vectors."""
     import projrep.action as action_mod
 
     def forbidden(*args, **kwargs):
         raise AssertionError("chain ranks must not go through operator matrices")
 
-    monkeypatch.setattr(action_mod, "_assemble", forbidden)
-    monkeypatch.setattr(Matrix, "apply", forbidden)
-    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
-    r = up_submodule_rank(V, 3)
-    monkeypatch.undo()
-    assert r == rank(up_submodule_matrix(V, 3))
+    for point, k, maximal in [
+        ((3, (1, 1), F(1, 2)), 3, []),
+        ((2, (1,), F(-1)), 2, [(2, 0), (1, 1)]),
+    ]:
+        monkeypatch.setattr(action_mod, "_assemble", forbidden)
+        monkeypatch.setattr(Matrix, "apply", forbidden)
+        built = []
+        _count_maximal_vectors(monkeypatch, built)
+        V = build_irreducible(DominantLabels(*point))
+        r = up_submodule_rank(V, k)
+        monkeypatch.undo()
+        assert built == maximal, point
+        assert r == rank(up_submodule_matrix(V, k)), point
 
 
 def test_criterion_examples():
