@@ -14,12 +14,15 @@ dim(V)-square block per monomial.  The target degree is read off the
 operator, whose shift is computed once with its terms, so only a nonzero
 operator with a uniform degree shift has a matrix.  `commutator_equals` is
 the matrix side of a Lie relation: whether the commutator of two operator
-matrices equals a target (the matrix of the symbolic bracket, or zero),
-decided in one exact pass of `linalg.product_difference_equals` that builds
-no product; the bracket check and the Chevalley relations both use it.  `act` applies an operator to one
-graded element term by term; the matrix path never calls it, and it is the
-independent oracle that the `action-oracle` suite of `selfcheck` compares
-every column with.
+matrices equals a target (the matrix of a bracket, or zero), decided in one
+exact pass of `linalg.product_difference_equals` that builds no product;
+the Chevalley relations use it.  The bracket check runs the same pass on a
+per-module table, each spanning operator's matrices on every degree it
+needs, fetched once, against the matrix of each pair's symbolic bracket,
+which `WittElement.bracket` forms in one pass over the pairs of terms.
+`act` applies an operator to one graded element term by term; the matrix
+path never calls it, and it is the independent oracle that the
+`action-oracle` suite of `selfcheck` compares every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 from .errors import UnsupportedOperatorError
@@ -121,23 +125,20 @@ class WittElement:
         return self._hash
 
     def bracket(self, other):
-        """Lie bracket of vector fields: coefficients cross-differentiate."""
+        """Lie bracket of vector fields, one pass over the pairs of terms:
+        [f d_j, g d_i] = f (d_j g) d_i - g (d_i f) d_j."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        a = _by_direction(self)
-        b = _by_direction(other)
         out = {}
-        for i in range(n):
-            acc = {}
-            for j in range(n):
-                if j in a and i in b:
-                    add_into(acc, _poly_mul(a[j], _poly_diff(b[i], j)).items())
-                if j in b and i in a:
-                    add_into(acc, _poly_mul(b[j], _poly_diff(a[i], j)).items(), -1)
-            for mono, v in acc.items():
-                out[(mono, i)] = v
-        return WittElement(n, out)
+        for (ma, j), va in self.terms.items():
+            for (mb, i), vb in other.terms.items():
+                if mb[j]:
+                    key = (_shift_mono(map(operator.add, ma, mb), down=j), i)
+                    out[key] = out.get(key, 0) + va * vb * mb[j]
+                if ma[i]:
+                    key = (_shift_mono(map(operator.add, ma, mb), down=i), j)
+                    out[key] = out.get(key, 0) - va * vb * ma[i]
+        return WittElement(self.n, out)
 
     def __repr__(self):
         if not self.terms:
@@ -147,29 +148,6 @@ class WittElement:
             m = "*".join(f"x{t+1}^{e}" if e > 1 else f"x{t+1}" for t, e in enumerate(mono) if e)
             bits.append(f"{v}*{m or '1'}*d{i+1}")
         return "WittElement(" + " + ".join(bits) + ")"
-
-
-def _by_direction(op):
-    polys = {}
-    for (mono, i), v in op.terms.items():
-        polys.setdefault(i, {})[mono] = v
-    return polys
-
-
-def _poly_mul(p, q):
-    out = {}
-    for ma, va in p.items():
-        add_into(out, ((tuple(x + y for x, y in zip(ma, mb)), vb) for mb, vb in q.items()), va)
-    return out
-
-
-def _poly_diff(p, j):
-    out = {}
-    for mono, v in p.items():
-        if mono[j]:
-            m = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
-            out[m] = out.get(m, 0) + v * mono[j]
-    return out
 
 
 def _unit(n, i):
@@ -554,17 +532,20 @@ def verify_bracket_consistency(n, V, k_max):
 
     For every unordered pair from the spanning set and every degree up to
     k_max the commutator of the operator matrices must equal the matrix of
-    the symbolic bracket exactly, or vanish where the bracket does.  A
-    negative k_max leaves no degree to check and raises ValueError.
+    the symbolic bracket exactly, or vanish where the bracket does.  The
+    factors are fetched once, into a table of each spanning operator's
+    matrices on degrees -1 .. k_max + 1.  A negative k_max raises ValueError.
     """
     if k_max < 0:
         raise ValueError(f"degree cap must be >= 0, got {k_max}")
     ops = [op for _, op in spanning_operators(n)]
-    for a, u in enumerate(ops):
-        for w in ops[a + 1:]:
-            bracket = u.bracket(w)
+    table = [({k: operator_matrix(op, V, k) for k in range(-1, k_max + 2)}, op.degree_shift()) for op in ops]
+    for a, (mu, su) in enumerate(table):
+        for b in range(a + 1, len(ops)):
+            mw, sw = table[b]
+            bracket = ops[a].bracket(ops[b])
             for k in range(k_max + 1):
                 target = None if bracket.is_zero() else operator_matrix(bracket, V, k)
-                if not commutator_equals(u, w, V, k, target):
+                if not product_difference_equals(mu[k + sw], mw[k], mw[k + su], mu[k], target):
                     return False
     return True

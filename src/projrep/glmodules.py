@@ -7,11 +7,13 @@ a triangular array of integer rows, row n (the top) being mu - mu_n and row
 k - 1 interlacing row k.  A pattern's weight is read off its row sums, and
 the simple generators E_{k,k+1} and E_{k+1,k} act by closed-form rational
 coefficients in the l-values l_ki = L_ki - i + 1 of rows k and k +- 1 (see
-`build_irreducible`); every other E_{i,j} is a commutator of two generators
-nearer the diagonal.  No elimination is involved.  A weight is an n-tuple,
-index i holding the E_{i,i} eigenvalue.  The weights of a module differ by
-roots, so a module stores each as an integer tuple relative to mu_n, and
-only `dominant_weight_spaces` decides dominance, on those tuples.
+`build_irreducible`), computed once per pair of rows and applied by integer
+pattern codes; every other E_{i,j} is a commutator of two generators nearer
+the diagonal, formed in one integer pass.  No elimination is involved.  A
+weight is an n-tuple, index i holding the E_{i,i} eigenvalue.  The weights
+of a module differ by roots, so a module stores each as an integer tuple
+relative to mu_n, and only `dominant_weight_spaces` decides dominance, on
+those tuples.
 """
 
 from __future__ import annotations
@@ -250,10 +252,12 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
       E_{k,k+1} xi_L = -sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L+d_ki}
       E_{k+1,k} xi_L =  sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L-d_ki}
 
-    L +- d_ki is L with entry i of row k raised or lowered by 1; a term whose
-    array is not a pattern is dropped.  E_{i,j} with |i - j| >= 2 is
-    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}].  Entries are stored
-    column by column, rows ascending within a column.
+    L +- d_ki is L with entry i of row k raised or lowered by 1, found as an
+    offset of L's integer code (radix max(mu - mu_n) + 2); a term whose array
+    is not a pattern is dropped.  E_{i,j} with |i - j| >= 2 is
+    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}], each accumulated in one
+    integer pass.  Entries are stored column by column, rows ascending
+    within a column.
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -267,48 +271,61 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         sums = [0] + [sum(row) for row in pattern]
         return tuple(sums[k + 1] - sums[k] for k in range(n))
 
-    patterns = sorted(_gt_patterns(int(x - mu[-1]) for x in mu), key=lattice_weight, reverse=True)
+    top = [int(x - mu[-1]) for x in mu]
+    weights, patterns = zip(*sorted(
+        ((lattice_weight(p), p) for p in _gt_patterns(top)), key=operator.itemgetter(0), reverse=True
+    ))
     dim = len(patterns)
     if dim != target_dim:
         raise ConsistencyViolationError(
             f"{dim} Gelfand-Tsetlin patterns, Weyl formula says {target_dim}"
         )
-    index_of = {pattern: idx for idx, pattern in enumerate(patterns)}
-    weights = [lattice_weight(pattern) for pattern in patterns]
-    # lvals[p][r][i] = L_{r+1,i+1} - i: the l-values of pattern p, 0-based
-    lvals = [[[x - i for i, x in enumerate(row)] for row in pattern] for pattern in patterns]
+    # entry p of a pattern's rows, read from row 1 up, is the digit of radix**p
+    # of its code; entries lie in 0 .. radix - 2, so moving one by +-1 adds
+    # +-radix**p, and an array that is no pattern gets a digit radix - 1 (or a
+    # negative code) and matches no code
+    radix = top[0] + 2
+    codes = [sum(x * radix**p for p, x in enumerate(itertools.chain(*pattern))) for pattern in patterns]
+    index_of = {code: idx for idx, code in enumerate(codes)}
 
     def simple(k, step):
         """E_{k+1,k+2} (step 1) or E_{k+2,k+1} (step -1), k 0-based: row k of
         each pattern moves, and the numerators read the l-values of row
-        k + step.  Each coefficient is an int pair (num, den), den > 0; the
-        matrix is their nums scaled to the lcm of the dens, over that lcm."""
-        columns = {}
-        for c, (pattern, lv) in enumerate(zip(patterns, lvals)):
-            row, other = lv[k], lv[k + step] if k + step >= 0 else ()
-            col = {}
-            moved = pattern[k]
-            for i, li in enumerate(row):
-                shifted = moved[:i] + (moved[i] + step,) + moved[i + 1:]
-                tgt = index_of.get(pattern[:k] + (shifted,) + pattern[k + 1:])
-                if tgt is not None:
-                    num = -step * prod(li - x for x in other)
-                    den = prod(li - x for j, x in enumerate(row) if j != i)
-                    if num:
-                        col[tgt] = (-num, -den) if den < 0 else (num, den)
+        k + step.  Each coefficient is an int pair (num, den), den > 0,
+        computed once per pair of rows k and k + step with the code offset of
+        its move; the matrix is their nums scaled to the lcm of the dens,
+        over that lcm."""
+        table, columns = {}, {}
+        for c, (pattern, code) in enumerate(zip(patterns, codes)):
+            key = pattern[k], pattern[k + step] if k + step >= 0 else ()
+            coeffs = table.get(key)
+            if coeffs is None:
+                row, other = ([x - i for i, x in enumerate(r)] for r in key)
+                coeffs = table[key] = []
+                for i, li in enumerate(row):
+                    if num := -step * prod(li - x for x in other):
+                        den = prod(li - x for j, x in enumerate(row) if j != i)
+                        offset = step * radix ** (k * (k + 1) // 2 + i)
+                        coeffs.append((offset, (-num, -den) if den < 0 else (num, den)))
+            col = sorted((t, coeff) for d, coeff in coeffs if (t := index_of.get(code + d)) is not None)
             if col:
-                columns[c] = dict(sorted(col.items()))
+                columns[c] = dict(col)
         scale = lcm(*(den for col in columns.values() for _, den in col.values()))
-        ints = {
-            c: {r: num * (scale // den) for r, (num, den) in col.items()}
-            for c, col in columns.items()
-        }
+        ints = {c: {r: num * (scale // den) for r, (num, den) in col.items()} for c, col in columns.items()}
         return Matrix.from_int_columns(dim, dim, scale, ints)
 
     def commutator(a, b):
-        m = a @ b - b @ a
-        cols = {j: dict(sorted(m.columns[j].items())) for j in sorted(m.columns)}
-        return Matrix.from_int_columns(dim, dim, m.den, cols)
+        """ab - ba in one integer pass over a.den * b.den, rows ascending."""
+        cols = {}
+        for left, right, sign in ((a.columns, b.columns, 1), (b.columns, a.columns, -1)):
+            for j, col in right.items():
+                acc = cols.setdefault(j, {})
+                for t, x in col.items():
+                    x *= sign
+                    for r, v in left.get(t, {}).items():
+                        acc[r] = acc.get(r, 0) + v * x
+        cols = {j: dict(sorted((r, v) for r, v in acc.items() if v)) for j, acc in sorted(cols.items())}
+        return Matrix.from_int_columns(dim, dim, a.den * b.den, {j: col for j, col in cols.items() if col})
 
     # E_{i,i} is diagonal with entries w_i + mu_n, integers over mu_n's denominator
     num, den = mu[-1].numerator, mu[-1].denominator

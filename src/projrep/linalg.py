@@ -333,6 +333,7 @@ def product_difference_equals(a, b, c, d, target=None):
         g = math.gcd(den, target.den)
         tf, af = target.den // g, -(den // g)
         acc = {j * rows + r: af * t for j, col in target.columns.items() for r, t in col.items()}
+    get = acc.get
     for left, right, f in (
         (a.columns, b.columns, tf * (den // (a.den * b.den))),
         (c.columns, d.columns, -tf * (den // (c.den * d.den))),
@@ -346,7 +347,7 @@ def product_difference_equals(a, b, c, d, target=None):
                 x *= f
                 for r, v in inner.items():
                     key = base + r
-                    acc[key] = acc.get(key, 0) + v * x
+                    acc[key] = get(key, 0) + v * x
     return not any(acc.values())
 
 

@@ -24,7 +24,7 @@ from projrep.action import (
 )
 from projrep.errors import UnsupportedOperatorError
 from projrep.glmodules import DominantLabels, build_irreducible, cached_module
-from projrep.linalg import Matrix
+from projrep.linalg import Matrix, add_into
 from projrep.selfcheck import (
     check_action_oracle,
     check_cartan_diagonal,
@@ -440,6 +440,77 @@ def test_witt_bracket_antisymmetry_and_jacobi():
         projective_components(u.bracket(w))
 
 
+def _oracle_bracket(a, b):
+    """The bracket by polynomial calculus, direction by direction: the d_i
+    coefficient of [sum_j f_j d_j, sum_j g_j d_j] is
+    sum_j (f_j * d_j g_i - g_j * d_j f_i)."""
+
+    def by_direction(op):
+        polys = {}
+        for (mono, i), v in op.terms.items():
+            polys.setdefault(i, {})[mono] = v
+        return polys
+
+    def mul(p, q):
+        out = {}
+        for ma, va in p.items():
+            add_into(out, ((tuple(x + y for x, y in zip(ma, mb)), vb) for mb, vb in q.items()), va)
+        return out
+
+    def diff(p, j):
+        out = {}
+        for mono, v in p.items():
+            if mono[j]:
+                m = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
+                out[m] = out.get(m, 0) + v * mono[j]
+        return out
+
+    f, g = by_direction(a), by_direction(b)
+    out = {}
+    for i in range(a.n):
+        for j in range(a.n):
+            add_into(out, (((m, i), v) for m, v in mul(f.get(j, {}), diff(g.get(i, {}), j)).items()))
+            add_into(out, (((m, i), v) for m, v in mul(g.get(j, {}), diff(f.get(i, {}), j)).items()), -1)
+    return WittElement(a.n, out)
+
+
+@st.composite
+def vector_field_pairs(draw):
+    """Two polynomial vector fields on n <= 4 variables, up to five terms each,
+    monomials of degree <= 3, rational coefficients."""
+    n = draw(st.integers(1, 4))
+    fields = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            hits = draw(st.lists(st.integers(0, n - 1), max_size=3))
+            mono = tuple(hits.count(t) for t in range(n))
+            coeff = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            terms[(mono, draw(st.integers(0, n - 1)))] = coeff
+        fields.append(WittElement(n, terms))
+    return fields
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_field_pairs())
+def test_bracket_matches_the_polynomial_calculus_oracle(fields):
+    a, b = fields
+    assert a.bracket(b) == _oracle_bracket(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bracket_matches_the_oracle_on_every_spanning_pair(n):
+    ops = [op for _, op in spanning_operators(n)]
+    for u in ops:
+        for w in ops:
+            assert u.bracket(w) == _oracle_bracket(u, w), (u, w)
+
+
+def test_bracket_rejects_fields_on_different_variables():
+    with pytest.raises(ValueError):
+        derivative_op(2, 0).bracket(derivative_op(3, 0))
+
+
 def test_operator_matrix_matches_act_composition():
     # matrices compose exactly like repeated act() application
     V = cached_module(2, (1,), F(1))
@@ -548,6 +619,50 @@ def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
     assert assembled
     assert not [op for op, _ in assembled if op.is_zero()]
     assert len(assembled) == len(set(assembled))
+
+
+def test_bracket_check_fetches_each_spanning_matrix_once(monkeypatch):
+    # the factors come from a table of every spanning operator on degrees
+    # -1 .. k_max + 1; bracket() returns a fresh element, so a target equal
+    # to a spanning operator is not a table fetch
+    import projrep.action as action_mod
+
+    original = action_mod.operator_matrix
+    fetched = []
+
+    def recording(op, V, k):
+        fetched.append((op, k))
+        return original(op, V, k)
+
+    monkeypatch.setattr(action_mod, "operator_matrix", recording)
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    assert verify_bracket_consistency(3, V, 2)
+    spanning = [op for _, op in spanning_operators(3)]
+    table = [(op, k) for op, k in fetched if any(op is s for s in spanning)]
+    assert len(table) == len(set(table)) == len(spanning) * 5
+
+
+@pytest.mark.parametrize("n,dynkin,b,k_max,count", [
+    (3, (1, 1), F(1, 2), 2, 114),
+    (2, (1,), F(1), 4, 86),
+    (3, (2, 0), F(-2), 1, 86),
+])
+def test_bracket_check_assembles_the_pinned_matrix_set(monkeypatch, n, dynkin, b, k_max, count):
+    # the table's spanning matrices and the nonzero brackets' targets, each
+    # (operator, degree) once: the set that four fetches per commutator made
+    import projrep.action as action_mod
+
+    original = action_mod._assemble
+    assembled = []
+
+    def recording(op, V, src, dst):
+        assembled.append((op, src.degree))
+        return original(op, V, src, dst)
+
+    monkeypatch.setattr(action_mod, "_assemble", recording)
+    V = build_irreducible(DominantLabels(n, dynkin, b))
+    assert verify_bracket_consistency(n, V, k_max)
+    assert len(assembled) == len(set(assembled)) == count
 
 
 def test_matrix_path_does_not_call_act(monkeypatch):

@@ -312,6 +312,41 @@ def test_generators_are_pinned_bit_for_bit(n, dynkin, b, dim, digest):
     assert _generator_digest(V) == digest
 
 
+def _grid(n):
+    """Labels <= 2 for n <= 4, and label sum <= 2 for n = 5; b = 1/2 on even
+    label sums (Cartan generators over den 2) and -1 on odd ones."""
+    for dynkin in itertools.product(range(3), repeat=n - 1):
+        if n < 5 or sum(dynkin) <= 2:
+            yield DominantLabels(n, dynkin, F(1, 2) if sum(dynkin) % 2 == 0 else F(-1))
+
+
+GRID_PINS = {
+    1: "667700710fb49a38404a32bf04c1bf7f1d0dbbb63a7bba00c744e498bb4021c1",
+    2: "24fa55ed4611f426911263af0a59f5d21b768314086929352749f54054a57fa9",
+    3: "76c82a8e4711f1746c5b33b10a8fba4b859f8dd66836488020c3aafcb0012454",
+    4: "289429a63a43bd56dc80ef8f00141bae2684583db02a582677fc74f3969c3bec",
+    5: "6b4965f1104b98f0f36cd2f6caf318eba6f8c98f5c642d79f332cc909800ee49",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GRID_PINS))
+def test_generators_are_pinned_in_stored_form_over_a_grid(n):
+    """Every V.e(i, j) of every module of the grid as stored: den, then the
+    columns in stored order, each with its rows in stored order.  The build
+    keeps columns and rows ascending and den reduced, so a change to the
+    coefficients, the commutators or their order shows here."""
+    h = hashlib.sha256()
+    for labels in _grid(n):
+        V = build_irreducible(labels)
+        h.update(repr(labels).encode())
+        for i in range(n):
+            for j in range(n):
+                m = V.e(i, j)
+                cols = [(c, list(col.items())) for c, col in m.columns.items()]
+                h.update(repr((i, j, m.den, cols)).encode())
+    assert h.hexdigest() == GRID_PINS[n]
+
+
 def test_simple_generators_take_no_fraction_arithmetic(monkeypatch):
     """The closed-form coefficients are int pairs over one lcm: building
     labels 2,1,2 (dim 300) does exactly the Fraction work, arithmetic and
