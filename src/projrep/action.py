@@ -28,6 +28,9 @@ Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
 lexicographically within a degree (x_1 before x_2, so the pure x_1 power
 comes first); inside one monomial the module basis index runs in order.
+`graded_basis(V, k)` is the one index of that order, {m: position of
+x^m (x) v_0}: x^m (x) v_q sits at basis[m] + q, and every package module
+that addresses a graded piece reads its positions there.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .linalg import Matrix, _check_scalar, _norm, add_into, product_difference_e
 
 __all__ = [
     "ChevalleySet",
-    "GradedBasis",
     "GradedElement",
     "WittElement",
     "act",
@@ -312,27 +314,13 @@ def graded_dimension(V, k):
     return math.comb(k + V.n - 1, V.n - 1) * V.dim
 
 
-class GradedBasis:
-    """Ordered basis of one graded piece, with label-to-index lookup."""
-
-    __slots__ = ("degree", "labels", "index")
-
-    def __init__(self, V, degree):
-        self.degree = degree
-        labels = []
-        if degree >= 0:
-            for mono in monomials_of_degree(V.n, degree):
-                for j in range(V.dim):
-                    labels.append((mono, j))
-        self.labels = tuple(labels)
-        self.index = {lab: t for t, lab in enumerate(labels)}
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def from_vector(self, vec):
-        return GradedElement(self.degree, {self.labels[t]: v for t, v in vec.items()})
+def graded_basis(V, k):
+    """{m: position of x^m (x) v_0} over the degree-k monomials in basis
+    order, so x^m (x) v_q sits at basis[m] + q and the piece has
+    len(basis) * V.dim vectors; empty for k < 0.  Memoized per module."""
+    return module_memo(
+        V, "basis", k, lambda: {m: t * V.dim for t, m in enumerate(monomials_of_degree(V.n, k))}
+    )
 
 
 # -- the action, one basis vector at a time (the oracle) ---------------------------
@@ -385,11 +373,6 @@ def act(op, element, V):
 # -- per-degree matrices, assembled block by block (cached) -----------------------
 
 
-def graded_basis(V, k):
-    """Ordered basis of the degree-k piece (monomial descending-lex, then index)."""
-    return module_memo(V, "basis", k, lambda: GradedBasis(V, k))
-
-
 def _twist(coeffs, V):
     """sum of c * E_{i+1,j+1} over {(i, j): c}, as a Matrix summed on the
     generators' integer columns over the lcm of c.den * E_{i+1,j+1}.den."""
@@ -424,28 +407,28 @@ def _plan(op, V):
     return moves, pseudo, blocks
 
 
-def _assemble(op, V, src, dst):
-    """(den, columns): op's matrix from the basis `src` to `dst` as integer
-    columns {col: {row: int}} over one denominator.
+def _assemble(op, V, k, src, dst):
+    """(den, columns): op's matrix from the degree-k basis `src` to `dst`
+    (`graded_basis`) as integer columns {col: {row: int}} over one
+    denominator.
 
     Each operator acts on x^m tensor V as a polynomial move times Id_V plus
     generator blocks: d_i moves m to m - e_i (weight m_i); x_i d_j moves m to
     m + e_i - e_j (weight m_j) and adds E_{i,j} on the block of m; p_i moves m
     to m + e_i (weight |m| + b) and adds E_{i,j} on the block of m + e_j.  The
-    block of (m, t) starts at the position of (m, 0).  Only the p_i weight
-    k + b and the positions depend on the degree k; the rest is `_plan`'s.
+    block of m starts at basis[m].  Only the p_i weight k + b and the
+    positions depend on the degree k; the rest is `_plan`'s.
     """
     moves, pseudo, blocks = module_memo(V, "plan", op, lambda: _plan(op, V))
-    k, d = src.degree, V.dim
+    d = V.dim
     moves = moves + [(c * (k + V.b), i, None) for i, c in pseudo.items()]
     den = math.lcm(*(c.denominator for c, _, _ in moves), *(twist.den for _, twist in blocks))
     moves = [(c.numerator * (den // c.denominator), up, down) for c, up, down in moves]
     # keys take their positions from this list, so the cached columns share
     # one int object per position instead of holding fresh sums
-    pos = list(range(max(src.dim, dst.dim)))
+    pos = list(range(max(len(src), len(dst)) * d))
     cols = {}
-    for col in range(0, src.dim, d):
-        mono = src.labels[col][0]
+    for mono, col in src.items():
         poly = {}
         for c, up, down in moves:
             weight = 1 if down is None else mono[down]
@@ -455,11 +438,11 @@ def _assemble(op, V, src, dst):
         out = [{} for _ in range(d)]
         for m, s in poly.items():
             if s:
-                row = dst.index[(m, 0)]
+                row = dst[m]
                 for t in range(d):
                     out[t][pos[row + t]] = s
         for up, twist in blocks:
-            row = dst.index[(_shift_mono(mono, up), 0)]
+            row = dst[_shift_mono(mono, up)]
             f = den // twist.den
             for t, entries in twist.columns.items():
                 acc = out[t]
@@ -491,7 +474,8 @@ def operator_matrix(op, V, k):
             raise UnsupportedOperatorError(f"{op!r} has no uniform degree shift")
         src = graded_basis(V, k)
         dst = graded_basis(V, k + shift)
-        return Matrix.from_int_columns(dst.dim, src.dim, *_assemble(op, V, src, dst))
+        d = V.dim
+        return Matrix.from_int_columns(len(dst) * d, len(src) * d, *_assemble(op, V, k, src, dst))
 
     return module_memo(V, "matrix", (op, k), build)
 
@@ -508,8 +492,8 @@ def commutator_equals(u, w, V, k, target):
     )
 
 
-def triangle_delta(i, j, k, V, degree=0):
-    """Matrix of the degree-preserving bookkeeping operator on a graded piece.
+def triangle_delta(i, j, k, V):
+    """Matrix of the degree-preserving bookkeeping operator on degree zero.
 
     For i != j this is x_{j+1} d_{x_{i+1}}; on the diagonal it is the Euler
     field plus x_{i+1} d_{x_{i+1}} plus the constant k-1, where k counts the
@@ -517,11 +501,11 @@ def triangle_delta(i, j, k, V, degree=0):
     """
     n = V.n
     if i != j:
-        return operator_matrix(scaling_op(n, j, i), V, degree)
+        return operator_matrix(scaling_op(n, j, i), V, 0)
     op = scaling_op(n, i, i)
     for l in range(n):
         op = op + scaling_op(n, l, l)
-    m = operator_matrix(op, V, degree)
+    m = operator_matrix(op, V, 0)
     if k != 1:
         m = m + Matrix.identity(m.rows).scale(k - 1)
     return m

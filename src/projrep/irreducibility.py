@@ -4,10 +4,12 @@ The raising chains p^c applied to the degree-zero slice either fill every
 graded piece (irreducible case) or first miss a summand at a computable
 degree.  Both sides are implemented: the closed-form product coefficient q_c
 attached to each tensor summand, and brute force that builds the actual
-chain vectors and maximal vectors.  The chain ranks test one weight space
-per Pieri summand, its highest; an elimination over every dominant weight
-space stays behind as their oracle.  When the module is reducible the
-two-step composition series and the residual quotient data are reported.
+chain vectors and maximal vectors.  Both kinds of vector are positional,
+{position: value} in the order of `action.graded_basis`, where x^m (x) v_q
+sits at basis[m] + q.  The chain ranks test one weight space per Pieri
+summand, its highest; an elimination over every dominant weight space stays
+behind as their oracle.  When the module is reducible the two-step
+composition series and the residual quotient data are reported.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import (
-    GradedElement,
-    graded_basis,
-    graded_dimension,
-    monomials_of_degree,
-    operator_matrix,
-)
+from .action import graded_basis, graded_dimension, operator_matrix
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
@@ -185,8 +181,8 @@ def _chain_step(V, k):
     L is the lcm of b's denominator and of every generator's, so move =
     L (k + b) is an int and twists[i][q] lists (j, r, a) with a = L E_ij[r, q]
     an int.  starts[t][j] is the position of x^(m+e_j) (x) v_0 in degree
-    k + 1, m the t-th monomial of degree k.  L and twists do not depend on k
-    and are shared with degree 0.
+    k + 1, m the t-th monomial of degree k (`graded_basis`).  L and twists
+    do not depend on k and are shared with degree 0.
     """
 
     def build():
@@ -203,10 +199,9 @@ def _chain_step(V, k):
                     for q, col in e.columns.items():
                         twists[i][q] += [(j, r, a * f) for r, a in col.items()]
         move = L * k + V.b.numerator * (L // V.b.denominator)
-        up = {m: t * V.dim for t, m in enumerate(monomials_of_degree(n, k + 1))}
+        up = graded_basis(V, k + 1)
         starts = [
-            [up[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(n)]
-            for m in monomials_of_degree(n, k)
+            [up[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(n)] for m in graded_basis(V, k)
         ]
         return L, move, starts, twists
 
@@ -262,7 +257,7 @@ def _p_chain_vector(V, c, q):
 def up_submodule_matrix(V, k):
     """The degree-k chain matrix: columns are all ordered p-products applied
     to the degree-zero basis, in lexicographic chain order."""
-    chains = [_chain_vector(V, c, q) for c in monomials_of_degree(V.n, k) for q in range(V.dim)]
+    chains = [_chain_vector(V, c, q) for c in graded_basis(V, k) for q in range(V.dim)]
     den = math.lcm(*(d for d, _ in chains))
     cols = {
         t: {r: v * (den // d) for r, v in vec.items()}
@@ -270,14 +265,6 @@ def up_submodule_matrix(V, k):
         if vec
     }
     return Matrix.from_int_columns(graded_dimension(V, k), len(chains), den, cols)
-
-
-def _monomial_index(V, k):
-    """{m: t}: the index of each degree-k monomial in `monomials_of_degree`
-    order, so x^m (x) v_q sits at position t * dim + q.  Memoized."""
-    return module_memo(
-        V, "monomial_index", k, lambda: {m: t for t, m in enumerate(monomials_of_degree(V.n, k))}
-    )
 
 
 def _top_weight_space(V, c):
@@ -288,13 +275,13 @@ def _top_weight_space(V, c):
     m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise;
     every lattice weight has one sum, so |m| = |c| follows.
     """
-    index, dim = _monomial_index(V, sum(c)), V.dim
+    basis = graded_basis(V, sum(c))
     top = weight_add(V.lattice_weights[V.highest_index], c)
     support = []
     for q, lw in enumerate(V.lattice_weights):
         m = tuple(map(operator.sub, top, lw))
         if min(m) >= 0:
-            support.append((index[m] * dim + q, m, q))
+            support.append((basis[m] + q, m, q))
     support.sort()
     return support
 
@@ -313,8 +300,8 @@ def _maximal_coordinates(V, c, support):
     is their joint kernel.  A space whose kernel is not one-dimensional
     raises MultiplicityAnomalyError.
     """
-    n, dim, k = V.n, V.dim, sum(c)
-    index = _monomial_index(V, k)
+    n, k = V.n, sum(c)
+    basis = graded_basis(V, k)
     raisers = [(a, b, V.e(a, b)) for a in range(n) for b in range(a + 1, n)]
     L = math.lcm(*(e.den for _, _, e in raisers))
     columns = []
@@ -325,7 +312,7 @@ def _maximal_coordinates(V, c, support):
                 up = list(m)
                 up[a] += 1
                 up[b] -= 1
-                r = index[tuple(up)] * dim + q
+                r = basis[tuple(up)] + q
                 col[r] = col.get(r, 0) + L * m[b]
             f = L // e.den
             for r, x in e.columns.get(q, {}).items():
@@ -379,7 +366,7 @@ def _all_dominant_rank(V, k):
     (`dominant_weight_spaces`).  The span's weight multiplicities are
     invariant under S_n, which permutes coordinates, so each span's
     dimension counts once per weight in its S_n-orbit."""
-    monos = monomials_of_degree(V.n, k)
+    monos = list(graded_basis(V, k))
     total = 0
     for w, positions in dominant_weight_spaces(V, monos).items():
         span = EchelonSpan()
@@ -394,32 +381,31 @@ def _all_dominant_rank(V, k):
 
 def maximal_vector(V, c):
     """The maximal vector of the degree-|c| summand with shifted weight mu+c,
-    normalized so the coefficient of x^c tensor (highest basis vector) is 1.
+    as {position: Fraction} in `graded_basis` order, normalized so the
+    coefficient of x^c tensor (highest basis vector) is 1.
 
     It is `_maximal_coordinates` on the weight space of mu + c
     (`_top_weight_space`), the space the chain ranks test the summand on.
     """
     c = _admissible(V.highest_weight, c)
-    support = _top_weight_space(V, c)
-    xi = _maximal_coordinates(V, c, support)
-    lead = xi.get(next(pos for pos, m, q in support if m == c and q == V.highest_index), 0)
+    xi = _maximal_coordinates(V, c, _top_weight_space(V, c))
+    lead = xi.get(graded_basis(V, sum(c))[c] + V.highest_index, 0)
     if lead == 0:
         raise ConsistencyViolationError(
             "maximal vector lacks the distinguished leading coordinate"
         )
-    return GradedElement(
-        sum(c), {(m, q): Fraction(xi[pos], lead) for pos, m, q in support if pos in xi}
-    )
+    return {pos: Fraction(x, lead) for pos, x in xi.items()}
 
 
-def phi_image(V, element):
-    """Replace every x^l tensor v_q by the chain vector p^l(1 tensor v_q)."""
-    j = element.degree
-    gb = graded_basis(V, j)
+def phi_image(V, vec, k):
+    """Replace every x^l tensor v_q of the degree-k vector {position: value}
+    by the chain vector p^l(1 tensor v_q)."""
+    monos = list(graded_basis(V, k))
     acc = {}
-    for (mono, q), val in element.coords.items():
-        add_into(acc, _p_chain_vector(V, mono, q).items(), val)
-    return gb.from_vector(acc)
+    for pos, val in vec.items():
+        t, q = divmod(pos, V.dim)
+        add_into(acc, _p_chain_vector(V, monos[t], q).items(), val)
+    return acc
 
 
 def q_coefficient_bruteforce(V, c):
@@ -431,10 +417,9 @@ def q_coefficient_bruteforce(V, c):
     """
     c = tuple(int(x) for x in c)
     xi = maximal_vector(V, c)
-    hat = phi_image(V, xi)
-    q = hat.coords.get((c, V.highest_index), 0)
-    scaled = GradedElement(xi.degree, {lab: q * v for lab, v in xi.coords.items()})
-    if scaled != hat:
+    hat = phi_image(V, xi, sum(c))
+    q = hat.get(graded_basis(V, sum(c))[c] + V.highest_index, 0)
+    if hat != ({pos: q * v for pos, v in xi.items()} if q else {}):
         raise ConsistencyViolationError(
             f"chain image of the maximal vector for {c} is not proportional to it"
         )

@@ -228,17 +228,7 @@ class Matrix:
             for c, col in self.columns.items()
         }
         for c, bcol in other.columns.items():
-            acc = cols.get(c)
-            if acc is None:
-                cols[c] = {r: sb * v for r, v in bcol.items()}
-                continue
-            for r, v in bcol.items():
-                s = acc.get(r, 0) + sb * v
-                if s:
-                    acc[r] = s
-                else:
-                    del acc[r]
-            if not acc:
+            if not add_into(cols.setdefault(c, {}), bcol.items(), sb):
                 del cols[c]
         return Matrix.from_int_columns(self.rows, self.cols, den, cols)
 

@@ -210,14 +210,13 @@ def test_criterion_8_mutation_sensitivity():
     # the derivative/chain identity
     V = cached_module(2, (1,), F(1))
 
-    def delta_without_shift(i, j, k, mod, degree=0):
-        m = triangle_delta(i, j, k, mod, degree)
+    def delta_without_shift(i, j, k, mod):
+        m = triangle_delta(i, j, k, mod)
         if i == j and k != 1:
             m = m + Matrix.identity(m.rows).scale(-(k - 1))
         return m
 
-    zero = graded_basis(V, 0)
-    vec = {zero.index[((0, 0), 0)]: 1}
+    vec = {graded_basis(V, 0)[(0, 0)]: 1}
     p0_from0 = operator_matrix(pseudo_translation_op(2, 0), V, 0)
     p0_from1 = operator_matrix(pseudo_translation_op(2, 0), V, 1)
     chain_img = p0_from1.apply(p0_from0.apply(vec))
@@ -226,7 +225,7 @@ def test_criterion_8_mutation_sensitivity():
     def rhs_with(delta):
         acc = {}
         for _ in range(2):  # both chain slots carry the same index here
-            start = delta(0, 0, 2, V, degree=0).apply(vec)
+            start = delta(0, 0, 2, V).apply(vec)
             img = p0_from0.apply(start)
             for pos, v in img.items():
                 s = acc.get(pos, 0) + v

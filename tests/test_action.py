@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import projrep.irreducibility as irreducibility
 from projrep.action import (
     GradedElement,
     WittElement,
@@ -23,7 +24,14 @@ from projrep.action import (
     verify_bracket_consistency,
 )
 from projrep.errors import UnsupportedOperatorError
-from projrep.glmodules import DominantLabels, build_irreducible, cached_module
+from projrep.glmodules import (
+    DominantLabels,
+    build_irreducible,
+    cached_module,
+    dominant_weight_spaces,
+    pieri_index_set,
+    weight_add,
+)
 from projrep.linalg import Matrix, add_into
 from projrep.selfcheck import (
     check_action_oracle,
@@ -153,14 +161,28 @@ def test_act_mixed_shift_rejected():
 
 
 def test_graded_basis_order_and_size():
+    # x^m (x) v_q sits at basis[m] + q
     V = cached_module(2, (1,), F(1))
-    gb0 = graded_basis(V, 0)
-    assert gb0.labels == (((0, 0), 0), ((0, 0), 1))
+    assert graded_basis(V, 0) == {(0, 0): 0}
     gb2 = graded_basis(V, 2)
-    assert [m for (m, j) in gb2.labels[:: V.dim]] == [(2, 0), (1, 1), (0, 2)]
-    assert gb2.dim == 6
+    assert list(gb2) == [(2, 0), (1, 1), (0, 2)]
+    assert len(gb2) * V.dim == 6
     W = cached_module(3, (1, 0), F(0))
-    assert graded_basis(W, 1).dim == 9 and graded_dimension(W, 1) == 9
+    assert len(graded_basis(W, 1)) * W.dim == 9 and graded_dimension(W, 1) == 9
+    for n, dynkin in [(1, ()), (2, (2,)), (3, (1, 0)), (3, (1, 1))]:
+        V = cached_module(n, dynkin, F(1, 2))
+        top = V.lattice_weights[V.highest_index]
+        for k in range(4):
+            basis = graded_basis(V, k)
+            assert list(basis.items()) == [
+                (m, t * V.dim) for t, m in enumerate(monomials_of_degree(n, k))
+            ]
+            assert len(basis) * V.dim == graded_dimension(V, k)
+            spaces = dominant_weight_spaces(V, list(basis))
+            for c in pieri_index_set(top, k):
+                support = irreducibility._top_weight_space(V, c)
+                assert [pos for pos, _, _ in support] == spaces[weight_add(top, c)]
+                assert all(pos == basis[m] + q for pos, m, q in support)
 
 
 def test_monomial_order_matches_chain_order():
@@ -185,12 +207,12 @@ def test_triangle_delta_examples():
     T = cached_module(2, (0,), F(0))
     V = cached_module(2, (1,), F(1))
     # off-diagonal on constants: only the generator twist survives
-    td = triangle_delta(0, 1, 1, V, degree=0)
+    td = triangle_delta(0, 1, 1, V)
     assert td == V.e(1, 0)
     # diagonal, k=1 on constants: b*Id + (b + E_ii) diag part
-    assert triangle_delta(0, 0, 1, V, degree=0) == Matrix(2, 2, {(0, 0): 2, (1, 1): 1})
+    assert triangle_delta(0, 0, 1, V) == Matrix(2, 2, {(0, 0): 2, (1, 1): 1})
     # diagonal, k=2 on the trivial module: the k-1 shift alone
-    assert triangle_delta(0, 0, 2, T, degree=0) == Matrix.identity(1)
+    assert triangle_delta(0, 0, 2, T) == Matrix.identity(1)
 
 
 def test_grading_shapes():
@@ -260,9 +282,9 @@ def _corrupt_assembly(monkeypatch, op, degree, edit):
 
     original = action_mod._assemble
 
-    def corrupted(o, V, src, dst):
-        den, cols = original(o, V, src, dst)
-        if o == op and src.degree == degree:
+    def corrupted(o, V, k, src, dst):
+        den, cols = original(o, V, k, src, dst)
+        if o == op and k == degree:
             edit(den, cols)
         return den, cols
 
@@ -328,9 +350,9 @@ def test_each_operator_is_split_once_per_module(monkeypatch):
         split.append(op)
         return original_split(op)
 
-    def recording_assemble(op, V, src, dst):
+    def recording_assemble(op, V, k, src, dst):
         assembled.append(op)
-        return original_assemble(op, V, src, dst)
+        return original_assemble(op, V, k, src, dst)
 
     monkeypatch.setattr(action_mod, "projective_components", counting_split)
     monkeypatch.setattr(action_mod, "_assemble", recording_assemble)
@@ -349,9 +371,11 @@ def test_reused_plan_keeps_the_pseudo_translation_weight_per_degree():
     for k in (2, 1):
         m = operator_matrix(p1, V, k)
         src, dst = graded_basis(V, k), graded_basis(V, k + 1)
-        for col, lab in enumerate(src.labels):
-            image = act(p1, GradedElement(k, {lab: 1}), V)
-            assert m.column(col) == {dst.index[x]: v for x, v in image.coords.items()}, (k, lab)
+        for mono, start in src.items():
+            for q in range(V.dim):
+                image = act(p1, GradedElement(k, {(mono, q): 1}), V)
+                expected = {dst[x] + r: v for (x, r), v in image.coords.items()}
+                assert m.column(start + q) == expected, (k, mono, q)
 
 
 def test_chevalley_relations_hold():
@@ -518,11 +542,12 @@ def test_operator_matrix_matches_act_composition():
     d1 = derivative_op(2, 1)
     gb1 = graded_basis(V, 1)
     comp = operator_matrix(d1, V, 2) @ operator_matrix(p0, V, 1)
-    for col, lab in enumerate(gb1.labels):
-        elem = GradedElement(1, {lab: 1})
-        image = act(d1, act(p0, elem, V), V)
-        expected = {gb1.index[x]: v for x, v in image.coords.items()} if image.degree == 1 else {}
-        assert {r: v for (r, c), v in comp.entries.items() if c == col} == expected
+    for mono, start in gb1.items():
+        for q in range(V.dim):
+            elem = GradedElement(1, {(mono, q): 1})
+            image = act(d1, act(p0, elem, V), V)
+            expected = {gb1[x] + r: v for (x, r), v in image.coords.items()} if image.degree == 1 else {}
+            assert {r: v for (r, c), v in comp.entries.items() if c == start + q} == expected
 
 
 B_VALUES = [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]
@@ -561,12 +586,14 @@ def test_operator_matrix_columns_equal_act(case):
             continue  # no degree shift, so no matrix
         m = operator_matrix(op, V, k)
         dst = graded_basis(V, k + shift)
-        assert (m.rows, m.cols) == (dst.dim, src.dim)
+        assert (m.rows, m.cols) == (len(dst) * V.dim, len(src) * V.dim)
         for v in m.entries.values():
             assert v != 0 and (type(v) is int or (type(v) is F and v.denominator > 1))
-        for col, lab in enumerate(src.labels):
-            image = act(op, GradedElement(k, {lab: 1}), V)
-            assert m.column(col) == {dst.index[x]: v for x, v in image.coords.items()}, (op, lab)
+        for mono, start in src.items():
+            for q in range(V.dim):
+                image = act(op, GradedElement(k, {(mono, q): 1}), V)
+                expected = {dst[x] + r: v for (x, r), v in image.coords.items()}
+                assert m.column(start + q) == expected, (op, mono, q)
 
 
 def test_operator_matrix_rejects_operators_outside_the_span():
@@ -608,9 +635,9 @@ def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
     original = action_mod._assemble
     assembled = []
 
-    def recording(op, V, src, dst):
-        assembled.append((op, src.degree))
-        return original(op, V, src, dst)
+    def recording(op, V, k, src, dst):
+        assembled.append((op, k))
+        return original(op, V, k, src, dst)
 
     monkeypatch.setattr(action_mod, "_assemble", recording)
     # a fresh module instance: operator matrices are cached per instance
@@ -655,9 +682,9 @@ def test_bracket_check_assembles_the_pinned_matrix_set(monkeypatch, n, dynkin, b
     original = action_mod._assemble
     assembled = []
 
-    def recording(op, V, src, dst):
-        assembled.append((op, src.degree))
-        return original(op, V, src, dst)
+    def recording(op, V, k, src, dst):
+        assembled.append((op, k))
+        return original(op, V, k, src, dst)
 
     monkeypatch.setattr(action_mod, "_assemble", recording)
     V = build_irreducible(DominantLabels(n, dynkin, b))

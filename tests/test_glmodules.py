@@ -166,7 +166,7 @@ def test_tensor_multiplicity_free(n, dynkin, b, k):
     shift yields exactly one maximal vector, every other shift none."""
     V = cached_module(n, dynkin, b)
     gb = graded_basis(V, k)
-    assert gb.dim == V.dim * math.comb(k + n - 1, n - 1)
+    assert len(gb) * V.dim == V.dim * math.comb(k + n - 1, n - 1)
     mu = V.highest_weight
     raisers = [
         operator_matrix(scaling_op(n, i, j), V, k) for i in range(n) for j in range(i + 1, n)
@@ -175,7 +175,7 @@ def test_tensor_multiplicity_free(n, dynkin, b, k):
     for c in monomials_of_degree(n, k):
         target = weight_add(mu, c)
         support = [
-            {pos: 1} for pos, (mono, q) in enumerate(gb.labels)
+            {start + q: 1} for mono, start in gb.items() for q in range(V.dim)
             if weight_add(V.basis_weights[q], mono) == target
         ]
         found = joint_kernel(raisers, support)

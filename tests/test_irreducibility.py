@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import projrep.irreducibility as irreducibility
 from projrep.action import (
     derivative_op,
+    graded_basis,
     graded_dimension,
     monomials_of_degree,
     operator_matrix,
@@ -144,9 +145,29 @@ def test_q_coefficient_recursion():
 def test_maximal_vector_normalization():
     V = cached_module(2, (1,), F(1))
     xi = maximal_vector(V, (1, 0))
-    assert xi.coords.get(((1, 0), V.highest_index)) == 1
-    hat = phi_image(V, xi)
-    assert hat.coords.get(((1, 0), V.highest_index)) == q_coefficient(V.highest_weight, (1, 0))
+    lead = graded_basis(V, 1)[(1, 0)] + V.highest_index
+    assert xi.get(lead) == 1
+    hat = phi_image(V, xi, 1)
+    assert hat.get(lead) == q_coefficient(V.highest_weight, (1, 0))
+
+
+def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(monkeypatch):
+    # the chain vector of x^c (x) v_top, the maximal vector's lead, gains an
+    # entry off the maximal vector's weight space, so the image leaves its span
+    V = build_irreducible(DominantLabels(2, (1,), F(1)))
+    c = (1, 0)
+    assert q_coefficient_bruteforce(V, c) == q_coefficient(V.highest_weight, c)
+    xi = maximal_vector(V, c)
+    off = next(pos for pos in range(graded_dimension(V, 1)) if pos not in xi)
+    original = irreducibility._p_chain_vector
+
+    def perturbed(W, chain, q):
+        vec = original(W, chain, q)
+        return {**vec, off: vec.get(off, 0) + 1} if (chain, q) == (c, W.highest_index) else vec
+
+    monkeypatch.setattr(irreducibility, "_p_chain_vector", perturbed)
+    with pytest.raises(ConsistencyViolationError, match="not proportional"):
+        q_coefficient_bruteforce(V, c)
 
 
 def test_up_submodule_rank_examples():

@@ -86,6 +86,12 @@ def test_only_glmodules_names_is_dominant():
     assert names_outside("glmodules.py", {"is_dominant"}) == []
 
 
+def test_only_action_names_monomials_of_degree():
+    # a graded piece has one index, action.graded_basis, whose keys are the
+    # degree's monomials in basis order
+    assert names_outside("action.py", {"monomials_of_degree"}) == []
+
+
 def test_only_charident_names_the_block_operator_definitions():
     # every block operator, its blocks and its report derive from one definition
     assert names_outside("charident.py", {"_definition", "_generator_grid"}) == []
