@@ -8,12 +8,11 @@ k - 1 interlacing row k.  A pattern's weight is read off its row sums, and
 the simple generators E_{k,k+1} and E_{k+1,k} act by closed-form rational
 coefficients in the l-values l_ki = L_ki - i + 1 of rows k and k +- 1 (see
 `build_irreducible`), computed once per pair of rows and applied by integer
-pattern codes; every other E_{i,j} is a commutator of two generators nearer
-the diagonal, formed in one integer pass.  No elimination is involved.  A
-weight is an n-tuple, index i holding the E_{i,i} eigenvalue.  The weights
-of a module differ by roots, so a module stores each as an integer tuple
-relative to mu_n, and only `dominant_weight_spaces` decides dominance, on
-those tuples.
+pattern codes; every other E_{i,j} is `linalg.commutator` of two generators
+nearer the diagonal.  No elimination is involved.  A weight is an n-tuple,
+index i holding the E_{i,i} eigenvalue.  The weights of a module differ by
+roots, so a module stores each as an integer tuple relative to mu_n, and
+only `dominant_weight_spaces` decides dominance, on those tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .errors import ConsistencyViolationError, DimensionCapError
-from .linalg import Matrix, product_difference_equals
+from .linalg import Matrix, commutator, product_difference_equals
 
 __all__ = [
     "DominantLabels",
@@ -255,9 +254,9 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
     L +- d_ki is L with entry i of row k raised or lowered by 1, found as an
     offset of L's integer code (radix max(mu - mu_n) + 2); a term whose array
     is not a pattern is dropped.  E_{i,j} with |i - j| >= 2 is
-    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}], each accumulated in one
-    integer pass.  Entries are stored column by column, rows ascending
-    within a column.
+    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}], from
+    `linalg.commutator`.  Entries are stored column by column, rows
+    ascending within a column.
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -313,19 +312,6 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         scale = lcm(*(den for col in columns.values() for _, den in col.values()))
         ints = {c: {r: num * (scale // den) for r, (num, den) in col.items()} for c, col in columns.items()}
         return Matrix.from_int_columns(dim, dim, scale, ints)
-
-    def commutator(a, b):
-        """ab - ba in one integer pass over a.den * b.den, rows ascending."""
-        cols = {}
-        for left, right, sign in ((a.columns, b.columns, 1), (b.columns, a.columns, -1)):
-            for j, col in right.items():
-                acc = cols.setdefault(j, {})
-                for t, x in col.items():
-                    x *= sign
-                    for r, v in left.get(t, {}).items():
-                        acc[r] = acc.get(r, 0) + v * x
-        cols = {j: dict(sorted((r, v) for r, v in acc.items() if v)) for j, acc in sorted(cols.items())}
-        return Matrix.from_int_columns(dim, dim, a.den * b.den, {j: col for j, col in cols.items() if col})
 
     # E_{i,i} is diagonal with entries w_i + mu_n, integers over mu_n's denominator
     num, den = mu[-1].numerator, mu[-1].denominator

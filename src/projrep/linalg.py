@@ -8,16 +8,16 @@ floats are rejected on input.
 A matrix has one stored form: a positive integer denominator and the sparse
 integer columns of the matrix scaled by it, reduced so that the two share no
 common factor.  Sums, products, scaling, ``kron``, ``block`` and ``apply``
-run on integers and divide once, at the end; they are exact at every size
-because Python ints are unbounded.  ``product_difference_equals`` decides
-whether a @ b - c @ d equals a target without building either product: the
-matrix side of a Lie relation, accumulated in one integer dict keyed by
-position.  ``polynomial_traces`` records an operator polynomial's scaled
-partial traces, and whether it vanishes, on plain integer columns.  The
-public ``Matrix(...)`` constructor
-validates exact entries and converts them; ``Matrix.from_int_columns``
-takes integer columns as they are.  ``entries`` and ``column`` are exact
-read-only views of the stored form.
+run on integers and divide once, at the end; Python ints keep them exact at
+every size.  Every product of integer columns runs the one sparse product
+loop, ``_product_into``, into a flat dict keyed by position: ``@``,
+``apply``, ``commutator``, ``charpoly``, ``polynomial_traces`` (an operator
+polynomial's scaled partial traces, and whether it vanishes) and
+``product_difference_equals`` (whether a @ b - c @ d equals a target, with
+no product built: the matrix side of a Lie relation).  ``Matrix(...)``
+validates exact entries and converts them; ``Matrix.from_int_columns`` takes
+integer columns as they are.  ``entries`` and ``column`` are exact read-only
+views of the stored form.
 
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and keeps one primitive integer
@@ -30,6 +30,7 @@ rows + j; ``kernel_basis`` alone makes fractions, when it scales a relation.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import ConsistencyViolationError
@@ -41,6 +42,7 @@ __all__ = [
     "add_into",
     "block",
     "charpoly",
+    "commutator",
     "eval_operator_polynomial",
     "format_rational",
     "idempotent_from_spectrum",
@@ -96,7 +98,17 @@ def add_into(acc, items, scale=1):
 
 
 def parse_rational(text):
-    """Parse '3', '-7', 'num/den' or a decimal like '0.5' into an exact Fraction."""
+    """Parse '3', '-7', 'num/den' or a decimal like '0.5' into an exact Fraction.
+    Digits plus exponent past sys.get_int_max_str_digits() are refused before
+    Fraction builds 10**exponent."""
+    mantissa, _, exp = text.lower().partition("e")
+    try:
+        size = sum(map(str.isdigit, mantissa)) + abs(int(exp or 0))
+    except ValueError:
+        size = 0  # a malformed exponent, which Fraction rejects
+    if 0 < (limit := sys.get_int_max_str_digits()) < size:
+        raise ValueError(f"invalid rational: more than {limit} digits, "
+                         "the limit of sys.get_int_max_str_digits()")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -252,47 +264,17 @@ class Matrix:
         on integers: vec is scaled once, to the lcm of its denominators, and
         each output entry divided once; integral entries come back as ints."""
         vden = _denominator(vec.values())
-        cm = self.columns
-        acc = {}
-        for c, x in vec.items():
-            col = cm.get(c)
-            if col is None or x == 0:
-                continue
-            x = x.numerator * (vden // x.denominator)
-            for r, a in col.items():
-                s = acc.get(r, 0) + a * x
-                if s == 0:
-                    acc.pop(r, None)
-                else:
-                    acc[r] = s
+        scaled = {c: x.numerator * (vden // x.denominator) for c, x in vec.items() if x}
+        acc = _product_into({}, self.columns, {0: scaled}, self.rows)
         den = self.den * vden
-        if den == 1:
-            return acc
-        out = {}
-        for r, s in acc.items():
-            q, rem = divmod(s, den)
-            out[r] = Fraction(s, den) if rem else q
-        return out
+        return {r: Fraction(s, den) if s % den else s // den for r, s in acc.items() if s}
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        acols = self.columns
-        cols = {}
-        for j, col in other.columns.items():
-            acc = {}
-            for k, x in col.items():
-                inner = acols.get(k)
-                if inner is None:
-                    continue
-                for r, a in inner.items():
-                    acc[r] = acc.get(r, 0) + a * x
-            if not all(acc.values()):
-                acc = {r: v for r, v in acc.items() if v}
-            if acc:
-                cols[j] = acc
+        cols = _columns(_product_into({}, self.columns, other.columns, self.rows), self.rows)
         return Matrix.from_int_columns(self.rows, other.cols, self.den * other.den, cols)
 
     def __repr__(self):
@@ -302,6 +284,44 @@ class Matrix:
     def _shape_match(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _product_into(acc, left, right, rows, f=1):
+    """The one sparse column product loop: adds f * left[k][r] * right[j][k]
+    into acc at the flat key j * rows + r, for integer columns {col: {row:
+    int}}.  A sum that cancels stays in acc as 0.  Returns acc."""
+    get = acc.get
+    for j, col in right.items():
+        base = j * rows
+        for k, x in col.items():
+            inner = left.get(k)
+            if inner is None:
+                continue
+            x *= f
+            for r, v in inner.items():
+                key = base + r
+                acc[key] = get(key, 0) + v * x
+    return acc
+
+
+def _columns(flat, rows):
+    """The integer columns {j: {r: int}} of a flat {j * rows + r: int}, with
+    its zeros dropped, columns and rows ascending."""
+    cols = {}
+    for key in sorted(flat):
+        if v := flat[key]:
+            j, r = divmod(key, rows)
+            cols.setdefault(j, {})[r] = v
+    return cols
+
+
+def commutator(a, b):
+    """ab - ba of square matrices of one size, over a.den * b.den, rows ascending."""
+    n = a.rows
+    if not n == a.cols == b.rows == b.cols:
+        raise ValueError("commutator needs square matrices of one size")
+    flat = _product_into(_product_into({}, a.columns, b.columns, n), b.columns, a.columns, n, -1)
+    return Matrix.from_int_columns(n, n, a.den * b.den, _columns(flat, n))
 
 
 def product_difference_equals(a, b, c, d, target=None):
@@ -323,21 +343,8 @@ def product_difference_equals(a, b, c, d, target=None):
         g = math.gcd(den, target.den)
         tf, af = target.den // g, -(den // g)
         acc = {j * rows + r: af * t for j, col in target.columns.items() for r, t in col.items()}
-    get = acc.get
-    for left, right, f in (
-        (a.columns, b.columns, tf * (den // (a.den * b.den))),
-        (c.columns, d.columns, -tf * (den // (c.den * d.den))),
-    ):
-        for j, col in right.items():
-            base = j * rows
-            for k, x in col.items():
-                inner = left.get(k)
-                if inner is None:
-                    continue
-                x *= f
-                for r, v in inner.items():
-                    key = base + r
-                    acc[key] = get(key, 0) + v * x
+    _product_into(acc, a.columns, b.columns, rows, tf * (den // (a.den * b.den)))
+    _product_into(acc, c.columns, d.columns, rows, -tf * (den // (c.den * d.den)))
     return not any(acc.values())
 
 
@@ -469,8 +476,9 @@ def polynomial_traces(op, numerators, den):
 
     With op = C / D on its stored integer columns, the integer factors
     den*C - numerators[l]*D*Id = den*D*(op - r_l) are applied right to left
-    to each unit column e_j in turn, as {row: int}; no Matrix, Fraction or
-    gcd is made.  traces[s] sums the j-th entries before the (s+1)-th
+    to each unit column e_j in turn, as {row: int}: one `_product_into` pass
+    per factor, seeded with the shift times the column.  No Matrix, Fraction
+    or gcd is made.  traces[s] sums the j-th entries before the (s+1)-th
     factor, (den*D)^s * tr P_s with P_s the product over the last s roots,
     and `vanishes` tells whether every column of the whole product is zero.
     """
@@ -485,12 +493,7 @@ def polynomial_traces(op, numerators, den):
         for s, shift in enumerate(shifts):
             traces[s] += col.get(j, 0)
             acc = {k: shift * x for k, x in col.items()} if shift else {}
-            for k, x in col.items():
-                inner = left.get(k)
-                if inner is None:
-                    continue
-                for r, a in inner.items():
-                    acc[r] = acc.get(r, 0) + a * x
+            _product_into(acc, left, {0: col}, op.rows)
             col = acc if all(acc.values()) else {r: v for r, v in acc.items() if v}
         vanishes = vanishes and not col
     return traces, vanishes
@@ -577,27 +580,22 @@ class EchelonSpan:
 def charpoly(m):
     """Monic characteristic polynomial, coefficients by descending power.
 
-    Faddeev-LeVerrier on an integer rescaling of the matrix; all divisions
-    are exact.  Intended for desk-scale oracles (cost grows like dim^4).
+    Faddeev-LeVerrier on A = den*m, the stored integer columns:
+    M_k = A M_{k-1} + c_k Id with c_k = -tr(A M_{k-1}) / k, every division
+    exact.  Intended for desk-scale oracles.
     """
     if m.rows != m.cols:
         raise ValueError("charpoly of non-square matrix")
     n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    den = m.den
-    # the rows of the transpose of den*m, as (column, int) pairs: a matrix and
-    # its transpose have one characteristic polynomial
-    a = [list(m.columns.get(c, {}).items()) for c in range(n)]
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mk = {i: {i: 1} for i in range(n)}
     coeffs = [1]
     for k in range(1, n + 1):
-        am = [[sum(v * mk[t][j] for t, v in row) for j in range(n)] for row in a]
-        tr = sum(am[i][i] for i in range(n))
-        ck, rem = divmod(-tr, k)
+        am = _product_into({}, m.columns, mk, n)
+        ck, rem = divmod(-sum(am.get(i * n + i, 0) for i in range(n)), k)
         if rem:
             raise ConsistencyViolationError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
-        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        add_into(am, ((i * n + i, ck) for i in range(n)))
+        mk = _columns(am, n)
     # coeffs are for den*m; char_m(x) = char_{den*m}(den*x) / den^n.
-    return [_norm(Fraction(c, den ** k)) for k, c in enumerate(coeffs)]
+    return [_norm(Fraction(c, m.den ** k)) for k, c in enumerate(coeffs)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -214,6 +215,14 @@ def test_bad_scalar_exit_code(capsys, text, message):
     code, _, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", text)
     assert code == 1
     assert f"invalid rational {text!r}: {message}" in err
+
+
+def test_scalar_beyond_the_int_str_limit_exit_code(capsys):
+    # refused on input with the limit named, not by the output's int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", "1e5000")
+    assert code == 1 and out == ""
+    assert f"invalid rational: more than {limit} digits" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "decompose", "verify-identity"])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from projrep.linalg import (
     Matrix,
     block,
     charpoly,
+    commutator,
     eval_operator_polynomial,
     format_rational,
     idempotent_from_spectrum,
@@ -430,6 +432,15 @@ def test_parse_format_rational():
     assert format_rational(F(6, 2)) == "3"
 
 
+def test_parse_rational_refuses_more_digits_than_int_str_allows():
+    # Fraction would build 10**999999999; digits plus exponent are counted before it runs
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e999999999", "1e5000", "-2.5E+9999", "1e-5000", "7" * (limit + 1)):
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            parse_rational(text)
+    assert parse_rational("5e" + str(limit - 1)) == 5 * 10 ** (limit - 1)
+
+
 def test_parse_rational_error_names_every_accepted_form():
     with pytest.raises(ValueError, match="integer or num/den, or an exact decimal such as 0.5"):
         parse_rational("x/2")
@@ -782,6 +793,39 @@ def test_integer_operator_product_matches_matrix_product(op, roots, target):
     assert p == _reference_product(op, others).scale(1 / den)
     assert_clean(p)
     assert_clean(op - Matrix.identity(op.rows).scale(target))
+    # the commutator with the transpose, which op need not commute with
+    transpose = Matrix(op.cols, op.rows, {(c, r): v for (r, c), v in op.entries.items()})
+    bracket = commutator(op, transpose)
+    assert bracket == op @ transpose - transpose @ op
+    assert_clean(bracket)
+    assert commutator(op, value).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_rational_matrix())
+def test_charpoly_satisfies_cayley_hamilton(m):
+    # sum_k c_k m^(n-k) = 0, and c_1 = -trace
+    coeffs = charpoly(m)
+    assert len(coeffs) == m.rows + 1 and coeffs[0] == 1
+    total, power = Matrix.zeros(m.rows, m.rows), Matrix.identity(m.rows)
+    for c in reversed(coeffs):
+        total = total + power.scale(c)
+        power = power @ m
+    assert total.is_zero()
+    if m.rows:
+        assert coeffs[1] == -sum(m.entries.get((i, i), 0) for i in range(m.rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matmul_triple(), st.data())
+def test_apply_matches_the_dense_product(mats, data):
+    a = mats[0]
+    entry = st.one_of(st.just(0), st.integers(-5, 5), mixed_frac)
+    vec = data.draw(st.lists(entry, min_size=a.cols, max_size=a.cols))
+    dense = [sum(x * y for x, y in zip(row, vec)) for row in to_dense(a)]
+    image = a.apply(dict(enumerate(vec)))
+    assert image == {r: v for r, v in enumerate(dense) if v}
+    assert all(type(v) is int or (type(v) is F and v.denominator > 1) for v in image.values())
 
 
 @pytest.mark.parametrize("n,dynkin,b", [(2, (2,), F(1, 2)), (3, (1, 1), F(1, 3)), (3, (2, 0), F(-2))])

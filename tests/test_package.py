@@ -97,6 +97,11 @@ def test_only_charident_names_the_block_operator_definitions():
     assert names_outside("charident.py", {"_definition", "_generator_grid"}) == []
 
 
+def test_only_linalg_names_the_product_kernel():
+    # every sparse column product runs the one loop, behind linalg's API
+    assert names_outside("linalg.py", {"_product_into", "_columns"}) == []
+
+
 def test_only_linalg_names_the_elimination_internals():
     # elimination stays behind rank, kernel_basis and EchelonSpan.insert
     assert names_outside("linalg.py", {"_reduce", "_add", "_rows", "_pivots"}) == []
