@@ -7,9 +7,10 @@ a triangular array of integer rows, row n (the top) being mu - mu_n and row
 k - 1 interlacing row k.  A pattern's weight is read off its row sums, and
 the simple generators E_{k,k+1} and E_{k+1,k} act by closed-form rational
 coefficients in the l-values l_ki = L_ki - i + 1 of rows k and k +- 1 (see
-`build_irreducible`), computed once per pair of rows and applied by integer
-pattern codes; every other E_{i,j} is `linalg.commutator` of two generators
-nearer the diagonal.  No elimination is involved.  A weight is an n-tuple,
+`build_irreducible`), both written in one pass per pair of rows, from moves
+computed once per rows k - 1, k, k + 1 and found by integer pattern codes;
+every other E_{i,j} is `linalg.commutator` of two generators nearer the
+diagonal.  No elimination is involved.  A weight is an n-tuple,
 index i holding the E_{i,i} eigenvalue.  The weights of a module differ by
 roots, so a module stores each as an integer tuple relative to mu_n, and
 only `dominant_weight_spaces` decides dominance, on those tuples.
@@ -20,9 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, lcm
 
 from .errors import ConsistencyViolationError, DimensionCapError
 from .linalg import Matrix, commutator, product_difference_equals
@@ -151,8 +152,8 @@ class GlModule:
     """Concrete gl(n)-module: weights per basis vector and all E_{i,j} matrices.
 
     ``lattice_weights[q]`` is the weight of basis vector q minus mu_n, ints,
-    and ``basis_weights[q]`` the weight, computed on first read, as is
-    ``highest_weight``.  ``action[i][j]`` is the matrix of E_{i+1,j+1}
+    and ``basis_weights[q]`` the weight, computed on first read, as are
+    ``highest_weight`` and ``weight_groups``, the positions per lattice weight.  ``action[i][j]`` is the matrix of E_{i+1,j+1}
     (0-based storage of the 1-based generators).  Instances are immutable
     after construction; ``memo`` holds the derived data that ``module_memo``
     caches for them.
@@ -182,6 +183,15 @@ class GlModule:
         return self._weights(self.lattice_weights)
 
     @functools.cached_property
+    def weight_groups(self):
+        """{lattice weight: [q, ...]}: the basis positions of each distinct
+        lattice weight, ascending, the weights in order of their first position."""
+        groups = {}
+        for q, lw in enumerate(self.lattice_weights):
+            groups.setdefault(lw, []).append(q)
+        return groups
+
+    @functools.cached_property
     def highest_weight(self):
         return self._weights([self.lattice_weights[self.highest_index]])[0]
 
@@ -198,43 +208,95 @@ class GlModule:
 
 def dominant_weight_spaces(V, shifts):
     """{w: [t * dim + q]}: the positions of shifts x basis, row-major, whose
-    weight w = lattice_weights[q] + shifts[t] is dominant, ascending per w.
+    weight w = lattice_weights[q] + shifts[t] is dominant, ascending per w,
+    the keys in order of their first position.
 
-    Shifts the monomials of one degree give positions in that graded piece;
-    shifts +-e_i give the indices of C^n (x) V or of its dual.  Keys relative
-    to mu_n have the dominance and orbit sizes of the weights themselves.
+    Dominance is tested once per shift and distinct lattice weight
+    (``V.weight_groups``), whose positions all share the weight.  Shifts the
+    monomials of one degree give positions in that graded piece; shifts
+    +-e_i give the indices of C^n (x) V or of its dual.  Keys relative to
+    mu_n have the dominance and orbit sizes of the weights themselves.
     """
     spaces = {}
-    pos = 0
-    for s in shifts:
-        for lw in V.lattice_weights:
+    for t, s in enumerate(shifts):
+        offset = t * V.dim
+        for lw, qs in V.weight_groups.items():
             w = weight_add(lw, s)
             if is_dominant(w):
-                spaces.setdefault(w, []).append(pos)
-            pos += 1
+                spaces.setdefault(w, []).extend([offset + q for q in qs])
     return spaces
 
 
 # -- construction -------------------------------------------------------------
 
 
-def _gt_patterns(top):
-    """Every Gelfand-Tsetlin pattern with top row `top`, as a tuple of rows
-    from row 1 (one entry) up to the top row: row k - 1 interlaces row k,
-    row_k[i] >= row_{k-1}[i] >= row_k[i+1]."""
-    patterns = []
+def _patterns(top, radix):
+    """(lattice weight, rows, code) of every Gelfand-Tsetlin pattern with top
+    row `top`, from one recursion down from the top row.  ``rows`` runs from
+    row 1 (one entry) up to the top row, row k - 1 interlacing row k,
+    row_k[i] >= row_{k-1}[i] >= row_k[i+1]; the lattice weight's entry k is
+    sum row_k - sum row_{k-1}; entry p of the rows, read from row 1 up, is
+    the digit of radix**p of the code.  Patterns come in lexicographic order
+    of (row n - 1, ..., row 1)."""
+    out = []
 
-    def below(rows):
+    def below(rows, weight, code):
         upper = rows[0]
-        if len(upper) == 1:
-            patterns.append(rows)
-            return
-        ranges = [range(lo, hi + 1) for hi, lo in zip(upper, upper[1:])]
-        for row in itertools.product(*ranges):
-            below((row,) + rows)
+        s = sum(upper)
+        if len(upper) == 1:  # n = 1
+            out.append(((s,) + weight, rows, code))
+        elif len(upper) == 2:  # row 1: one entry, the digit of radix**0
+            out.extend(((x, s - x) + weight, ((x,),) + rows, code + x) for x in range(upper[1], upper[0] + 1))
+        else:  # the row below has m entries, digits from radix**(m(m-1)/2) on
+            m = len(upper) - 1
+            powers = [radix**p for p in range(m * (m - 1) // 2, m * (m + 1) // 2)]
+            for row in itertools.product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:]))):
+                below((row,) + rows, (s - sum(row),) + weight, code + sum(map(operator.mul, row, powers)))
 
-    below((tuple(top),))
-    return patterns
+    n = len(top)
+    below((tuple(top),), (), sum(x * radix**p for p, x in enumerate(top, n * (n - 1) // 2)))
+    return out
+
+
+def _moves(lower, row, upper, offsets):
+    """[(offset, raising, lowering)]: the moves L -> L + d_i of entry i of
+    `row` that keep L a pattern, for a pattern L with rows `lower`, `row`,
+    `upper` around it, i descending, each at its code offset (``offsets``,
+    i descending).  ``raising`` is the int pair (num, den), den > 0, of
+    E_{k,k+1}[L + d_i, L], and ``lowering`` that of E_{k+1,k}[L, L + d_i]:
+
+      raising  = -prod_j (l_i - u_j) / prod_{j!=i} (l_i - l_j)
+      lowering =  prod_j (l_i + 1 - d_j) / prod_{j!=i} (l_i + 1 - l_j)
+
+    with l, u and d the l-values of `row`, `upper` and `lower`.  L + d_i is a
+    pattern unless row[i] = upper[i] or lower[i-1] = row[i], and those are
+    exactly the cases where a numerator vanishes: for a move that keeps a
+    pattern, neither coefficient is zero."""
+    l = [x - i for i, x in enumerate(row)]
+    u = [x - j for j, x in enumerate(upper)]
+    d = [x - j for j, x in enumerate(lower)]
+    out = []
+    i = len(row)
+    for offset in offsets:
+        i -= 1
+        if row[i] == upper[i] or (i and lower[i - 1] == row[i]):
+            continue
+        li = l[i]
+        up = -1
+        for x in u:
+            up *= li - x
+        down = 1
+        for x in d:
+            down *= li + 1 - x
+        up_den = down_den = 1
+        for j, x in enumerate(l):
+            if j != i:
+                up_den *= li - x
+                down_den *= li + 1 - x
+        if i % 2:  # the i factors j < i of each den are negative
+            up, up_den, down, down_den = -up, -up_den, -down, -down_den
+        out.append((offset, (up, up_den), (down, down_den)))
+    return out
 
 
 def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
@@ -242,21 +304,25 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
 
     Refuses construction when the Weyl dimension exceeds `dim_cap`.  The basis
     is the Gelfand-Tsetlin basis: one vector xi_L per pattern L with top row
-    mu - mu_n, all integers (`_gt_patterns`), sorted by weight, descending,
-    so the highest pattern comes first.  E_kk acts on xi_L by the lattice
-    weight sum row_k - sum row_{k-1}, plus mu_n.  With l_ki = L_ki - i + 1
-    (i 1-based), the simple generators act in closed form (Gelfand and
-    Tsetlin 1950; Molev, arXiv math/0211289, Thm. 2.3):
+    mu - mu_n, all integers (`_patterns`, which yields each pattern with its
+    lattice weight and integer code), sorted by weight, descending, so the
+    highest pattern comes first.  E_kk acts on xi_L by the lattice weight
+    sum row_k - sum row_{k-1}, plus mu_n.  With l_ki = L_ki - i + 1 (i
+    1-based), the simple generators act in closed form (Gelfand and Tsetlin
+    1950; Molev, arXiv math/0211289, Thm. 2.3):
 
       E_{k,k+1} xi_L = -sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L+d_ki}
       E_{k+1,k} xi_L =  sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j!=i} (l_ki - l_kj) xi_{L-d_ki}
 
-    L +- d_ki is L with entry i of row k raised or lowered by 1, found as an
-    offset of L's integer code (radix max(mu - mu_n) + 2); a term whose array
-    is not a pattern is dropped.  E_{i,j} with |i - j| >= 2 is
-    [E_{i,i+1}, E_{i+1,j}] or [E_{j,j-1}, E_{j-1,i}], from
-    `linalg.commutator`.  Entries are stored column by column, rows
-    ascending within a column.
+    L +- d_ki is L with entry i of row k raised or lowered by 1.  One pass
+    per pair of rows k, k + 1 finds each move L -> L + d_ki that keeps a
+    pattern (`_moves`, once per rows k - 1, k, k + 1) at an offset of L's
+    code (radix max(mu - mu_n) + 2), and writes E_{k,k+1}[L + d_ki, L] and
+    E_{k+1,k}[L, L + d_ki] in the same step; a term whose array is not a
+    pattern has a zero coefficient, so the two supports are transposes.
+    E_{i,j} with |i - j| >= 2 is [E_{i,i+1}, E_{i+1,j}] or
+    [E_{j,j-1}, E_{j-1,i}], from `linalg.commutator`.  Entries are stored
+    column by column, rows ascending within a column.
     """
     n = labels.n
     mu = weight_from_labels(labels)
@@ -266,52 +332,55 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
             f"module dimension {target_dim} exceeds cap {dim_cap}"
         )
 
-    def lattice_weight(pattern):
-        sums = [0] + [sum(row) for row in pattern]
-        return tuple(sums[k + 1] - sums[k] for k in range(n))
-
     top = [int(x - mu[-1]) for x in mu]
-    weights, patterns = zip(*sorted(
-        ((lattice_weight(p), p) for p in _gt_patterns(top)), key=operator.itemgetter(0), reverse=True
-    ))
+    # entries lie in 0 .. radix - 2, so raising one by 1 adds the power of its
+    # digit to the code and carries nothing
+    radix = top[0] + 2
+    weights, patterns, codes = zip(*sorted(_patterns(top, radix), key=operator.itemgetter(0), reverse=True))
     dim = len(patterns)
     if dim != target_dim:
         raise ConsistencyViolationError(
             f"{dim} Gelfand-Tsetlin patterns, Weyl formula says {target_dim}"
         )
-    # entry p of a pattern's rows, read from row 1 up, is the digit of radix**p
-    # of its code; entries lie in 0 .. radix - 2, so moving one by +-1 adds
-    # +-radix**p, and an array that is no pattern gets a digit radix - 1 (or a
-    # negative code) and matches no code
-    radix = top[0] + 2
-    codes = [sum(x * radix**p for p, x in enumerate(itertools.chain(*pattern))) for pattern in patterns]
     index_of = {code: idx for idx, code in enumerate(codes)}
 
-    def simple(k, step):
-        """E_{k+1,k+2} (step 1) or E_{k+2,k+1} (step -1), k 0-based: row k of
-        each pattern moves, and the numerators read the l-values of row
-        k + step.  Each coefficient is an int pair (num, den), den > 0,
-        computed once per pair of rows k and k + step with the code offset of
-        its move; the matrix is their nums scaled to the lcm of the dens,
-        over that lcm."""
-        table, columns = {}, {}
-        for c, (pattern, code) in enumerate(zip(patterns, codes)):
-            key = pattern[k], pattern[k + step] if k + step >= 0 else ()
-            coeffs = table.get(key)
-            if coeffs is None:
-                row, other = ([x - i for i, x in enumerate(r)] for r in key)
-                coeffs = table[key] = []
-                for i, li in enumerate(row):
-                    if num := -step * prod(li - x for x in other):
-                        den = prod(li - x for j, x in enumerate(row) if j != i)
-                        offset = step * radix ** (k * (k + 1) // 2 + i)
-                        coeffs.append((offset, (-num, -den) if den < 0 else (num, den)))
-            col = sorted((t, coeff) for d, coeff in coeffs if (t := index_of.get(code + d)) is not None)
-            if col:
-                columns[c] = dict(col)
-        scale = lcm(*(den for col in columns.values() for _, den in col.values()))
-        ints = {c: {r: num * (scale // den) for r, (num, den) in col.items()} for c, col in columns.items()}
-        return Matrix.from_int_columns(dim, dim, scale, ints)
+    def row_pair(k):
+        """E_{k+1,k+2} and E_{k+2,k+1}, k 0-based: row k of the patterns moves.
+
+        A first pass takes each pattern's moves from a table keyed by its
+        rows k - 1, k, k + 1; every move in the table is made, so the lcm of
+        the table's dens is each matrix's den, and the pairs are scaled to it
+        in place.  The second pass finds each target L + d_i by its code,
+        always a pattern, and writes both entries.  Every target has a
+        weight above L's, so it sorts before L, and among patterns of one
+        weight later ones are lexicographically larger: in a column of
+        E_{k+1,k+2} the targets ascend as i descends, and the columns of
+        E_{k+2,k+1} fill with rows ascending, in an order sorted at the end.
+        """
+        offsets = [radix ** (k * (k + 1) // 2 + i) for i in reversed(range(k + 1))]
+        lo = max(k - 1, 0)
+        table, found = {}, []
+        for pattern in patterns:
+            key = pattern[lo:k + 2]
+            moves = table.get(key)
+            if moves is None:
+                moves = table[key] = _moves(key[0] if k else (), *key[-2:], offsets)
+            found.append(moves)
+        up_scale = lcm(*(up[1] for moves in table.values() for _, up, _ in moves))
+        down_scale = lcm(*(down[1] for moves in table.values() for _, _, down in moves))
+        for moves in table.values():
+            moves[:] = [(offset, up * (up_scale // up_den), down * (down_scale // down_den))
+                        for offset, (up, up_den), (down, down_den) in moves]
+        raising, lowering = {}, defaultdict(dict)
+        for c, (code, moves) in enumerate(zip(codes, found)):
+            if moves:
+                col = raising[c] = {}
+                for offset, up, down in moves:
+                    t = index_of[code + offset]
+                    col[t] = up
+                    lowering[t][c] = down
+        return (Matrix.from_int_columns(dim, dim, up_scale, raising),
+                Matrix.from_int_columns(dim, dim, down_scale, dict(sorted(lowering.items()))))
 
     # E_{i,i} is diagonal with entries w_i + mu_n, integers over mu_n's denominator
     num, den = mu[-1].numerator, mu[-1].denominator
@@ -320,8 +389,7 @@ def build_irreducible(labels, dim_cap=DEFAULT_DIM_CAP):
         diag = {col: {col: v} for col, w in enumerate(weights) if (v := w[i] * den + num)}
         action[i][i] = Matrix.from_int_columns(dim, dim, den, diag)
     for k in range(n - 1):
-        action[k][k + 1] = simple(k, 1)
-        action[k + 1][k] = simple(k, -1)
+        action[k][k + 1], action[k + 1][k] = row_pair(k)
     # [E_{i,i+1}, E_{i+1,j}] = E_{i,j} and [E_{j,j-1}, E_{j-1,i}] = E_{j,i}
     for gap in range(2, n):
         for i in range(n - gap):

@@ -272,16 +272,18 @@ def _top_weight_space(V, c):
     mu + c, the highest weight of the Pieri summand V(mu + c), ascending.
 
     x^m (x) v_q has weight m + w_q, so the space holds the q with
-    m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise;
+    m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise,
+    m computed once per distinct lattice weight (``V.weight_groups``);
     every lattice weight has one sum, so |m| = |c| follows.
     """
     basis = graded_basis(V, sum(c))
     top = weight_add(V.lattice_weights[V.highest_index], c)
     support = []
-    for q, lw in enumerate(V.lattice_weights):
+    for lw, qs in V.weight_groups.items():
         m = tuple(map(operator.sub, top, lw))
         if min(m) >= 0:
-            support.append((basis[m] + q, m, q))
+            start = basis[m]
+            support.extend([(start + q, m, q) for q in qs])
     support.sort()
     return support
 

@@ -121,11 +121,17 @@ def parse_rational(text):
 
 
 def format_rational(v):
-    """Render exactly: integers bare, anything else as 'num/den'."""
+    """Render exactly: integers bare, anything else as 'num/den'.  A numerator
+    or denominator past sys.get_int_max_str_digits() digits is refused with
+    the limit named, where str() would give Python's own message."""
     f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise ValueError(f"cannot print a rational of more than {sys.get_int_max_str_digits()} "
+                         "digits, the limit of sys.get_int_max_str_digits()") from None
 
 
 class Matrix:

@@ -234,6 +234,21 @@ def test_negative_fraction_after_b(capsys, command):
     assert spaced == joined
 
 
+@pytest.mark.parametrize("b", ["1e1400", "1e4000"])
+def test_printed_value_beyond_the_int_str_limit_exit_code(capsys, b):
+    # b itself passes the input limit, but a printed power of b does not
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", b)
+    assert code == 1 and out == ""
+    assert f"cannot print a rational of more than {limit} digits" in err
+
+
+def test_scalar_whose_printed_values_fit_the_int_str_limit(capsys):
+    code, out, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", "1e1000")
+    assert code == 0 and err == ""
+    assert "1" + "0" * 1000 in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "-n", "0", "-a", "", "-b", "0"], "argument -n: must be at least 1, got 0"),
     (["decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "-1"], "argument -k: must be at least 0, got -1"),

@@ -347,6 +347,57 @@ def test_generators_are_pinned_in_stored_form_over_a_grid(n):
     assert h.hexdigest() == GRID_PINS[n]
 
 
+# the larger-label pins: a_d = 4 and 6 at n = 3, a_1 = a_3 = 2 at n = 4
+LARGE_PIN_LABELS = [DominantLabels(n, dynkin, b) for n, dynkin, b, dim, _ in GENERATOR_PINS if dim > 27]
+
+
+@pytest.mark.parametrize("n", sorted(GRID_PINS))
+def test_simple_generators_have_transposed_supports(n):
+    """E_{k+1,k} has an entry at (L, L') exactly when E_{k,k+1} has one at
+    (L', L): a Gelfand-Tsetlin move L -> L' between patterns has a nonzero
+    raising and a nonzero lowering coefficient."""
+    assert len(LARGE_PIN_LABELS) == 3
+    modules = list(_grid(n)) + [labels for labels in LARGE_PIN_LABELS if labels.n == n]
+    entries = 0
+    for labels in modules:
+        V = build_irreducible(labels)
+        for k in range(n - 1):
+            raising = V.e(k, k + 1).entries
+            lowering = V.e(k + 1, k).entries
+            assert set(lowering) == {(col, row) for row, col in raising}, (labels, k)
+            entries += len(raising)
+    assert entries > 0 or n == 1
+
+
+def _per_position_dominant_weight_spaces(V, shifts):
+    """dominant_weight_spaces with one dominance test per position, shifts x
+    lattice weights row-major: the reference for the grouped loop."""
+    spaces = {}
+    pos = 0
+    for s in shifts:
+        for lw in V.lattice_weights:
+            w = weight_add(lw, s)
+            if is_dominant(w):
+                spaces.setdefault(w, []).append(pos)
+            pos += 1
+    return spaces
+
+
+@pytest.mark.parametrize("n", sorted(GRID_PINS))
+def test_dominant_weight_spaces_match_the_per_position_loop(n):
+    """Grouping the basis by lattice weight keeps the keys, their order and
+    the ascending positions of each key, on the grid modules for the shifts
+    +-e_i and the monomials of degree <= 3."""
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    shift_lists = [unit, [tuple(-x for x in e) for e in unit]]
+    shift_lists += [monomials_of_degree(n, k) for k in range(4)]
+    for labels in _grid(n):
+        V = build_irreducible(labels)
+        for shifts in shift_lists:
+            expected = _per_position_dominant_weight_spaces(V, shifts)
+            assert list(dominant_weight_spaces(V, shifts).items()) == list(expected.items()), (labels, shifts)
+
+
 def test_simple_generators_take_no_fraction_arithmetic(monkeypatch):
     """The closed-form coefficients are int pairs over one lcm: building
     labels 2,1,2 (dim 300) does exactly the Fraction work, arithmetic and

@@ -441,6 +441,16 @@ def test_parse_rational_refuses_more_digits_than_int_str_allows():
     assert parse_rational("5e" + str(limit - 1)) == 5 * 10 ** (limit - 1)
 
 
+def test_format_rational_refuses_more_digits_than_int_str_allows():
+    # str() of a longer int raises Python's own message; the limit is named instead
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit, F(1, 10**limit), F(-(10**limit), 3)):
+        with pytest.raises(ValueError, match=f"cannot print a rational of more than {limit} digits"):
+            format_rational(value)
+    assert format_rational(10 ** (limit - 1)) == "1" + "0" * (limit - 1)
+    assert format_rational(F(-1, 10 ** (limit - 1))) == "-1/1" + "0" * (limit - 1)
+
+
 def test_parse_rational_error_names_every_accepted_form():
     with pytest.raises(ValueError, match="integer or num/den, or an exact decimal such as 0.5"):
         parse_rational("x/2")
