@@ -1,14 +1,14 @@
 """Irreducibility analysis of the graded module generated from degree zero.
 
-The raising chains p^c applied to the degree-zero slice either fill every
-graded piece (irreducible case) or first miss a summand at a computable
-degree.  Both sides are implemented: the closed-form product coefficient q_c
-attached to each tensor summand, and brute force that builds the actual
-chain vectors and maximal vectors.  Both kinds of vector are positional,
+The chain map phi: x^m (x) v_q -> p^m (1 (x) v_q) acts on each Pieri
+summand V(mu + c) of S^k(C^n) (x) V by one scalar q_c, and the chain span
+S_k is the sum of the summands with q_c != 0.  Both sides are implemented:
+the closed-form product q_c, and brute force that pushes each summand's
+maximal vector through phi and reads the ratio; the chain ranks sum the
+summands with a nonzero ratio, and an elimination over every dominant
+weight space stays behind as their oracle.  Vectors are positional,
 {position: value} in the order of `action.graded_basis`, where x^m (x) v_q
-sits at basis[m] + q.  The chain ranks test one weight space per Pieri
-summand, its highest; an elimination over every dominant weight space stays
-behind as their oracle.  When the module is reducible the two-step
+sits at basis[m] + q.  When the module is reducible the two-step
 composition series and the residual quotient data are reported.
 """
 
@@ -30,7 +30,7 @@ from .glmodules import (
     weight_add,
     weyl_dimension,
 )
-from .linalg import EchelonSpan, Matrix, add_into, format_rational, integer_kernel
+from .linalg import EchelonSpan, Matrix, format_rational, integer_kernel
 
 __all__ = [
     "CriterionWitness",
@@ -39,8 +39,6 @@ __all__ = [
     "criterion_equivalence_check",
     "first_rank_deficiency",
     "jordan_holder",
-    "maximal_vector",
-    "phi_image",
     "q_coefficient",
     "q_coefficient_bruteforce",
     "residual_summands",
@@ -269,12 +267,13 @@ def up_submodule_matrix(V, k):
 
 def _top_weight_space(V, c):
     """[(position, m, q)]: the basis of the degree-|c| weight space of
-    mu + c, the highest weight of the Pieri summand V(mu + c), ascending.
+    mu + c, the highest weight of the Pieri summand V(mu + c), ascending;
+    the space that holds the summand's maximal vector.
 
     x^m (x) v_q has weight m + w_q, so the space holds the q with
     m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise,
-    m computed once per distinct lattice weight (``V.weight_groups``);
-    every lattice weight has one sum, so |m| = |c| follows.
+    one m per distinct lattice weight (``V.weight_groups``); every lattice
+    weight has one sum, so |m| = |c| follows.
     """
     basis = graded_basis(V, sum(c))
     top = weight_add(V.lattice_weights[V.highest_index], c)
@@ -289,39 +288,32 @@ def _top_weight_space(V, c):
 
 
 def _maximal_coordinates(V, c, support):
-    """The maximal vector of weight mu + c on its weight space `support`
-    (`_top_weight_space`), as a primitive integer vector {position: int}:
-    the one relation among the columns of the raisers E_ab (a < b) on the
-    support.
+    """The maximal vector xi_c of weight mu + c as a primitive integer
+    vector {position: int}: the one relation among the columns of the
+    simple raisers E_{a,a+1} on its weight space `support`
+    (`_top_weight_space`); they generate every raiser.
 
-    E_ab (x^m (x) v_q) = m_b x^(m + e_a - e_b) (x) v_q + x^m (x) E_ab v_q, the
-    x_a d_b move of `action._assemble`, taken on the generators' integer
-    columns scaled by the lcm L of their denominators.  E_ab carries the
-    weight w to w + e_a - e_b, a different weight for each a < b, so the sum
-    of the raisers keeps their images on disjoint positions and its kernel
-    is their joint kernel.  A space whose kernel is not one-dimensional
-    raises MultiplicityAnomalyError.
+    E_ab (x^m (x) v_q) = m_b x^(m + e_a - e_b) (x) v_q + x^m (x) E_ab v_q,
+    scaled by the L of `_chain_step`, whose twists hold L E_ab as ints.
+    Each E_{a,a+1} lands on its own weight, so the kernel of their sum is
+    their joint kernel.  A kernel that is not a line raises
+    MultiplicityAnomalyError.
     """
-    n, k = V.n, sum(c)
-    basis = graded_basis(V, k)
-    raisers = [(a, b, V.e(a, b)) for a in range(n) for b in range(a + 1, n)]
-    L = math.lcm(*(e.den for _, _, e in raisers))
+    n, basis = V.n, graded_basis(V, sum(c))
+    L, _, _, twists = _chain_step(V, 0)
     columns = []
     for pos, m, q in support:
         col = {}
-        for a, b, e in raisers:
-            if m[b]:
-                up = list(m)
-                up[a] += 1
-                up[b] -= 1
-                r = basis[tuple(up)] + q
-                col[r] = col.get(r, 0) + L * m[b]
-            f = L // e.den
-            for r, x in e.columns.get(q, {}).items():
-                r += pos - q  # x^m (x) v_r
-                col[r] = col.get(r, 0) + f * x
-        columns.append({r: x for r, x in col.items() if x})
-    kern = integer_kernel(columns, graded_dimension(V, k))
+        for a in range(n - 1):
+            if m[a + 1]:  # the x-move x_a d_(a+1)
+                r = basis[m[:a] + (m[a] + 1, m[a + 1] - 1) + m[a + 2:]] + q
+                col[r] = col.get(r, 0) + L * m[a + 1]
+            for b, r, x in twists[a][q]:
+                if b == a + 1:
+                    r += pos - q  # x^m (x) v_r
+                    col[r] = col.get(r, 0) + x
+        columns.append(col)  # integer_kernel drops the zeros
+    kern = integer_kernel(columns, graded_dimension(V, sum(c)))
     if len(kern) != 1:
         raise MultiplicityAnomalyError(
             f"maximal vector space for shift {tuple(c)} has dimension {len(kern)}"
@@ -329,35 +321,60 @@ def _maximal_coordinates(V, c, support):
     return {support[j][0]: x for j, x in kern[0].items()}
 
 
+def _chain_ratio(V, c):
+    """q_c by brute force: the scalar by which the chain map
+    phi: x^m (x) v_q -> p^m (1 (x) v_q) acts on the summand V(mu + c).
+
+    phi is gl(n)-equivariant ([x_i d_j, p_l] = delta_jl p_i), and by Pieri's
+    rule S^k(C^n) (x) V holds each V(mu + c) once, so phi(xi_c) = q_c xi_c
+    for the maximal vector xi_c (`_maximal_coordinates`).  phi(xi_c) is
+    summed on integers over the lcm of the chain vectors' denominators.
+    Raises ConsistencyViolationError when xi_c misses x^c (x) v_top or
+    phi(xi_c) is not proportional to it.  Memoized per module and shift.
+    """
+
+    def compute():
+        support = _top_weight_space(V, c)
+        xi = _maximal_coordinates(V, c, support)
+        lead = graded_basis(V, sum(c))[c] + V.highest_index
+        if lead not in xi:
+            raise ConsistencyViolationError(
+                "maximal vector lacks the distinguished leading coordinate"
+            )
+        chains = [(xi[pos], _chain_vector(V, m, q)) for pos, m, q in support if pos in xi]
+        den = math.lcm(*(d for _, (d, _) in chains))
+        image = {}
+        for x, (d, vec) in chains:
+            f = x * (den // d)
+            for r, v in vec.items():
+                image[r] = image.get(r, 0) + f * v
+        top, hat = xi[lead], image.get(lead, 0)
+        if any(image.get(r, 0) * top != hat * xi.get(r, 0) for r in image.keys() | xi.keys()):
+            raise ConsistencyViolationError(
+                f"chain image of the maximal vector for {c} is not proportional to it"
+            )
+        return Fraction(hat, den * top)
+
+    return module_memo(V, "ratio", c, compute)
+
+
 def up_submodule_rank(V, k):
     """Dimension of S_k, the degree-k piece of the span of all p-chains.
 
-    Equal to the rank of the chain matrix.  The span is a gl(n)-submodule
-    ([x_i d_j, p_l] = delta_jl p_i and 1 (x) V is gl(n)-stable) of
-    S^k(C^n) (x) V, which by Pieri's rule is the sum of the V(mu + c), c in
-    `pieri_index_set`, each once.  So the span is the sum of some of them,
-    and V(mu + c) lies in it exactly when its maximal vector does.  That is
-    decided on the weight space of mu + c alone: the chain vectors of that
-    weight enter one EchelonSpan; if they fill the space, or if the maximal
-    vector (`_maximal_coordinates`) does not grow their span, the summand
-    counts with its Weyl dimension.  Weights and dimensions are read off the
-    integer lattice weights, and every vector is an integer vector.
-    Memoized per module and degree.
+    S_k is the image of the chain map on S^k(C^n) (x) V, the sum of the
+    Pieri summands V(mu + c), c in `pieri_index_set`, on which the map's
+    scalar q_c (`_chain_ratio`) is nonzero; each counts with its Weyl
+    dimension, read off the integer lattice weights.  Equal to the rank of
+    the chain matrix.  Memoized per module and degree.
     """
 
     def compute():
         top = V.lattice_weights[V.highest_index]
-        total = 0
-        for c in pieri_index_set(top, k):
-            support = _top_weight_space(V, c)
-            span = EchelonSpan()
-            for _, m, q in support:
-                _, vec = _chain_vector(V, m, q)
-                if vec:
-                    span.insert(vec)
-            if span.dim == len(support) or span.insert(_maximal_coordinates(V, c, support)) is None:
-                total += weyl_dimension(weight_add(top, c))
-        return total
+        return sum(
+            weyl_dimension(weight_add(top, c))
+            for c in pieri_index_set(top, k)
+            if _chain_ratio(V, c)
+        )
 
     return module_memo(V, "rank", k, compute)
 
@@ -381,51 +398,10 @@ def _all_dominant_rank(V, k):
     return total
 
 
-def maximal_vector(V, c):
-    """The maximal vector of the degree-|c| summand with shifted weight mu+c,
-    as {position: Fraction} in `graded_basis` order, normalized so the
-    coefficient of x^c tensor (highest basis vector) is 1.
-
-    It is `_maximal_coordinates` on the weight space of mu + c
-    (`_top_weight_space`), the space the chain ranks test the summand on.
-    """
-    c = _admissible(V.highest_weight, c)
-    xi = _maximal_coordinates(V, c, _top_weight_space(V, c))
-    lead = xi.get(graded_basis(V, sum(c))[c] + V.highest_index, 0)
-    if lead == 0:
-        raise ConsistencyViolationError(
-            "maximal vector lacks the distinguished leading coordinate"
-        )
-    return {pos: Fraction(x, lead) for pos, x in xi.items()}
-
-
-def phi_image(V, vec, k):
-    """Replace every x^l tensor v_q of the degree-k vector {position: value}
-    by the chain vector p^l(1 tensor v_q)."""
-    monos = list(graded_basis(V, k))
-    acc = {}
-    for pos, val in vec.items():
-        t, q = divmod(pos, V.dim)
-        add_into(acc, _p_chain_vector(V, monos[t], q).items(), val)
-    return acc
-
-
 def q_coefficient_bruteforce(V, c):
-    """Scale factor picked up by the maximal vector under the chain map.
-
-    Independent oracle for q_coefficient: builds the actual maximal vector,
-    pushes it through the chain substitution, and reads off the ratio
-    (verifying exact proportionality along the way).
-    """
-    c = tuple(int(x) for x in c)
-    xi = maximal_vector(V, c)
-    hat = phi_image(V, xi, sum(c))
-    q = hat.get(graded_basis(V, sum(c))[c] + V.highest_index, 0)
-    if hat != ({pos: q * v for pos, v in xi.items()} if q else {}):
-        raise ConsistencyViolationError(
-            f"chain image of the maximal vector for {c} is not proportional to it"
-        )
-    return Fraction(q)
+    """Independent oracle for q_coefficient: the chain map's scalar on the
+    maximal vector of weight mu + c (`_chain_ratio`)."""
+    return _chain_ratio(V, _admissible(V.highest_weight, c))
 
 
 # -- criterion vs brute force, composition series -------------------------------

@@ -21,7 +21,7 @@ views of the stored form.
 
 There is one elimination, the fraction-free ``EchelonSpan``: it reduces
 integer vectors by integer row operations and keeps one primitive integer
-vector per echelon row.  ``rank``, the chain ranks of the irreducibility
+vector per echelon row.  ``rank``, the chain-rank oracle of the irreducibility
 check and ``integer_kernel`` all go through it.  ``integer_kernel`` reads
 primitive integer relations from tagged columns, column j with a 1 at index
 rows + j; ``kernel_basis`` alone makes fractions, when it scales a relation.

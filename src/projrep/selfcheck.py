@@ -41,7 +41,7 @@ from .charident import (
     sigma2_tilde,
     tensor_projector,
 )
-from .errors import ConsistencyViolationError
+from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     cached_module,
     clear_caches,
@@ -65,7 +65,7 @@ from .irreducibility import (
     up_submodule_matrix,
     up_submodule_rank,
 )
-from .linalg import Matrix, add_into, block, kernel_basis, kron, rank
+from .linalg import DegenerateSpectrumError, Matrix, add_into, block, kernel_basis, kron, rank
 
 __all__ = [
     "CheckRecord",
@@ -572,7 +572,7 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
         for name, fn in checks:
             try:
                 ok, detail = fn()
-            except ConsistencyViolationError as exc:
+            except (ConsistencyViolationError, DegenerateSpectrumError, MultiplicityAnomalyError) as exc:
                 ok, detail = False, f"consistency violation: {exc}"
             records.append(CheckRecord(point, name, ok, detail))
         clear_caches()  # no later point reuses this module or its memos

@@ -133,6 +133,31 @@ def test_selfcheck_passes(capsys):
     assert "action-oracle: 7/7" in out and "spectrum-oracle: 7/7" in out
 
 
+@pytest.mark.parametrize("error", [
+    MultiplicityAnomalyError("synthetic anomaly"), DegenerateSpectrumError(1, (0, 1)),
+])
+def test_selfcheck_records_an_internal_error_and_sweeps_on(capsys, monkeypatch, error):
+    import projrep.irreducibility as irreducibility
+    from projrep.glmodules import clear_caches
+    from projrep.selfcheck import run_selfcheck
+
+    def boom(*args, **kwargs):
+        raise error
+
+    clear_caches()  # no cached module may hold ratios computed before the patch
+    sound = run_selfcheck(n_max=1)
+    monkeypatch.setattr(irreducibility, "_maximal_coordinates", boom)
+    records = run_selfcheck(n_max=1)
+    assert [(r.point, r.check) for r in records] == [(r.point, r.check) for r in sound]
+    failed = {r.check for r in records if not r.ok}
+    assert {"q-closed-form-vs-oracle", "criterion-vs-bruteforce"} <= failed
+    assert all(r.detail == f"consistency violation: {error}" for r in records if not r.ok)
+    code, out, err = run(capsys, "selfcheck", "--n-max", "1")
+    assert code == 2
+    assert "checks passed" in out and "criterion-vs-bruteforce: 0/7" in out
+    assert "FAIL q-closed-form-vs-oracle" in err
+
+
 def test_selfcheck_seed_does_not_change_verdicts(capsys):
     _, out1, _ = run(capsys, "selfcheck", "--n-max", "1", "--seed", "1", "--json")
     _, out2, _ = run(capsys, "selfcheck", "--n-max", "1", "--seed", "99", "--json")

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -33,8 +34,6 @@ from projrep.irreducibility import (
     criterion_equivalence_check,
     first_rank_deficiency,
     jordan_holder,
-    maximal_vector,
-    phi_image,
     q_coefficient,
     q_coefficient_bruteforce,
     residual_summands,
@@ -142,32 +141,89 @@ def test_q_coefficient_recursion():
                     assert q_coefficient(mu, c) == factor * q_coefficient(mu, prev)
 
 
-def test_maximal_vector_normalization():
-    V = cached_module(2, (1,), F(1))
-    xi = maximal_vector(V, (1, 0))
-    lead = graded_basis(V, 1)[(1, 0)] + V.highest_index
-    assert xi.get(lead) == 1
-    hat = phi_image(V, xi, 1)
-    assert hat.get(lead) == q_coefficient(V.highest_weight, (1, 0))
+def test_maximal_vector_normalization(monkeypatch):
+    # the maximal vector is a primitive integer vector with a nonzero
+    # coordinate at x^c (x) v_top; the ratio read there is q_c, and a
+    # maximal vector without that coordinate is refused
+    V = build_irreducible(DominantLabels(2, (1,), F(1)))
+    c = (1, 0)
+    xi = irreducibility._maximal_coordinates(V, c, irreducibility._top_weight_space(V, c))
+    lead = graded_basis(V, 1)[c] + V.highest_index
+    assert xi.get(lead) and math.gcd(*xi.values()) == 1
+    assert irreducibility._chain_ratio(V, c) == q_coefficient_bruteforce(V, c) == 2
+    original = irreducibility._maximal_coordinates
+    monkeypatch.setattr(
+        irreducibility, "_maximal_coordinates",
+        lambda W, d, support: {p: x for p, x in original(W, d, support).items() if p != lead},
+    )
+    W = build_irreducible(DominantLabels(2, (1,), F(1)))
+    with pytest.raises(ConsistencyViolationError, match="leading coordinate"):
+        q_coefficient_bruteforce(W, c)
 
 
 def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(monkeypatch):
     # the chain vector of x^c (x) v_top, the maximal vector's lead, gains an
-    # entry off the maximal vector's weight space, so the image leaves its span
+    # entry off the maximal vector's weight space, so the image leaves its
+    # span; the chain ranks read the same ratio and refuse it too
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     c = (1, 0)
     assert q_coefficient_bruteforce(V, c) == q_coefficient(V.highest_weight, c)
-    xi = maximal_vector(V, c)
+    xi = irreducibility._maximal_coordinates(V, c, irreducibility._top_weight_space(V, c))
     off = next(pos for pos in range(graded_dimension(V, 1)) if pos not in xi)
-    original = irreducibility._p_chain_vector
+    original = irreducibility._chain_vector
 
     def perturbed(W, chain, q):
-        vec = original(W, chain, q)
-        return {**vec, off: vec.get(off, 0) + 1} if (chain, q) == (c, W.highest_index) else vec
+        den, vec = original(W, chain, q)
+        if (chain, q) != (c, W.highest_index):
+            return den, vec
+        return den, {**vec, off: vec.get(off, 0) + 1}
 
-    monkeypatch.setattr(irreducibility, "_p_chain_vector", perturbed)
+    monkeypatch.setattr(irreducibility, "_chain_vector", perturbed)
+    V = build_irreducible(DominantLabels(2, (1,), F(1)))
     with pytest.raises(ConsistencyViolationError, match="not proportional"):
         q_coefficient_bruteforce(V, c)
+    with pytest.raises(ConsistencyViolationError, match="not proportional"):
+        up_submodule_rank(V, 1)
+
+
+def test_analyze_refuses_a_corrupted_chain_vector_on_an_irreducible_module(capsys, monkeypatch):
+    # n = 2, label 1, b = 1/2 is irreducible, so every chain span fills its
+    # degree; a chain vector of x_1^2 (x) v_0 with one extra entry still
+    # fills it, but the chain image of the maximal vector for (2, 0) is no
+    # longer proportional to it
+    original = irreducibility._chain_vector
+
+    def corrupted(W, chain, q):
+        den, vec = original(W, chain, q)
+        if (chain, q) != ((2, 0), 0):
+            return den, vec
+        extra = next(r for r in itertools.count() if r not in vec)
+        return den, {**vec, extra: 1}
+
+    monkeypatch.setattr(irreducibility, "_chain_vector", corrupted)
+    assert main(["analyze", "-n", "2", "-a", "1", "-b", "1/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not proportional" in err
+
+
+@pytest.mark.parametrize("point", [(2, (1,), F(1, 2)), (3, (1, 1), F(1, 2))])
+def test_criterion_suite_catches_maximal_vectors_without_the_x_move(monkeypatch, point):
+    """With the x-move x_a d_(a+1) dropped from the raisers, the kernel is not
+    the maximal vector; on these irreducible modules every span fills its
+    degree, yet the criterion suite must still fail."""
+    import inspect
+
+    from projrep.selfcheck import check_criterion_vs_bruteforce
+
+    source = inspect.getsource(irreducibility._maximal_coordinates)
+    assert source.count("if m[a + 1]:") == 1
+    namespace = dict(vars(irreducibility))
+    exec(source.replace("if m[a + 1]:", "if False:"), namespace)
+    monkeypatch.setattr(irreducibility, "_maximal_coordinates", namespace["_maximal_coordinates"])
+    V = build_irreducible(DominantLabels(*point))
+    with pytest.raises(ConsistencyViolationError, match="not proportional"):
+        check_criterion_vs_bruteforce(V)
 
 
 def test_up_submodule_rank_examples():
@@ -288,12 +344,15 @@ def _count_maximal_vectors(monkeypatch, calls):
     ((3, (1, 0), F(-2)), 2, (1, 1, 0)),
 ])
 def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypatch, point, k, c):
-    """With one chain vector of the highest weight space of mu + c made
-    empty, the span no longer fills that space, the maximal vector decides,
-    and the summand drops out of the rank."""
-    right = up_submodule_rank(build_irreducible(DominantLabels(*point)), k)
+    """With the chain vector of a basis vector in the maximal vector's
+    support made empty, and q_c != 0, the chain image of the maximal vector
+    is no longer proportional to it, and the rank refuses it."""
+    sound = build_irreducible(DominantLabels(*point))
+    support = irreducibility._top_weight_space(sound, c)
+    pos, m, q = support[-1]
+    assert pos in irreducibility._maximal_coordinates(sound, c, support)
+    assert q_coefficient_bruteforce(sound, c) != 0
     V = build_irreducible(DominantLabels(*point))
-    _, m, q = irreducibility._top_weight_space(V, c)[-1]
     original = irreducibility._chain_vector
 
     def dropped(W, chain, basis):
@@ -302,10 +361,10 @@ def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypa
     monkeypatch.setattr(irreducibility, "_chain_vector", dropped)
     built = []
     _count_maximal_vectors(monkeypatch, built)
-    wrong = up_submodule_rank(V, k)
+    with pytest.raises(ConsistencyViolationError, match="not proportional"):
+        up_submodule_rank(V, k)
     monkeypatch.undo()
     assert c in built
-    assert wrong == right - weyl_dimension(weight_add(V.highest_weight, c))
 
 
 def test_chain_vectors_store_integers_as_int():
@@ -318,32 +377,34 @@ def test_chain_vectors_store_integers_as_int():
 
 def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
     # once the chain vectors are memoized, the rank is integer work alone:
-    # weights, Weyl dimensions, elimination and the maximal vectors.  The
-    # weights of n = 4, labels 1,1,1, b = 0 lie in -3/2 + Z^4; n = 2,
-    # label 1, b = -1 is reducible, and its degree-2 span fills neither top
-    # weight space, so both maximal vectors are built
+    # weights, Weyl dimensions, the maximal vectors and their chain images,
+    # one maximal vector per Pieri shift.  The weights of n = 4, labels
+    # 1,1,1, b = 0 lie in -3/2 + Z^4; n = 2, label 1, b = -1 is reducible.
+    # The q oracle reads the ratios the rank memoized and builds no more
     from test_linalg import _count_fraction_arithmetic
 
-    for point, k, maximal in [
-        ((4, (1, 1, 1), F(0)), 3, []),
-        ((2, (1,), F(-1)), 2, [(2, 0), (1, 1)]),
-    ]:
+    for point, k in [((4, (1, 1, 1), F(0)), 3), ((2, (1,), F(-1)), 2)]:
         V = build_irreducible(DominantLabels(*point))
+        shifts = list(pieri_index_set(V.highest_weight, k))
         up_submodule_matrix(V, k)
         calls, built = [], []
         _count_fraction_arithmetic(monkeypatch, calls)
         _count_maximal_vectors(monkeypatch, built)
         r = up_submodule_rank(V, k)
-        monkeypatch.undo()
         assert calls == [], point
-        assert built == maximal, point
+        assert built == shifts, point
+        for c in shifts:
+            q_coefficient_bruteforce(V, c)
+        monkeypatch.undo()
+        assert built == shifts, point
         assert r == all_weights_rank(V, k), point
 
 
 @pytest.mark.parametrize("b", [F(0), F(1, 2)])
 def test_elimination_leaves_its_input_vectors_unchanged(b):
-    # the chain ranks hand the memoized chain vectors to EchelonSpan, which
-    # combines vectors in place once it has copied them
+    # the chain ranks sum the memoized chain vectors into chain images, and
+    # rank and kernel_basis hand the columns to EchelonSpan, which combines
+    # vectors in place once it has copied them
     V = build_irreducible(DominantLabels(3, (1, 1), b))
     m = up_submodule_matrix(V, 3)
     columns, chains = copy.deepcopy(m.columns), copy.deepcopy(V.memo["chain"])
@@ -391,16 +452,13 @@ def test_chain_ranks_assemble_no_operator_matrix(monkeypatch):
     """Chain vectors and maximal vectors are built from the generator
     columns: neither the operator-matrix assembly nor Matrix.apply runs
     under up_submodule_rank, on an irreducible module and on a reducible
-    one whose rank builds maximal vectors."""
+    one, each building one maximal vector per Pieri shift."""
     import projrep.action as action_mod
 
     def forbidden(*args, **kwargs):
         raise AssertionError("chain ranks must not go through operator matrices")
 
-    for point, k, maximal in [
-        ((3, (1, 1), F(1, 2)), 3, []),
-        ((2, (1,), F(-1)), 2, [(2, 0), (1, 1)]),
-    ]:
+    for point, k in [((3, (1, 1), F(1, 2)), 3), ((2, (1,), F(-1)), 2)]:
         monkeypatch.setattr(action_mod, "_assemble", forbidden)
         monkeypatch.setattr(Matrix, "apply", forbidden)
         built = []
@@ -408,7 +466,7 @@ def test_chain_ranks_assemble_no_operator_matrix(monkeypatch):
         V = build_irreducible(DominantLabels(*point))
         r = up_submodule_rank(V, k)
         monkeypatch.undo()
-        assert built == maximal, point
+        assert built == list(pieri_index_set(V.highest_weight, k)), point
         assert r == rank(up_submodule_matrix(V, k)), point
 
 
