@@ -8,21 +8,23 @@ space tensor V into a representation of that copy.
 On x^m tensor V each operator of the span acts as a polynomial move times
 Id_V plus shifted copies of the generator matrices E_{i,j} = V.e(i, j).
 `operator_matrix` uses that structure: once per module it splits the
-operator (`projective_components`) and sums its generator blocks, and per
-degree it assembles the exact sparse matrix block by block, one
-dim(V)-square block per monomial.  The target degree is read off the
-operator, whose shift is computed once with its terms, so only a nonzero
-operator with a uniform degree shift has a matrix.  `commutator_equals` is
-the matrix side of a Lie relation: whether the commutator of two operator
-matrices equals a target (the matrix of a bracket, or zero), decided in one
-exact pass of `linalg.product_difference_equals` that builds no product;
-the Chevalley relations use it.  The bracket check runs the same pass on a
-per-module table, each spanning operator's matrices on every degree it
-needs, fetched once, against the matrix of each pair's symbolic bracket,
-which `WittElement.bracket` forms in one pass over the pairs of terms.
-`act` applies an operator to one graded element term by term; the matrix
-path never calls it, and it is the independent oracle that the
-`action-oracle` suite of `selfcheck` compares every column with.
+operator (`projective_components`) into moves and generator blocks, terms
+that point at V's generators, and per degree it assembles the exact sparse
+matrix block by block, one dim(V)-square block per monomial.  The target
+degree is read off the operator, whose shift is computed once with its
+terms, so only a nonzero operator with a uniform degree shift has a
+matrix.  `commutator_equals` is the matrix side of a Lie relation: whether
+the commutator of two operator matrices equals a target (the matrix of a
+bracket, or zero), decided in one exact pass of
+`linalg.product_difference_equals` that builds no product; the Chevalley
+relations use it.  The bracket check runs the same pass on a per-module
+table, each spanning operator's matrices on every degree it needs, fetched
+once, against the matrix of each pair's symbolic bracket, which
+`WittElement.bracket` forms in one pass over the pairs of terms once per n
+(`spanning_brackets`), for every module.  `act` applies an operator to one
+graded element term by term; the matrix path never calls it, and it is the
+independent oracle that the `action-oracle` suite of `selfcheck` compares
+every column with.
 
 Degrees: derivatives lower by one, scalings preserve, pseudo-translations
 raise by one.  Monomials are exponent tuples, ordered descending
@@ -59,6 +61,7 @@ __all__ = [
     "projective_components",
     "pseudo_translation_op",
     "scaling_op",
+    "spanning_brackets",
     "spanning_operators",
     "triangle_delta",
     "verify_bracket_consistency",
@@ -373,37 +376,18 @@ def act(op, element, V):
 # -- per-degree matrices, assembled block by block (cached) -----------------------
 
 
-def _twist(coeffs, V):
-    """sum of c * E_{i+1,j+1} over {(i, j): c}, as a Matrix summed on the
-    generators' integer columns over the lcm of c.den * E_{i+1,j+1}.den."""
-    terms = [(c, V.e(i, j)) for (i, j), c in coeffs.items()]
-    den = math.lcm(*(c.denominator * e.den for c, e in terms))
-    cols = {}
-    for c, e in terms:
-        f = c.numerator * (den // (c.denominator * e.den))
-        for t, col in e.columns.items():
-            add_into(cols.setdefault(t, {}), col.items(), f)
-    return Matrix.from_int_columns(V.dim, V.dim, den, {t: col for t, col in cols.items() if col})
-
-
-def _pseudo_twist(pseudo, V):
-    """Generator part of sum_i c_i p_i: {j: sum_i c_i E_{i,j}}, the block that
-    carries x^m tensor V to x^(m + e_j) tensor V."""
-    return {j: _twist({(i, j): c for i, c in pseudo.items()}, V) for j in range(V.n)}
-
-
 def _plan(op, V):
     """The degree-free part of op's assembly: the moves of d_i and x_i d_j,
-    the p_i coefficients, and the generator blocks.  `_assemble` keeps it
-    per module."""
+    the p_i coefficients, and the generator blocks, each a list of
+    (coefficient, V.e(i, j)) terms; `_assemble` keeps it per module."""
     deriv, gl, pseudo = projective_components(op)
     # (coefficient, index raised, index lowered) of each polynomial move
     moves = [(c, None, i) for i, c in deriv.items()]
     moves += [(c, i, j) for (i, j), c in gl.items()]
-    # (index raised, generator block) on the target block of m
-    blocks = [(None, _twist(gl, V))] if gl else []
+    # (index raised, (coefficient, generator) terms) of each generator block
+    blocks = [(None, [(c, V.e(i, j)) for (i, j), c in gl.items()])] if gl else []
     if pseudo:
-        blocks += list(_pseudo_twist(pseudo, V).items())
+        blocks += [(j, [(c, V.e(i, j)) for i, c in pseudo.items()]) for j in range(V.n)]
     return moves, pseudo, blocks
 
 
@@ -417,13 +401,18 @@ def _assemble(op, V, k, src, dst):
     m + e_i - e_j (weight m_j) and adds E_{i,j} on the block of m; p_i moves m
     to m + e_i (weight |m| + b) and adds E_{i,j} on the block of m + e_j.  The
     block of m starts at basis[m].  Only the p_i weight k + b and the
-    positions depend on the degree k; the rest is `_plan`'s.
+    positions depend on the degree k; the rest is `_plan`'s.  Each block term
+    c * E_{i,j} adds E_{i,j}'s integer columns scaled to the common
+    denominator, the lcm over the moves and every c.den * E_{i,j}.den.
     """
     moves, pseudo, blocks = module_memo(V, "plan", op, lambda: _plan(op, V))
     d = V.dim
     moves = moves + [(c * (k + V.b), i, None) for i, c in pseudo.items()]
-    den = math.lcm(*(c.denominator for c, _, _ in moves), *(twist.den for _, twist in blocks))
+    den = math.lcm(*(c.denominator for c, _, _ in moves),
+                   *(c.denominator * e.den for _, terms in blocks for c, e in terms))
     moves = [(c.numerator * (den // c.denominator), up, down) for c, up, down in moves]
+    blocks = [(up, [(c.numerator * (den // (c.denominator * e.den)), e.columns) for c, e in terms])
+              for up, terms in blocks]
     # keys take their positions from this list, so the cached columns share
     # one int object per position instead of holding fresh sums
     pos = list(range(max(len(src), len(dst)) * d))
@@ -441,18 +430,18 @@ def _assemble(op, V, k, src, dst):
                 row = dst[m]
                 for t in range(d):
                     out[t][pos[row + t]] = s
-        for up, twist in blocks:
+        for up, terms in blocks:
             row = dst[_shift_mono(mono, up)]
-            f = den // twist.den
-            for t, entries in twist.columns.items():
-                acc = out[t]
-                for r, a in entries.items():
-                    key = pos[row + r]
-                    s = acc.get(key, 0) + a * f
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
+            for f, columns in terms:
+                for t, entries in columns.items():
+                    acc = out[t]
+                    for r, a in entries.items():
+                        key = pos[row + r]
+                        s = acc.get(key, 0) + a * f
+                        if s:
+                            acc[key] = s
+                        else:
+                            del acc[key]
         for t, acc in enumerate(out):
             if acc:
                 cols[pos[col + t]] = acc
@@ -511,23 +500,31 @@ def triangle_delta(i, j, k, V):
     return m
 
 
+@functools.cache
+def spanning_brackets(n):
+    """(ops, brackets): the spanning operators of n, and brackets[a][b - a - 1]
+    = [ops[a], ops[b]] for a < b, as tuples.  The brackets depend on n alone,
+    so every module's bracket check reads the same elements."""
+    ops = tuple(op for _, op in spanning_operators(n))
+    return ops, tuple(tuple(u.bracket(w) for w in ops[a + 1:]) for a, u in enumerate(ops))
+
+
 def verify_bracket_consistency(n, V, k_max):
     """Check that symbolic brackets match matrix commutators on all pieces.
 
     For every unordered pair from the spanning set and every degree up to
     k_max the commutator of the operator matrices must equal the matrix of
-    the symbolic bracket exactly, or vanish where the bracket does.  The
-    factors are fetched once, into a table of each spanning operator's
-    matrices on degrees -1 .. k_max + 1.  A negative k_max raises ValueError.
+    the symbolic bracket (from `spanning_brackets(n)`) exactly, or vanish
+    where the bracket does.  The factors are fetched once, into a table of each
+    spanning operator's matrices on degrees -1 .. k_max + 1.  A negative
+    k_max raises ValueError.
     """
     if k_max < 0:
         raise ValueError(f"degree cap must be >= 0, got {k_max}")
-    ops = [op for _, op in spanning_operators(n)]
+    ops, brackets = spanning_brackets(n)
     table = [({k: operator_matrix(op, V, k) for k in range(-1, k_max + 2)}, op.degree_shift()) for op in ops]
     for a, (mu, su) in enumerate(table):
-        for b in range(a + 1, len(ops)):
-            mw, sw = table[b]
-            bracket = ops[a].bracket(ops[b])
+        for (mw, sw), bracket in zip(table[a + 1:], brackets[a]):
             for k in range(k_max + 1):
                 target = None if bracket.is_zero() else operator_matrix(bracket, V, k)
                 if not product_difference_equals(mu[k + sw], mw[k], mw[k + su], mu[k], target):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -46,8 +45,9 @@ EXIT_CONSISTENCY = 2
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative num/den such as -3/2 is a value of -b, not an option
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        # -3/2 and -1e5 are values of -b, and -1,0 of -a, not options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-\d+/\d+$|^-\d+(,-?\d+)+$")
 
     # argparse exits 2 on usage errors; our exit-code contract wants 1
     def error(self, message):
@@ -93,6 +93,7 @@ def _build(args):
 
 def _emit(doc, as_json, table_lines):
     if as_json:
+        import json  # only a --json run loads it
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in table_lines:
@@ -249,6 +250,7 @@ def cmd_selfcheck(args):
             ],
             "by_check": {k: {"pass": v[0], "total": v[1]} for k, v in by_check.items()},
         }
+        import json
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for name in sorted(by_check):

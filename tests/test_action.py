@@ -19,6 +19,7 @@ from projrep.action import (
     projective_components,
     pseudo_translation_op,
     scaling_op,
+    spanning_brackets,
     spanning_operators,
     triangle_delta,
     verify_bracket_consistency,
@@ -339,7 +340,7 @@ def test_bracket_check_builds_no_product_difference_or_twist_sum(monkeypatch):
 
 
 def test_each_operator_is_split_once_per_module(monkeypatch):
-    # the degree-free plan (components and twist blocks) of an operator is
+    # the degree-free plan (components and generator blocks) of an operator is
     # built once per module and shared by its matrices at every degree
     import projrep.action as action_mod
 
@@ -408,23 +409,25 @@ def test_sign_flip_in_twisted_action_breaks_bracket_consistency(monkeypatch):
     """An injected fault in the pseudo-translation twist must be caught."""
     import projrep.action as action_mod
 
-    original = action_mod._pseudo_twist
+    original = action_mod._plan
 
-    def flipped(pseudo, V):
-        # flip the sign of the summed generator twist, keep the rest
-        return {j: -twist for j, twist in original(pseudo, V).items()}
+    def flipped(op, V):
+        # negate the coefficients of the p_i blocks, keep the rest
+        moves, pseudo, blocks = original(op, V)
+        return moves, pseudo, [(up, terms if up is None else [(-c, e) for c, e in terms])
+                               for up, terms in blocks]
 
-    # fresh module instances: operator matrices are cached per instance
+    # fresh module instances: plans and operator matrices are cached per instance
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     assert verify_bracket_consistency(2, V, 2)
     W = build_irreducible(DominantLabels(2, (1,), F(1)))
-    monkeypatch.setattr(action_mod, "_pseudo_twist", flipped)
+    monkeypatch.setattr(action_mod, "_plan", flipped)
     assert not verify_bracket_consistency(2, W, 2)
 
 
 def test_twist_blocks_assemble_without_fraction_arithmetic(monkeypatch):
-    # b = 1/2 puts Fractions in every generator; the twist blocks are summed
-    # on their integer columns
+    # b = 1/2 puts Fractions in every generator; the generator blocks are
+    # added on their integer columns
     from test_linalg import _count_fraction_arithmetic
 
     V = build_irreducible(DominantLabels(3, (2, 1), F(1, 2)))
@@ -626,7 +629,14 @@ def test_bracket_check_catches_a_nonzero_bracket_reported_as_zero(monkeypatch):
     V = cached_module(2, (1,), F(1))
     assert verify_bracket_consistency(2, V, 2)
     monkeypatch.setattr(WittElement, "bracket", lying)
-    assert not verify_bracket_consistency(2, V, 2)
+    # the brackets of n are built once: rebuild them with the lying bracket,
+    # and again once it is undone, so that no later test reads this table
+    spanning_brackets.cache_clear()
+    try:
+        assert not verify_bracket_consistency(2, V, 2)
+    finally:
+        monkeypatch.undo()
+        spanning_brackets.cache_clear()
 
 
 def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
@@ -650,7 +660,7 @@ def test_bracket_check_assembles_each_nonzero_matrix_once(monkeypatch):
 
 def test_bracket_check_fetches_each_spanning_matrix_once(monkeypatch):
     # the factors come from a table of every spanning operator on degrees
-    # -1 .. k_max + 1; bracket() returns a fresh element, so a target equal
+    # -1 .. k_max + 1; a bracket is an element of its own, so a target equal
     # to a spanning operator is not a table fetch
     import projrep.action as action_mod
 
@@ -667,6 +677,51 @@ def test_bracket_check_fetches_each_spanning_matrix_once(monkeypatch):
     spanning = [op for _, op in spanning_operators(3)]
     table = [(op, k) for op, k in fetched if any(op is s for s in spanning)]
     assert len(table) == len(set(table)) == len(spanning) * 5
+
+
+def test_spanning_brackets_are_built_once_per_n(monkeypatch):
+    # the brackets depend on n alone: the first n = 3 module's check forms
+    # all 105 of them, and a second module's check reads the same table
+    original = WittElement.bracket
+    calls = []
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    spanning_brackets.cache_clear()
+    monkeypatch.setattr(WittElement, "bracket", counting)
+    made = []
+    for _ in range(2):
+        V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+        before = len(calls)
+        assert verify_bracket_consistency(3, V, 1)
+        made.append(len(calls) - before)
+    assert made == [105, 0]
+
+
+def test_plans_point_at_the_generators_and_copy_none(monkeypatch):
+    # a plan's generator blocks are (coefficient, V.e(i, j)) terms: no plan
+    # of a spanning operator or a nonzero bracket builds a Matrix
+    import projrep.action as action_mod
+
+    V = build_irreducible(DominantLabels(3, (1, 1), F(1, 2)))
+    ops = [op for _, op in spanning_operators(3)]
+    brackets = [u.bracket(w) for a, u in enumerate(ops) for w in ops[a + 1:]]
+    original = Matrix.from_int_columns.__func__
+    built = []
+
+    def counting(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Matrix, "from_int_columns", classmethod(counting))
+    plans = [action_mod._plan(op, V) for op in ops + [w for w in brackets if not w.is_zero()]]
+    monkeypatch.undo()
+    assert built == []
+    generators = {id(V.e(i, j)) for i in range(3) for j in range(3)}
+    assert all(id(e) in generators
+               for _, _, blocks in plans for _, terms in blocks for _, e in terms)
 
 
 @pytest.mark.parametrize("n,dynkin,b,k_max,count", [

@@ -250,13 +250,23 @@ def test_scalar_beyond_the_int_str_limit_exit_code(capsys):
     assert f"invalid rational: more than {limit} digits" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "decompose", "verify-identity"])
-def test_negative_fraction_after_b(capsys, command):
-    # argparse must not take -3/2 for an option
-    code, spaced, _ = run(capsys, command, "-n", "2", "-a", "1", "-b", "-3/2", "--json")
+@pytest.mark.parametrize("command, b", [
+    *(pytest.param(command, "-3/2", id=command) for command in ("analyze", "decompose", "verify-identity")),
+    *(pytest.param("analyze", b, id=f"analyze{b}") for b in ("-1e5", "-2.5e-1", "-0.5E1")),
+])
+def test_negative_fraction_after_b(capsys, command, b):
+    # argparse must not take -3/2, or a signed decimal with an exponent, for an option
+    code, spaced, _ = run(capsys, command, "-n", "2", "-a", "1", "-b", b, "--json")
     assert code == 0
-    _, joined, _ = run(capsys, command, "-n", "2", "-a", "1", "-b=-3/2", "--json")
+    _, joined, _ = run(capsys, command, "-n", "2", "-a", "1", f"-b={b}", "--json")
     assert spaced == joined
+
+
+def test_negative_label_after_a(capsys):
+    # -1,0 is a value of -a, refused by the label check rather than taken for an option
+    code, out, err = run(capsys, "analyze", "-n", "3", "-a", "-1,0", "-b", "0")
+    assert code == 1 and out == ""
+    assert "Dynkin labels must be nonnegative" in err
 
 
 @pytest.mark.parametrize("b", ["1e1400", "1e4000"])

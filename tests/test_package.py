@@ -108,11 +108,13 @@ def test_only_linalg_names_the_elimination_internals():
 
 
 # the only state that outlives a module or a command: the three operator
-# constructors, the module cache and the argument parser
+# constructors and the brackets of the spanning set, symbolic data keyed by n
+# and bounded by n, the module cache and the argument parser
 PROCESS_WIDE_CACHES = {
     "action.derivative_op",
     "action.scaling_op",
     "action.pseudo_translation_op",
+    "action.spanning_brackets",
     "glmodules._module_cache",
     "cli._parser",
 }
@@ -162,10 +164,12 @@ def test_process_wide_caches_are_allowlisted():
 
 
 # modules a command-line run never needs: numerical libraries, the import
-# cost of dataclasses (inspect, ast, dis) and of typing, and the selfcheck
-# suites with their random source, which only `selfcheck` loads
+# cost of dataclasses (inspect, ast, dis) and of typing, the selfcheck
+# suites with their random source, which only `selfcheck` loads, and json,
+# which only a --json run loads
 NOT_LOADED_BY_CLI = (
     "numpy", "scipy", "dataclasses", "inspect", "typing", "random", "projrep.selfcheck",
+    "json",
 )
 
 
