@@ -240,23 +240,19 @@ def cmd_selfcheck(args):
         by_check.setdefault(r.check, [0, 0])
         by_check[r.check][0] += r.ok
         by_check[r.check][1] += 1
-    if args.json:
-        doc = {
-            "total": len(records),
-            "failures": [
-                {"point": [r.point[0], list(r.point[1]), format_rational(r.point[2])],
-                 "check": r.check, "detail": r.detail}
-                for r in fails
-            ],
-            "by_check": {k: {"pass": v[0], "total": v[1]} for k, v in by_check.items()},
-        }
-        import json
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for name in sorted(by_check):
-            passed, total = by_check[name]
-            print(f"{name}: {passed}/{total}")
-        print(f"total: {len(records) - len(fails)}/{len(records)} checks passed")
+    doc = {
+        "total": len(records),
+        "failures": [
+            {"point": [r.point[0], list(r.point[1]), format_rational(r.point[2])],
+             "check": r.check, "detail": r.detail}
+            for r in fails
+        ],
+        "by_check": {k: {"pass": v[0], "total": v[1]} for k, v in by_check.items()},
+    }
+    lines = [f"{name}: {passed}/{total}" for name, (passed, total) in sorted(by_check.items())]
+    lines.append(f"total: {len(records) - len(fails)}/{len(records)} checks passed")
+    _emit(doc, args.json, lines)
+    if not args.json:
         for r in fails:
             n, dyn, b = r.point
             print(

@@ -136,11 +136,11 @@ def pieri_index_set(mu, j):
     out = []
 
     def rec_capped(pos, remaining, prefix):
-        if pos == n:
-            if remaining == 0:
-                out.append(prefix)
-            return
         cap = remaining if pos == 0 else min(remaining, gaps[pos - 1])
+        if pos == n - 1:  # the remainder fixes the last entry, if it fits its gap
+            if cap == remaining >= 0:
+                out.append(prefix + (remaining,))
+            return
         for v in range(cap, -1, -1):
             rec_capped(pos + 1, remaining - v, prefix + (v,))
 

@@ -8,18 +8,26 @@ maximal vector through phi and reads the ratio; the chain ranks sum the
 summands with a nonzero ratio, and an elimination over every dominant
 weight space stays behind as their oracle.  Vectors are positional,
 {position: value} in the order of `action.graded_basis`, where x^m (x) v_q
-sits at basis[m] + q.  When the module is reducible the two-step
-composition series and the residual quotient data are reported.
+sits at basis[m] + q; `action` applies the twisted action to them (the
+weight spaces, the simple raisers on one, the p_i steps), and this module
+reads no generator.  When the module is reducible the two-step composition
+series and the residual quotient data are reported.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import graded_basis, graded_dimension, operator_matrix
+from .action import (
+    gl_restriction,
+    graded_basis,
+    graded_dimension,
+    operator_matrix,
+    p_step,
+    weight_space,
+)
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
     dominant_gaps,
@@ -164,53 +172,25 @@ def criterion_equivalence_check(mu):
 
 
 def residual_summands(mu, j):
-    """Admissible shifts at degree j whose closed-form coefficient vanishes."""
-    gaps = dominant_gaps(mu)
-    return tuple(c for c in pieri_index_set(mu, j) if q_coefficient(mu, c, gaps) == 0)
+    """Admissible shifts at degree j whose closed-form coefficient vanishes,
+    read off its factors without forming it: the factor mu_s + |mu| - s + i
+    of `q_coefficient` is zero at i = s - mu_s - |mu| (s 1-based), if that
+    is an integer in [1, c_s]."""
+    tot = sum(mu)
+    roots = [(s, s + 1 - x - tot) for s, x in enumerate(mu)]
+    roots = [(s, int(i)) for s, i in roots if _in_integer_range(i, 1, j)]
+    return tuple(c for c in pieri_index_set(mu, j) if any(c[s] >= i for s, i in roots))
 
 
 # -- brute force ---------------------------------------------------------------
-
-def _chain_step(V, k):
-    """(L, move, starts, twists): the integer data of one step L * p_i from
-    degree k to k + 1, memoized per module and degree.
-
-    p_i (x^m (x) v_q) = (|m| + b) x^(m+e_i) (x) v_q + sum_j x^(m+e_j) (x) E_ij v_q.
-    L is the lcm of b's denominator and of every generator's, so move =
-    L (k + b) is an int and twists[i][q] lists (j, r, a) with a = L E_ij[r, q]
-    an int.  starts[t][j] is the position of x^(m+e_j) (x) v_0 in degree
-    k + 1, m the t-th monomial of degree k (`graded_basis`).  L and twists
-    do not depend on k and are shared with degree 0.
-    """
-
-    def build():
-        n = V.n
-        if k:
-            L, _, _, twists = _chain_step(V, 0)
-        else:
-            L = math.lcm(V.b.denominator, *(V.e(i, j).den for i in range(n) for j in range(n)))
-            twists = [[[] for _ in range(V.dim)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    e = V.e(i, j)
-                    f = L // e.den
-                    for q, col in e.columns.items():
-                        twists[i][q] += [(j, r, a * f) for r, a in col.items()]
-        move = L * k + V.b.numerator * (L // V.b.denominator)
-        up = graded_basis(V, k + 1)
-        starts = [
-            [up[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(n)] for m in graded_basis(V, k)
-        ]
-        return L, move, starts, twists
-
-    return module_memo(V, "chain_step", k, build)
 
 
 def _chain_vector(V, c, q):
     """p^c (1 (x) v_q) in the degree-|c| basis as (den, {position: int}) in
     lowest terms: the exact vector is the ints over den.  Built from the
     chain with c's first nonzero exponent lowered by one step L * p_i on
-    the integer vector, so no operator matrix is assembled."""
+    the integer vector (`action.p_step`), so no operator matrix is
+    assembled."""
 
     def build():
         if sum(c) == 0:
@@ -218,20 +198,7 @@ def _chain_vector(V, c, q):
         i = next(t for t, x in enumerate(c) if x)
         prev = c[:i] + (c[i] - 1,) + c[i + 1:]
         den, vec = _chain_vector(V, prev, q)
-        L, move, starts, twists = _chain_step(V, sum(prev))
-        twist, dim = twists[i], V.dim
-        acc = {}
-        for pos, x in vec.items():
-            t, s = divmod(pos, dim)
-            start = starts[t]
-            if move:
-                r = start[i] + s
-                acc[r] = acc.get(r, 0) + move * x
-            for j, r, a in twist[s]:
-                r += start[j]
-                acc[r] = acc.get(r, 0) + a * x
-        if not all(acc.values()):
-            acc = {r: v for r, v in acc.items() if v}
+        L, acc = p_step(V, i, sum(prev), vec)
         den *= L
         g = math.gcd(den, *acc.values())
         if g != 1:
@@ -240,16 +207,6 @@ def _chain_vector(V, c, q):
         return den, acc
 
     return module_memo(V, "chain", (c, q), build)
-
-
-def _p_chain_vector(V, c, q):
-    """Sparse exact coordinates {position: value} of p^c applied to the
-    degree-zero basis vector q, in the degree-|c| basis: ints where the
-    value is integral, Fractions otherwise."""
-    den, vec = _chain_vector(V, c, q)
-    if den == 1:
-        return dict(vec)
-    return {r: Fraction(v, den) if v % den else v // den for r, v in vec.items()}
 
 
 def up_submodule_matrix(V, k):
@@ -265,54 +222,14 @@ def up_submodule_matrix(V, k):
     return Matrix.from_int_columns(graded_dimension(V, k), len(chains), den, cols)
 
 
-def _top_weight_space(V, c):
-    """[(position, m, q)]: the basis of the degree-|c| weight space of
-    mu + c, the highest weight of the Pieri summand V(mu + c), ascending;
-    the space that holds the summand's maximal vector.
-
-    x^m (x) v_q has weight m + w_q, so the space holds the q with
-    m = (lattice_weights[0] + c) - lattice_weights[q] >= 0 componentwise,
-    one m per distinct lattice weight (``V.weight_groups``); every lattice
-    weight has one sum, so |m| = |c| follows.
-    """
-    basis = graded_basis(V, sum(c))
-    top = weight_add(V.lattice_weights[V.highest_index], c)
-    support = []
-    for lw, qs in V.weight_groups.items():
-        m = tuple(map(operator.sub, top, lw))
-        if min(m) >= 0:
-            start = basis[m]
-            support.extend([(start + q, m, q) for q in qs])
-    support.sort()
-    return support
-
-
 def _maximal_coordinates(V, c, support):
     """The maximal vector xi_c of weight mu + c as a primitive integer
     vector {position: int}: the one relation among the columns of the
-    simple raisers E_{a,a+1} on its weight space `support`
-    (`_top_weight_space`); they generate every raiser.
-
-    E_ab (x^m (x) v_q) = m_b x^(m + e_a - e_b) (x) v_q + x^m (x) E_ab v_q,
-    scaled by the L of `_chain_step`, whose twists hold L E_ab as ints.
-    Each E_{a,a+1} lands on its own weight, so the kernel of their sum is
-    their joint kernel.  A kernel that is not a line raises
-    MultiplicityAnomalyError.
-    """
-    n, basis = V.n, graded_basis(V, sum(c))
-    L, _, _, twists = _chain_step(V, 0)
-    columns = []
-    for pos, m, q in support:
-        col = {}
-        for a in range(n - 1):
-            if m[a + 1]:  # the x-move x_a d_(a+1)
-                r = basis[m[:a] + (m[a] + 1, m[a + 1] - 1) + m[a + 2:]] + q
-                col[r] = col.get(r, 0) + L * m[a + 1]
-            for b, r, x in twists[a][q]:
-                if b == a + 1:
-                    r += pos - q  # x^m (x) v_r
-                    col[r] = col.get(r, 0) + x
-        columns.append(col)  # integer_kernel drops the zeros
+    simple raisers E_{a,a+1} (`action.gl_restriction`) on its weight space
+    `support` (`action.weight_space`).  They generate every raiser, and each
+    lands on its own weight, so the kernel of their sum is their joint
+    kernel.  A kernel that is not a line raises MultiplicityAnomalyError."""
+    _, columns = gl_restriction(V, [(a, a + 1) for a in range(V.n - 1)], support)
     kern = integer_kernel(columns, graded_dimension(V, sum(c)))
     if len(kern) != 1:
         raise MultiplicityAnomalyError(
@@ -334,7 +251,7 @@ def _chain_ratio(V, c):
     """
 
     def compute():
-        support = _top_weight_space(V, c)
+        support = weight_space(V, weight_add(V.lattice_weights[V.highest_index], c))
         xi = _maximal_coordinates(V, c, support)
         lead = graded_basis(V, sum(c))[c] + V.highest_index
         if lead not in xi:

@@ -55,7 +55,7 @@ from .glmodules import (
 from .irreducibility import (
     _all_dominant_rank,
     _central_character,
-    _p_chain_vector,
+    _chain_vector,
     criterion,
     criterion_equivalence_check,
     first_rank_deficiency,
@@ -298,10 +298,10 @@ def check_q_equivalence(V, c_max=3):
 
 
 def check_chain_oracle(V, k_max=3):
-    """Every chain vector p^c (1 (x) v_q) through degree k_max against the
-    p_i operator matrices applied factor by factor.  The oracle lowers c's
-    last nonzero exponent where the chain vectors lower the first, so the
-    two also differ in the order of the commuting factors."""
+    """Every chain vector p^c (1 (x) v_q) through degree k_max, as its ints,
+    against the p_i operator matrices applied factor by factor times its den.
+    The oracle lowers c's last nonzero exponent where the chain vectors lower
+    the first, so the two also differ in the order of the commuting factors."""
     n = V.n
     prev = {((0,) * n, q): {q: 1} for q in range(V.dim)}
     for k in range(1, k_max + 1):
@@ -312,7 +312,8 @@ def check_chain_oracle(V, k_max=3):
             p_i = operator_matrix(pseudo_translation_op(n, i), V, k - 1)
             for q in range(V.dim):
                 cur[(c, q)] = vec = p_i.apply(prev[(lower, q)])
-                if vec != _p_chain_vector(V, c, q):
+                den, ints = _chain_vector(V, c, q)
+                if {r: v * den for r, v in vec.items()} != ints:
                     return False, f"chain vector of {c} on basis vector {q} differs"
         prev = cur
     return True, f"every chain vector matches the p_i matrices through degree {k_max}"

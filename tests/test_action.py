@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import projrep.irreducibility as irreducibility
 from projrep.action import (
     GradedElement,
     WittElement,
@@ -12,10 +11,12 @@ from projrep.action import (
     chevalley_generators,
     commutator_equals,
     derivative_op,
+    gl_restriction,
     graded_basis,
     graded_dimension,
     monomials_of_degree,
     operator_matrix,
+    p_step,
     projective_components,
     pseudo_translation_op,
     scaling_op,
@@ -23,6 +24,7 @@ from projrep.action import (
     spanning_operators,
     triangle_delta,
     verify_bracket_consistency,
+    weight_space,
 )
 from projrep.errors import UnsupportedOperatorError
 from projrep.glmodules import (
@@ -181,9 +183,81 @@ def test_graded_basis_order_and_size():
             assert len(basis) * V.dim == graded_dimension(V, k)
             spaces = dominant_weight_spaces(V, list(basis))
             for c in pieri_index_set(top, k):
-                support = irreducibility._top_weight_space(V, c)
+                support = weight_space(V, weight_add(top, c))
                 assert [pos for pos, _, _ in support] == spaces[weight_add(top, c)]
                 assert all(pos == basis[m] + q for pos, m, q in support)
+
+
+# n <= 3, labels <= 2, one b each: of the action, only the p_i move reads b
+RESTRICTION_MODULES = [
+    (1, (), F(-2)), (2, (1,), F(1, 2)), (2, (2,), F(0)), (3, (1, 0), F(1, 2)),
+    (3, (1, 1), F(-1)), (3, (2, 1), F(1, 3)),
+]
+
+
+def _graded_weights(V, k):
+    """{lattice weight: [(position, m, q)]} of the degree-k piece, by a pass
+    over every basis vector."""
+    basis = graded_basis(V, k)
+    spaces = {}
+    for m, start in basis.items():
+        for q, lw in enumerate(V.lattice_weights):
+            spaces.setdefault(weight_add(lw, m), []).append((start + q, m, q))
+    return spaces
+
+
+@pytest.mark.parametrize("point", RESTRICTION_MODULES)
+def test_weight_space_is_a_filter_of_the_basis(point):
+    V = cached_module(*point)
+    dominant = nondominant = 0
+    for k in range(4):
+        for w, support in _graded_weights(V, k).items():
+            assert weight_space(V, w) == support, (k, w)
+            if all(x >= y for x, y in zip(w, w[1:])):
+                dominant += 1
+            else:
+                nondominant += 1
+        if V.n > 1:  # degree k, first entry past every weight's of the piece
+            top = V.lattice_weights[0]
+            assert weight_space(V, (top[0] + k + 1,) + top[1:-1] + (top[-1] - 1,)) == []
+    assert dominant and (nondominant or V.n == 1)
+
+
+@pytest.mark.parametrize("point", RESTRICTION_MODULES)
+def test_gl_restriction_matches_the_scaling_matrices(point):
+    """Every E_ab, lowerings and diagonal included, on every weight space
+    of degree <= 3 against the columns of x_a d_b's operator matrix; and
+    the simple raisers together against the sum of their matrices."""
+    V = cached_module(*point)
+    n = V.n
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    raisers = [(a, a + 1) for a in range(n - 1)]
+    for k in range(4):
+        summed = Matrix(graded_dimension(V, k), graded_dimension(V, k))
+        for a, b in raisers:
+            summed = summed + operator_matrix(scaling_op(n, a, b), V, k)
+        for w in _graded_weights(V, k):
+            support = weight_space(V, w)
+            for a, b in pairs:
+                den, cols = gl_restriction(V, [(a, b)], support)
+                m = operator_matrix(scaling_op(n, a, b), V, k)
+                assert len(cols) == len(support)
+                for (pos, _, _), col in zip(support, cols):
+                    assert {r: F(v, den) for r, v in col.items()} == m.column(pos), (k, w, a, b)
+            den, cols = gl_restriction(V, raisers, support)
+            for (pos, _, _), col in zip(support, cols):
+                assert {r: F(v, den) for r, v in col.items()} == summed.column(pos), (k, w)
+
+
+@pytest.mark.parametrize("point", RESTRICTION_MODULES)
+def test_p_step_is_the_scaled_p_matrix(point):
+    V = build_irreducible(DominantLabels(*point))
+    for k in range(3):
+        for i in range(V.n):
+            m = operator_matrix(pseudo_translation_op(V.n, i), V, k)
+            for pos in range(graded_dimension(V, k)):
+                L, image = p_step(V, i, k, {pos: 1})
+                assert image == {r: v * L for r, v in m.column(pos).items()}, (k, i, pos)
 
 
 def test_monomial_order_matches_chain_order():

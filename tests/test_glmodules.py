@@ -86,6 +86,22 @@ def test_pieri_constraints_hold():
                 assert c[s + 1] <= gaps[s]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pieri_index_set_is_a_filter_of_the_compositions(n):
+    # every composition of j into n parts with c_{s+1} <= mu_s - mu_{s+1},
+    # in descending lexicographic order; degree 0 and a negative degree too
+    for dynkin in itertools.product(range(3), repeat=n - 1):
+        mu = weight_from_labels(DominantLabels(n, dynkin, F(1, 2)))
+        gaps = dominant_gaps(mu)
+        for j in range(-1, 6):
+            expected = sorted(
+                (c for c in itertools.product(range(j + 1), repeat=n)
+                 if sum(c) == j and all(x <= g for x, g in zip(c[1:], gaps))),
+                reverse=True,
+            )
+            assert pieri_index_set(mu, j) == tuple(expected), (dynkin, j)
+
+
 @pytest.mark.parametrize("n,dynkin,b", SMALL_SWEEP)
 def test_pieri_dimension_identity(n, dynkin, b):
     mu = weight_from_labels(DominantLabels(n, dynkin, b))

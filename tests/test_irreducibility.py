@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import projrep.action as action
 import projrep.irreducibility as irreducibility
 from projrep.action import (
     derivative_op,
@@ -14,6 +15,7 @@ from projrep.action import (
     monomials_of_degree,
     operator_matrix,
     pseudo_translation_op,
+    weight_space,
 )
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError
@@ -29,7 +31,7 @@ from projrep.glmodules import (
 )
 from projrep.irreducibility import (
     _central_character,
-    _p_chain_vector,
+    _chain_vector,
     criterion,
     criterion_equivalence_check,
     first_rank_deficiency,
@@ -56,6 +58,12 @@ def mu_of(n, dynkin, b):
     return weight_from_labels(DominantLabels(n, dynkin, b))
 
 
+def top_weight_space(V, c):
+    """The degree-|c| weight space of mu + c, which holds the maximal vector
+    of the Pieri summand V(mu + c)."""
+    return weight_space(V, weight_add(V.lattice_weights[V.highest_index], c))
+
+
 def test_q_closed_form_examples():
     assert q_coefficient((F(1), F(0)), (0, 0)) == 1
     assert q_coefficient((F(1), F(0)), (0, 1)) == 0
@@ -80,6 +88,47 @@ def test_residual_summands_builds_the_index_set_once(monkeypatch):
         calls.clear()
         residual_summands(mu, j)
         assert len(calls) <= 1, (j, calls)
+
+
+# n <= 4, labels <= 2, reducible and irreducible values of b
+RESIDUAL_SWEEP = [
+    (n, dynkin, b)
+    for n in range(1, 5)
+    for dynkin in itertools.product(range(3), repeat=n - 1)
+    for b in [F(-5), F(-3), F(-2), F(-1), F(0), F(2), F(1, 2), F(-3, 2)]
+]
+
+
+def _product_q(mu, c):
+    """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i), factor by factor."""
+    q = F(1)
+    for s, (x, cs) in enumerate(zip(mu, c), 1):
+        for i in range(1, cs + 1):
+            q *= x + sum(mu) - s + i
+    return q
+
+
+def test_residual_summands_are_the_zero_products():
+    found = 0
+    for point in RESIDUAL_SWEEP:
+        mu = mu_of(*point)
+        for j in range(6):
+            expected = tuple(c for c in pieri_index_set(mu, j) if _product_q(mu, c) == 0)
+            assert residual_summands(mu, j) == expected, (point, j)
+            found += len(expected)
+    assert found
+
+
+def test_residual_summands_form_no_product(monkeypatch):
+    # the vanishing is read off the factors, so a degree in the thousands
+    # costs no product of thousands of factors
+    def forbidden(*args):
+        raise AssertionError("residual_summands must not form q_c")
+
+    monkeypatch.setattr(irreducibility, "q_coefficient", forbidden)
+    assert residual_summands(mu_of(2, (1,), F(-1)), 3) == ((3, 0), (2, 1))
+    assert residual_summands(mu_of(1, (), F(-2000)), 4000) == ()
+    assert residual_summands(mu_of(1, (), F(-2000)), 4001) == ((4001,),)
 
 
 def test_admissibility_is_the_index_set():
@@ -147,7 +196,7 @@ def test_maximal_vector_normalization(monkeypatch):
     # maximal vector without that coordinate is refused
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     c = (1, 0)
-    xi = irreducibility._maximal_coordinates(V, c, irreducibility._top_weight_space(V, c))
+    xi = irreducibility._maximal_coordinates(V, c, top_weight_space(V, c))
     lead = graded_basis(V, 1)[c] + V.highest_index
     assert xi.get(lead) and math.gcd(*xi.values()) == 1
     assert irreducibility._chain_ratio(V, c) == q_coefficient_bruteforce(V, c) == 2
@@ -168,7 +217,7 @@ def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(mo
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     c = (1, 0)
     assert q_coefficient_bruteforce(V, c) == q_coefficient(V.highest_weight, c)
-    xi = irreducibility._maximal_coordinates(V, c, irreducibility._top_weight_space(V, c))
+    xi = irreducibility._maximal_coordinates(V, c, top_weight_space(V, c))
     off = next(pos for pos in range(graded_dimension(V, 1)) if pos not in xi)
     original = irreducibility._chain_vector
 
@@ -216,11 +265,11 @@ def test_criterion_suite_catches_maximal_vectors_without_the_x_move(monkeypatch,
 
     from projrep.selfcheck import check_criterion_vs_bruteforce
 
-    source = inspect.getsource(irreducibility._maximal_coordinates)
-    assert source.count("if m[a + 1]:") == 1
-    namespace = dict(vars(irreducibility))
-    exec(source.replace("if m[a + 1]:", "if False:"), namespace)
-    monkeypatch.setattr(irreducibility, "_maximal_coordinates", namespace["_maximal_coordinates"])
+    source = inspect.getsource(action.gl_restriction)
+    assert source.count("if m[b]:") == 1
+    namespace = dict(vars(action))
+    exec(source.replace("if m[b]:", "if False:"), namespace)
+    monkeypatch.setattr(irreducibility, "gl_restriction", namespace["gl_restriction"])
     V = build_irreducible(DominantLabels(*point))
     with pytest.raises(ConsistencyViolationError, match="not proportional"):
         check_criterion_vs_bruteforce(V)
@@ -258,7 +307,7 @@ def all_weights_rank(V, k):
     spans = {}
     for c in monomials_of_degree(V.n, k):
         for q in range(V.dim):
-            vec = _p_chain_vector(V, c, q)
+            vec = _chain_vector(V, c, q)[1]
             if vec:
                 w = weight_add(V.basis_weights[q], c)
                 spans.setdefault(w, EchelonSpan()).insert(vec)
@@ -348,7 +397,7 @@ def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypa
     support made empty, and q_c != 0, the chain image of the maximal vector
     is no longer proportional to it, and the rank refuses it."""
     sound = build_irreducible(DominantLabels(*point))
-    support = irreducibility._top_weight_space(sound, c)
+    support = top_weight_space(sound, c)
     pos, m, q = support[-1]
     assert pos in irreducibility._maximal_coordinates(sound, c, support)
     assert q_coefficient_bruteforce(sound, c) != 0
@@ -368,11 +417,13 @@ def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypa
 
 
 def test_chain_vectors_store_integers_as_int():
+    # ints over one denominator, in lowest terms
     V = cached_module(4, (1, 1, 1), F(0))
     for c in [(2, 1, 0, 0), (1, 1, 1, 0), (0, 2, 0, 1)]:
         for q in range(V.dim):
-            for v in _p_chain_vector(V, c, q).values():
-                assert not (isinstance(v, F) and v.denominator == 1), (c, q, v)
+            den, vec = _chain_vector(V, c, q)
+            assert all(type(v) is int for v in (den, *vec.values())), (c, q)
+            assert math.gcd(den, *vec.values()) == 1, (c, q)
 
 
 def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
@@ -436,13 +487,13 @@ def test_chain_oracle_suite_passes(n, dynkin, b):
 def test_chain_oracle_catches_a_step_without_b(monkeypatch, n, dynkin, b):
     """The move coefficient of L * p_i on degree k is L (k + b); with L k in
     its place the chain vectors differ from the p_i matrices' images."""
-    original = irreducibility._chain_step
+    original = action._p_step_table
 
     def without_b(V, k):
         L, _, starts, twists = original(V, k)
         return L, L * k, starts, twists
 
-    monkeypatch.setattr(irreducibility, "_chain_step", without_b)
+    monkeypatch.setattr(action, "_p_step_table", without_b)
     # a fresh module instance: chain vectors are memoized per instance
     V = build_irreducible(DominantLabels(n, dynkin, b))
     assert not check_chain_oracle(V)[0]

@@ -306,3 +306,12 @@ def test_benchmark_traced_names_resolve():
     assert sorted(m.entries) == [(0, 0), (1, 2)]
     assert list(inspect.signature(Matrix.__init__).parameters)[:4] == [
         "self", "rows", "cols", "entries"]
+
+
+def test_irreducibility_reads_no_generator():
+    # the twisted action on vectors of a graded piece (weight spaces, the
+    # gl(n) restriction, the p_i step) is applied in action alone
+    tree = ast.parse((PACKAGE_DIR / "irreducibility.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in {"e", "columns"}]
+    assert found == []
