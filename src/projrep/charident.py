@@ -203,18 +203,10 @@ def tensor_projector(V, r, dual):
 # -- the same answers from the dominant weight blocks --------------------------
 
 
-def _dominant_weight_spaces(V, dual):
-    """dominant_weight_spaces of C^n (x) V (dual: of its dual), whose index
-    (i, q) has weight w_q + e_i (dual: w_q - e_i), memoized per module."""
-    sign = -1 if dual else 1
-    shifts = [tuple(sign if t == i else 0 for t in range(V.n)) for i in range(V.n)]
-    return module_memo(V, "dominant_spaces", dual, lambda: dominant_weight_spaces(V, shifts))
-
-
 def weight_blocks(V, dual):
     """[(B_w, |S_n . w|)]: the square blocks of the generator grid
     (`_generator_grid`) on the dominant weight spaces w of C^n (x) V, or of
-    its dual.
+    its dual, where index (i, q) has weight w_q + e_i (dual: w_q - e_i).
 
     Column (j, q) of a block holds column q of grid[i][j] at the rows
     (i, r), for each i; the grid's block matrix itself is never built.
@@ -224,8 +216,10 @@ def weight_blocks(V, dual):
     grid = _generator_grid(V, dual)
     dim = V.dim
     den = lcm(*(m.den for row in grid for m in row))
+    sign = -1 if dual else 1
+    shifts = [tuple(sign if t == i else 0 for t in range(V.n)) for i in range(V.n)]
     blocks = []
-    for w, indices in _dominant_weight_spaces(V, dual).items():
+    for w, indices in dominant_weight_spaces(V, shifts).items():
         position = {g: t for t, g in enumerate(indices)}
         cols = {}
         for t, g in enumerate(indices):

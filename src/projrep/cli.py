@@ -30,9 +30,10 @@ from .irreducibility import (
     criterion_equivalence_check,
     jordan_holder,
     q_coefficient,
+    q_factors,
     up_submodule_rank,
 )
-from .linalg import DegenerateSpectrumError, format_rational, parse_rational
+from .linalg import DegenerateSpectrumError, format_rational, parse_rational, unprintable_error
 from .action import graded_dimension
 
 __all__ = ["main"]
@@ -104,8 +105,19 @@ def _summand(mu, gaps, c, projector_rank=None):
     """JSON row and table line of the summand mu + c of a tensor decomposition.
 
     `gaps` are mu's dominant gaps, computed once per command; the summand's
-    follow from them and c.
+    follow from them and c.  A q_c whose numerator or denominator provably
+    passes sys.get_int_max_str_digits() is refused before it is formed.
     """
+    den, factors = q_factors(mu, c, gaps)
+    limit = sys.get_int_max_str_digits()
+    if limit and 0 not in factors:
+        # 2^(b-1) <= |x| < 2^b for x of bit length b, so lo < log2|q_c| < hi;
+        # past limit * log2(10) < 3.322 * limit bits, |q_c| or 1/|q_c| is at
+        # least 10^limit, and so is q_c's numerator or denominator
+        bits, d = sum(f.bit_length() for f in factors), den.bit_length()
+        lo, hi = bits - len(factors) * (d + 1), bits - len(factors) * (d - 1)
+        if 1000 * max(lo, -hi) >= 3322 * limit:
+            raise unprintable_error()
     q = q_coefficient(mu, c, gaps)
     summand = weight_add(mu, c)
     row = {
@@ -228,12 +240,7 @@ def cmd_verify_identity(args):
 def cmd_selfcheck(args):
     from .selfcheck import run_selfcheck  # only this command loads the suites
 
-    records = run_selfcheck(
-        n_max=args.n_max,
-        degree_cap=args.degree_cap,
-        seed=args.seed,
-        dim_cap=args.dim_cap,
-    )
+    records = run_selfcheck(n_max=args.n_max, degree_cap=args.degree_cap, seed=args.seed)
     fails = [r for r in records if not r.ok]
     by_check = {}
     for r in records:
@@ -298,7 +305,6 @@ def _parser():
     p_sc.add_argument("--n-max", type=_at_least(1), default=2)
     p_sc.add_argument("--degree-cap", type=_at_least(0), default=4)
     p_sc.add_argument("--seed", type=int, default=0)
-    p_sc.add_argument("--dim-cap", type=_at_least(1), default=DEFAULT_DIM_CAP)
     p_sc.add_argument("--json", action="store_true")
     p_sc.set_defaults(fn=cmd_selfcheck)
     return parser

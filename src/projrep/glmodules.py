@@ -32,7 +32,6 @@ __all__ = [
     "DominantLabels",
     "GlModule",
     "build_irreducible",
-    "clear_caches",
     "dominant_gaps",
     "dominant_weight_spaces",
     "is_dominant",
@@ -444,9 +443,7 @@ def validate_module(V):
     return True
 
 
-# -- caches: constructed modules, and memo tables per module ---------------------
-
-_module_cache = {}
+# -- memo tables per module -----------------------------------------------------
 
 
 def module_memo(V, table, key, compute):
@@ -459,19 +456,3 @@ def module_memo(V, table, key, compute):
     if hit is None:
         hit = memo[key] = compute()
     return hit
-
-
-def cached_module(n, dynkin, b, dim_cap=DEFAULT_DIM_CAP):
-    """Memoized build_irreducible; modules are immutable so sharing is safe."""
-    key = (n, tuple(dynkin), Fraction(b), dim_cap)
-    mod = _module_cache.get(key)
-    if mod is None:
-        mod = _module_cache[key] = build_irreducible(
-            DominantLabels(n, tuple(dynkin), Fraction(b)), dim_cap
-        )
-    return mod
-
-
-def clear_caches():
-    """Forget every cached module, and with them their memo tables."""
-    _module_cache.clear()

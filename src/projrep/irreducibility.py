@@ -49,6 +49,7 @@ __all__ = [
     "jordan_holder",
     "q_coefficient",
     "q_coefficient_bruteforce",
+    "q_factors",
     "residual_summands",
     "up_submodule_matrix",
     "up_submodule_rank",
@@ -75,23 +76,26 @@ def _admissible(mu, c, gaps=None):
     return c
 
 
-def q_coefficient(mu, c, gaps=None):
-    """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1.
-
-    The factors are multiplied as integers over mu's common denominator D,
-    and the product is divided by D^|c| once.  `gaps` are mu's
-    `dominant_gaps`, computed here when not given.
-    """
+def q_factors(mu, c, gaps=None):
+    """(den, factors): the factors mu_s + |mu| - s + i of `q_coefficient`,
+    s = 1..n and i = 1..c_s in turn, as integers over mu's common
+    denominator den.  `gaps` are mu's `dominant_gaps`, computed here when
+    not given."""
     c = _admissible(mu, c, gaps)
     den = math.lcm(*(x.denominator for x in mu))
     nums = [x.numerator * (den // x.denominator) for x in mu]
     tot = sum(nums)
-    q = 1
-    for s, cs in enumerate(c):
-        base = nums[s] + tot - (s + 1) * den
-        for i in range(1, cs + 1):
-            q *= base + i * den
-    return Fraction(q, den ** sum(c))
+    return den, [nums[s] + tot + (i - s - 1) * den for s, cs in enumerate(c) for i in range(1, cs + 1)]
+
+
+def q_coefficient(mu, c, gaps=None):
+    """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1.
+
+    The integer factors (`q_factors`) are multiplied, and the product is
+    divided by den^|c| once.
+    """
+    den, factors = q_factors(mu, c, gaps)
+    return Fraction(math.prod(factors), den ** len(factors))
 
 
 def _is_nonpositive_integer(x):

@@ -53,6 +53,7 @@ __all__ = [
     "polynomial_traces",
     "product_difference_equals",
     "rank",
+    "unprintable_error",
 ]
 
 
@@ -130,8 +131,13 @@ def format_rational(v):
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
     except ValueError:
-        raise ValueError(f"cannot print a rational of more than {sys.get_int_max_str_digits()} "
-                         "digits, the limit of sys.get_int_max_str_digits()") from None
+        raise unprintable_error() from None
+
+
+def unprintable_error():
+    """The ValueError of `format_rational` for a rational past the limit."""
+    return ValueError(f"cannot print a rational of more than {sys.get_int_max_str_digits()} "
+                      "digits, the limit of sys.get_int_max_str_digits()")
 
 
 class Matrix:

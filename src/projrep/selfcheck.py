@@ -43,8 +43,8 @@ from .charident import (
 )
 from .errors import ConsistencyViolationError, MultiplicityAnomalyError
 from .glmodules import (
-    cached_module,
-    clear_caches,
+    DominantLabels,
+    build_irreducible,
     dominant_gaps,
     pieri_index_set,
     validate_module,
@@ -537,13 +537,15 @@ class CheckRecord(namedtuple("CheckRecord", "point check ok detail")):
     __slots__ = ()
 
 
-def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
-    """Run every suite over the sweep; returns a list of CheckRecord."""
+def run_selfcheck(n_max=2, degree_cap=4, seed=0):
+    """Run every suite over the sweep; returns a list of CheckRecord.
+
+    Each point builds its own module, which no other point reads."""
     rng = random.Random(seed)
     records = []
     for n, dynkin, b in standard_sweep(n_max):
         point = (n, dynkin, b)
-        V = cached_module(n, dynkin, b, dim_cap)
+        V = build_irreducible(DominantLabels(n, dynkin, b))
         checks = [
             ("module-invariants", lambda: check_module_invariants(V)),
             ("labels-roundtrip", lambda: check_labels_roundtrip(V)),
@@ -576,5 +578,4 @@ def run_selfcheck(n_max=2, degree_cap=4, seed=0, dim_cap=5000):
             except (ConsistencyViolationError, DegenerateSpectrumError, MultiplicityAnomalyError) as exc:
                 ok, detail = False, f"consistency violation: {exc}"
             records.append(CheckRecord(point, name, ok, detail))
-        clear_caches()  # no later point reuses this module or its memos
     return records

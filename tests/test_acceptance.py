@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from conftest import cached_module
 from projrep.action import (
     ChevalleySet,
     chevalley_generators,
@@ -29,7 +30,6 @@ from projrep.charident import (
     sigma2_tilde,
 )
 from projrep.glmodules import (
-    cached_module,
     pieri_index_set,
     weight_add,
     weight_from_labels,

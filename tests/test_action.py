@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cached_module
 from projrep.action import (
     GradedElement,
     WittElement,
@@ -30,7 +31,6 @@ from projrep.errors import UnsupportedOperatorError
 from projrep.glmodules import (
     DominantLabels,
     build_irreducible,
-    cached_module,
     dominant_weight_spaces,
     pieri_index_set,
     weight_add,

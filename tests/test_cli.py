@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import cached_module
 from projrep.charident import predicted_adjoint_roots, weight_blocks
 from projrep.cli import main
 from projrep.errors import ConsistencyViolationError, MultiplicityAnomalyError
-from projrep.glmodules import GlModule, cached_module
+from projrep.glmodules import DominantLabels, GlModule, pieri_index_set
 from projrep.linalg import DegenerateSpectrumError, Matrix
 
 
@@ -138,13 +139,11 @@ def test_selfcheck_passes(capsys):
 ])
 def test_selfcheck_records_an_internal_error_and_sweeps_on(capsys, monkeypatch, error):
     import projrep.irreducibility as irreducibility
-    from projrep.glmodules import clear_caches
     from projrep.selfcheck import run_selfcheck
 
     def boom(*args, **kwargs):
         raise error
 
-    clear_caches()  # no cached module may hold ratios computed before the patch
     sound = run_selfcheck(n_max=1)
     monkeypatch.setattr(irreducibility, "_maximal_coordinates", boom)
     records = run_selfcheck(n_max=1)
@@ -156,6 +155,40 @@ def test_selfcheck_records_an_internal_error_and_sweeps_on(capsys, monkeypatch, 
     assert code == 2
     assert "checks passed" in out and "criterion-vs-bruteforce: 0/7" in out
     assert "FAIL q-closed-form-vs-oracle" in err
+
+
+# sha256 of `selfcheck --n-max 2`, as JSON and as the table: every suite on
+# the 28 sweep points feeds the digest
+SELFCHECK_DIGESTS = {
+    "--json": "274421b60165f7107773458ed5f1d9a74b15259806554644a78611a5ee64257e",
+    "": "7c456a512c2ea6d542e720c2933e0f0e437dbb7440146e36ec0b310632fa8432",
+}
+
+
+@pytest.mark.parametrize("flags", SELFCHECK_DIGESTS)
+def test_selfcheck_output_is_pinned(capsys, flags):
+    code, out, _ = run(capsys, "selfcheck", "--n-max", "2", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFCHECK_DIGESTS[flags]
+
+
+def test_selfcheck_builds_each_point_once(monkeypatch):
+    # each sweep point builds its own module, so no point reads another's
+    # memo tables, or a module its caller built
+    import projrep.selfcheck as selfcheck
+
+    built = []
+    real = selfcheck.build_irreducible
+
+    def counting(labels):
+        built.append(tuple(labels))
+        return real(labels)
+
+    monkeypatch.setattr(selfcheck, "build_irreducible", counting)
+    records = selfcheck.run_selfcheck(n_max=2)
+    points = list(selfcheck.standard_sweep(2))
+    assert built == points and len(built) == 28
+    assert len(records) == 24 * len(points)
 
 
 def test_selfcheck_seed_does_not_change_verdicts(capsys):
@@ -278,6 +311,58 @@ def test_printed_value_beyond_the_int_str_limit_exit_code(capsys, b):
     assert f"cannot print a rational of more than {limit} digits" in err
 
 
+def test_unprintable_q_is_refused_before_it_is_formed(capsys, monkeypatch):
+    # a product of 300,000 factors ran for half a minute before the refusal
+    import projrep.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("q_c formed")
+
+    monkeypatch.setattr(cli, "q_coefficient", forbidden)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "decompose", "-n", "2", "-a", "1", "-b", "0", "-k", "300000")
+    assert code == 1 and out == ""
+    assert f"cannot print a rational of more than {limit} digits" in err
+    # 1/|q_c| past the limit refuses the denominator the same way
+    with pytest.raises(ValueError, match=f"cannot print a rational of more than {limit} digits"):
+        cli._summand((F(1, 10**5000),), (), (1,))
+
+
+def test_q_with_a_zero_factor_prints_zero(capsys):
+    # the factor 2b - 1 + i vanishes at i = 11, whatever the other 299,999 are
+    code, out, _ = run(capsys, "decompose", "-n", "1", "-b", "-5", "-k", "300000")
+    assert code == 0 and out.endswith("q = 0\n")
+
+
+def test_q_refusal_is_a_bound_on_the_printed_value():
+    """Every q_c refused unformed would be refused by format_rational too,
+    and a limit of 0 refuses none."""
+    from projrep.cli import _summand
+    from projrep.glmodules import dominant_gaps, weight_from_labels
+    from projrep.irreducibility import q_coefficient
+    from projrep.linalg import format_rational
+
+    mu = weight_from_labels(DominantLabels(2, (1,), F(1, 3)))
+    gaps = dominant_gaps(mu)
+    limit = sys.get_int_max_str_digits()
+    refused = 0
+    try:
+        sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+        for k in range(0, 700, 7):
+            for c in pieri_index_set(mu, k):
+                try:
+                    _summand(mu, gaps, c)
+                except ValueError:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        format_rational(q_coefficient(mu, c))
+        sys.set_int_max_str_digits(0)
+        assert _summand(mu, gaps, (700, 0))[0]["q"] == format_rational(q_coefficient(mu, (700, 0)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused > 0
+
+
 def test_scalar_whose_printed_values_fit_the_int_str_limit(capsys):
     code, out, err = run(capsys, "analyze", "-n", "2", "-a", "1", "-b", "1e1000")
     assert code == 0 and err == ""
@@ -291,7 +376,7 @@ def test_scalar_whose_printed_values_fit_the_int_str_limit(capsys):
     (["selfcheck", "--degree-cap", "-1"], "argument --degree-cap: must be at least 0, got -1"),
     (["analyze", "-n", "2", "-a", "1", "-b", "0", "--dim-cap", "-1"],
      "argument --dim-cap: must be at least 1, got -1"),
-    (["selfcheck", "--dim-cap", "0"], "argument --dim-cap: must be at least 1, got 0"),
+    (["selfcheck", "--dim-cap", "5"], "unrecognized arguments: --dim-cap 5"),
 ])
 def test_out_of_range_integer_argument_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -388,6 +473,26 @@ def test_verify_identity_evaluates_one_operator_polynomial_per_grid(capsys, monk
     code, out, _ = run(capsys, "verify-identity", "-n", "4", "-a", "1,1,1", "-b", "1/2")
     assert code == 0 and out.count("residual zero: True") == 3
     assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("argv, calls", [(["verify-identity"], 2), (["decompose", "-k", "1"], 1)])
+def test_spectral_commands_group_each_grids_weights_once(capsys, monkeypatch, argv, calls):
+    """verify-identity reads the dominant weight spaces once per generator
+    grid, as sigma2 and adjoint_dual share one; decompose -k 1 reads them
+    once for all n projector ranks."""
+    import projrep.charident as charident
+
+    seen = []
+    real = charident.dominant_weight_spaces
+
+    def counting(V, shifts):
+        seen.append(tuple(shifts))
+        return real(V, shifts)
+
+    monkeypatch.setattr(charident, "dominant_weight_spaces", counting)
+    code, _, _ = run(capsys, *argv, "-n", "4", "-a", "1,1,1", "-b", "1/2")
+    assert code == 0
+    assert len(seen) == len(set(seen)) == calls
 
 
 def _count_polynomial_traces(monkeypatch):

@@ -6,15 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-import projrep.glmodules as glmodules
+from conftest import cached_module
 from projrep.action import graded_basis, monomials_of_degree, operator_matrix, scaling_op
 from projrep.errors import ConsistencyViolationError, DimensionCapError
 from projrep.glmodules import (
     DominantLabels,
     GlModule,
     build_irreducible,
-    cached_module,
-    clear_caches,
     dominant_gaps,
     dominant_weight_spaces,
     is_dominant,
@@ -237,15 +235,6 @@ def test_dominant_weight_spaces_match_the_exact_weights():
         for shifts in shift_lists:
             expected = _oracle_dominant_weight_spaces(V, shifts)
             assert dominant_weight_spaces(V, shifts) == expected, (n, dynkin, b, shifts)
-
-
-def test_clear_caches_empties_the_module_cache():
-    V = cached_module(2, (1,), F(1))
-    assert cached_module(2, (1,), F(1)) is V
-    clear_caches()
-    assert glmodules._module_cache == {}
-    W = cached_module(2, (1,), F(1))
-    assert W is not V and W.memo == {}
 
 
 def test_build_eliminates_nothing(monkeypatch):

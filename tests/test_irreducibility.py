@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cached_module
 import projrep.action as action
 import projrep.irreducibility as irreducibility
 from projrep.action import (
@@ -23,7 +24,6 @@ from projrep.glmodules import (
     DominantLabels,
     GlModule,
     build_irreducible,
-    cached_module,
     pieri_index_set,
     weight_add,
     weight_from_labels,

@@ -840,8 +840,8 @@ def test_apply_matches_the_dense_product(mats, data):
 
 @pytest.mark.parametrize("n,dynkin,b", [(2, (2,), F(1, 2)), (3, (1, 1), F(1, 3)), (3, (2, 0), F(-2))])
 def test_weight_blocks_store_the_canonical_form(n, dynkin, b):
+    from conftest import cached_module
     from projrep.charident import sigma2_tilde, weight_blocks
-    from projrep.glmodules import cached_module
 
     V = cached_module(n, dynkin, b)
     assert_clean(sigma2_tilde(V))

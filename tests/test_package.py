@@ -109,13 +109,12 @@ def test_only_linalg_names_the_elimination_internals():
 
 # the only state that outlives a module or a command: the three operator
 # constructors and the brackets of the spanning set, symbolic data keyed by n
-# and bounded by n, the module cache and the argument parser
+# and bounded by n, and the argument parser
 PROCESS_WIDE_CACHES = {
     "action.derivative_op",
     "action.scaling_op",
     "action.pseudo_translation_op",
     "action.spanning_brackets",
-    "glmodules._module_cache",
     "cli._parser",
 }
 _CACHE_NAMES = {"cache", "lru_cache"}
@@ -234,8 +233,8 @@ def test_spectrum_oracle_runs_without_sympy():
         "import sys; sys.modules['sympy'] = None\n"
         "from fractions import Fraction\n"
         "from projrep.charident import brute_force_spectrum, sigma2_tilde\n"
-        "from projrep.glmodules import cached_module\n"
-        "V = cached_module(2, (1,), Fraction(1))\n"
+        "from projrep.glmodules import DominantLabels, build_irreducible\n"
+        "V = build_irreducible(DominantLabels(2, (1,), Fraction(1)))\n"
         "spectrum, complete = brute_force_spectrum(sigma2_tilde(V))\n"
         "print(sorted((str(r), g) for r, g in spectrum.items()), complete)\n"
     )
