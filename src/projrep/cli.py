@@ -22,7 +22,6 @@ from .glmodules import (
     build_irreducible,
     dominant_gaps,
     pieri_index_set,
-    weight_add,
     weyl_dimension,
 )
 from .irreducibility import (
@@ -33,7 +32,7 @@ from .irreducibility import (
     q_factors,
     up_submodule_rank,
 )
-from .linalg import DegenerateSpectrumError, format_rational, parse_rational, unprintable_error
+from .linalg import DegenerateSpectrumError, format_ratio, format_rational, parse_rational, unprintable_error
 from .action import graded_dimension
 
 __all__ = ["main"]
@@ -104,11 +103,11 @@ def _emit(doc, as_json, table_lines):
 def _summand(mu, gaps, c, projector_rank=None):
     """JSON row and table line of the summand mu + c of a tensor decomposition.
 
-    `gaps` are mu's dominant gaps, computed once per command; the summand's
-    follow from them and c.  A q_c whose numerator or denominator provably
-    passes sys.get_int_max_str_digits() is refused before it is formed.
+    `gaps` are mu's dominant gaps, computed once per command; q_c and the
+    entries come from one `q_factors` call, and a q_c whose numerator or
+    denominator provably passes sys.get_int_max_str_digits() is refused unformed.
     """
-    den, factors = q_factors(mu, c, gaps)
+    parts = den, nums, factors = q_factors(mu, c, gaps)
     limit = sys.get_int_max_str_digits()
     if limit and 0 not in factors:
         # 2^(b-1) <= |x| < 2^b for x of bit length b, so lo < log2|q_c| < hi;
@@ -118,13 +117,11 @@ def _summand(mu, gaps, c, projector_rank=None):
         lo, hi = bits - len(factors) * (d + 1), bits - len(factors) * (d - 1)
         if 1000 * max(lo, -hi) >= 3322 * limit:
             raise unprintable_error()
-    q = q_coefficient(mu, c, gaps)
-    summand = weight_add(mu, c)
     row = {
         "c": list(c),
-        "summand": [format_rational(x) for x in summand],
-        "weyl_dim": weyl_dimension(summand, [g + x - y for g, x, y in zip(gaps, c, c[1:])]),
-        "q": format_rational(q),
+        "summand": [format_ratio(x + y * den, den) for x, y in zip(nums, c)],
+        "weyl_dim": weyl_dimension(gaps=[g + x - y for g, x, y in zip(gaps, c, c[1:])]),
+        "q": format_rational(q_coefficient(mu, c, factors=parts)),
     }
     line = f"  c={c}  summand {tuple(row['summand'])}  dim {row['weyl_dim']}  q = {row['q']}"
     if projector_rank is not None:
@@ -142,13 +139,8 @@ def cmd_analyze(args):
 
     gaps = dominant_gaps(mu)
     summands = [_summand(mu, gaps, c) for j in range(cap + 1) for c in pieri_index_set(mu, j)]
-    ranks = []
-    for j in range(cap + 1):
-        ranks.append({
-            "degree": j,
-            "rank": up_submodule_rank(V, j),
-            "full": graded_dimension(V, j),
-        })
+    ranks = [{"degree": j, "rank": up_submodule_rank(V, j), "full": graded_dimension(V, j)}
+             for j in range(cap + 1)]
     jh_doc = None
     if wit.reducible:
         jh_doc = jordan_holder(V, degree_cap=max(cap, wit.first_failure_degree + 1)).to_json()

@@ -101,11 +101,11 @@ def weight_from_labels(labels):
     return tuple(sum(a[j:]) + shift for j in range(n - 1)) + (shift,)
 
 
-def weyl_dimension(mu, gaps=None):
+def weyl_dimension(mu=None, gaps=None):
     """prod_{i<j} (mu_i - mu_j + j - i)/(j - i); requires integer dominant gaps.
 
     mu_i - mu_j is the sum of gaps i..j-1, so the product runs on integers;
-    `gaps` are mu's `dominant_gaps`, computed here when not given.
+    `gaps` are mu's `dominant_gaps`, computed from mu when not given.
     """
     if gaps is None:
         gaps = dominant_gaps(mu)

@@ -4,14 +4,14 @@ The chain map phi: x^m (x) v_q -> p^m (1 (x) v_q) acts on each Pieri
 summand V(mu + c) of S^k(C^n) (x) V by one scalar q_c, and the chain span
 S_k is the sum of the summands with q_c != 0.  Both sides are implemented:
 the closed-form product q_c, and brute force that pushes each summand's
-maximal vector through phi and reads the ratio; the chain ranks sum the
-summands with a nonzero ratio, and an elimination over every dominant
-weight space stays behind as their oracle.  Vectors are positional,
-{position: value} in the order of `action.graded_basis`, where x^m (x) v_q
-sits at basis[m] + q; `action` applies the twisted action to them (the
-weight spaces, the simple raisers on one, the p_i steps), and this module
-reads no generator.  When the module is reducible the two-step composition
-series and the residual quotient data are reported.
+maximal vector through phi in one p-step pass; the chain ranks sum the
+summands with a nonzero ratio, and the basis vectors' chain vectors,
+eliminated per dominant weight space, are their oracle.  Vectors are
+positional, {position: value} in the order of `action.graded_basis`, where
+x^m (x) v_q sits at basis[m] + q; `action` applies the twisted action to
+them (the weight spaces, the simple raisers on one, the p_i steps), and
+this module reads no generator.  When the module is reducible the two-step
+composition series and the residual quotient data are reported.
 """
 
 from __future__ import annotations
@@ -77,24 +77,24 @@ def _admissible(mu, c, gaps=None):
 
 
 def q_factors(mu, c, gaps=None):
-    """(den, factors): the factors mu_s + |mu| - s + i of `q_coefficient`,
-    s = 1..n and i = 1..c_s in turn, as integers over mu's common
-    denominator den.  `gaps` are mu's `dominant_gaps`, computed here when
-    not given."""
+    """(den, nums, factors): mu's entries nums and the factors
+    mu_s + |mu| - s + i of `q_coefficient`, s = 1..n and i = 1..c_s in
+    turn, as integers over mu's common denominator den.  `gaps` are mu's
+    `dominant_gaps`, computed here when not given."""
     c = _admissible(mu, c, gaps)
     den = math.lcm(*(x.denominator for x in mu))
     nums = [x.numerator * (den // x.denominator) for x in mu]
     tot = sum(nums)
-    return den, [nums[s] + tot + (i - s - 1) * den for s, cs in enumerate(c) for i in range(1, cs + 1)]
+    return den, nums, [nums[s] + tot + (i - s - 1) * den for s, cs in enumerate(c) for i in range(1, cs + 1)]
 
 
-def q_coefficient(mu, c, gaps=None):
+def q_coefficient(mu, c, factors=None):
     """prod_{s=1..n} prod_{i=1..c_s} (mu_s + |mu| - s + i); empty products are 1.
 
-    The integer factors (`q_factors`) are multiplied, and the product is
-    divided by den^|c| once.
+    The integer factors (`q_factors`, or `factors` when the caller holds
+    them) are multiplied, and the product is divided by den^|c| once.
     """
-    den, factors = q_factors(mu, c, gaps)
+    den, _, factors = factors or q_factors(mu, c)
     return Fraction(math.prod(factors), den ** len(factors))
 
 
@@ -194,7 +194,7 @@ def _chain_vector(V, c, q):
     lowest terms: the exact vector is the ints over den.  Built from the
     chain with c's first nonzero exponent lowered by one step L * p_i on
     the integer vector (`action.p_step`), so no operator matrix is
-    assembled."""
+    assembled.  The oracles read them; the chain ranks do not."""
 
     def build():
         if sum(c) == 0:
@@ -232,9 +232,11 @@ def _maximal_coordinates(V, c, support):
     simple raisers E_{a,a+1} (`action.gl_restriction`) on its weight space
     `support` (`action.weight_space`).  They generate every raiser, and each
     lands on its own weight, so the kernel of their sum is their joint
-    kernel.  A kernel that is not a line raises MultiplicityAnomalyError."""
+    kernel (one vector needs no elimination).  A kernel that is not a line
+    raises MultiplicityAnomalyError."""
     _, columns = gl_restriction(V, [(a, a + 1) for a in range(V.n - 1)], support)
-    kern = integer_kernel(columns, graded_dimension(V, sum(c)))
+    kern = integer_kernel(columns, graded_dimension(V, sum(c))) if len(columns) > 1 else (
+        [] if columns[0] else [{0: 1}])  # one vector: maximal exactly when its raisers vanish
     if len(kern) != 1:
         raise MultiplicityAnomalyError(
             f"maximal vector space for shift {tuple(c)} has dimension {len(kern)}"
@@ -248,10 +250,12 @@ def _chain_ratio(V, c):
 
     phi is gl(n)-equivariant ([x_i d_j, p_l] = delta_jl p_i), and by Pieri's
     rule S^k(C^n) (x) V holds each V(mu + c) once, so phi(xi_c) = q_c xi_c
-    for the maximal vector xi_c (`_maximal_coordinates`).  phi(xi_c) is
-    summed on integers over the lcm of the chain vectors' denominators.
-    Raises ConsistencyViolationError when xi_c misses x^c (x) v_top or
-    phi(xi_c) is not proportional to it.  Memoized per module and shift.
+    for the maximal vector xi_c (`_maximal_coordinates`).  One pass of
+    `action.p_step` over the degrees forms L^|c| phi(xi_c) on integers from
+    the u_m = sum_q xi_(m,q) v_q: each vector takes the p_i of its last
+    exponent left to raise, and vectors left with one monomial merge (the
+    p_i commute).  Raises ConsistencyViolationError when xi_c misses
+    x^c (x) v_top or phi(xi_c) is not proportional to it.  Memoized.
     """
 
     def compute():
@@ -262,13 +266,22 @@ def _chain_ratio(V, c):
             raise ConsistencyViolationError(
                 "maximal vector lacks the distinguished leading coordinate"
             )
-        chains = [(xi[pos], _chain_vector(V, m, q)) for pos, m, q in support if pos in xi]
-        den = math.lcm(*(d for _, (d, _) in chains))
-        image = {}
-        for x, (d, vec) in chains:
-            f = x * (den // d)
-            for r, v in vec.items():
-                image[r] = image.get(r, 0) + f * v
+        level = {}  # the monomial left to raise -> an integer vector of the current degree
+        for pos, m, q in support:
+            if pos in xi:
+                level.setdefault(m, {})[q] = xi[pos]
+        den = 1
+        for j in range(sum(c)):
+            merged = {}
+            for m, vec in level.items():
+                i = max(t for t, x in enumerate(m) if x)
+                L, vec = p_step(V, i, j, vec)
+                acc = merged.setdefault(m[:i] + (m[i] - 1,) + m[i + 1:], vec)
+                if acc is not vec:
+                    for r, v in vec.items():
+                        acc[r] = acc.get(r, 0) + v
+            level, den = merged, den * L
+        (image,) = level.values()
         top, hat = xi[lead], image.get(lead, 0)
         if any(image.get(r, 0) * top != hat * xi.get(r, 0) for r in image.keys() | xi.keys()):
             raise ConsistencyViolationError(

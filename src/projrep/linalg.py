@@ -125,11 +125,14 @@ def format_rational(v):
     """Render exactly: integers bare, anything else as 'num/den'.  A numerator
     or denominator past sys.get_int_max_str_digits() digits is refused with
     the limit named, where str() would give Python's own message."""
-    f = Fraction(v)
+    return format_ratio(*Fraction(v).as_integer_ratio())
+
+
+def format_ratio(num, den):
+    """`format_rational` of num/den, ints with den > 0, from one gcd."""
+    g = math.gcd(num, den)
     try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError:
         raise unprintable_error() from None
 

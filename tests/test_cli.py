@@ -96,6 +96,42 @@ def test_analyze_json_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[args]
 
 
+# sha256 of the plain-text `analyze` on the same six modules: the q table's
+# lines are written apart from its JSON rows
+ANALYZE_TABLE_DIGESTS = {
+    "-n 4 -a 1,1,1 -b 0": "b62bae54481867302c0d6e589aee970743e3b985cc1cc0a7e144562690a356fe",
+    "-n 3 -a 2,2 -b 1/2": "11692146c21784d13c4f969b403f2d471c4df775312af6b6e60a883bb8d6c0c8",
+    "-n 3 -a 1,0 -b -2": "f479a6095be67f308ddc48749b2320e86d18ea7df922c03398cff88bf87bfa0c",
+    "-n 2 -a 1 -b -1": "127d50a947d87122edbbc82746664340166783a63167b0ebb4027e14e90624bb",
+    "-n 3 -a 2,1 -b -3": "b09623f6f78aa562175c3d6d3683a788aba79130d0b7e25f9892b0f74b8b4673",
+    "-n 4 -a 1,0,1 -b 1/2": "1daf34cf88d13b7106108c039c239ffb6886543d9c251b231aa862c52cfaa3b8",
+}
+
+
+@pytest.mark.parametrize("args", ANALYZE_TABLE_DIGESTS)
+def test_analyze_table_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "analyze", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_TABLE_DIGESTS[args]
+
+
+# sha256 of the plain-text `decompose -k 1` and `-k 2` on a module with
+# rational entries and on a reducible one with q = 0 rows
+DECOMPOSE_TABLE_DIGESTS = {
+    "-n 3 -a 2,2 -b 1/2 -k 1": "c23e843b7565e334195e91b51bc71c01e50f9c56e0c0cac9959da87faf23af29",
+    "-n 3 -a 2,2 -b 1/2 -k 2": "8c1e3c290c755febea9d004b5d465081d670aa788ccc660d1b58da166b98c2b6",
+    "-n 3 -a 1,0 -b -2 -k 1": "1b6ae213d7132adf7ba6c49f94b38cc97b490441d86e4fee97c8a470f06bf46f",
+    "-n 3 -a 1,0 -b -2 -k 2": "0def7ab924473e06a36ea183742756fe075da8160457b94f578e891adec918ae",
+}
+
+
+@pytest.mark.parametrize("args", DECOMPOSE_TABLE_DIGESTS)
+def test_decompose_table_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "decompose", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_TABLE_DIGESTS[args]
+
+
 def test_decompose_table(capsys):
     code, out, _ = run(capsys, "decompose", "-n", "2", "-a", "1", "-b", "1", "-k", "1")
     assert code == 0
@@ -361,6 +397,52 @@ def test_q_refusal_is_a_bound_on_the_printed_value():
     finally:
         sys.set_int_max_str_digits(limit)
     assert refused > 0
+
+
+def test_summand_rows_match_the_fraction_formulas(monkeypatch):
+    """Each row reads q_c and the summand's entries off one q_factors call,
+    on integers, and prints what the Fraction formulas print, q = 0 rows
+    included."""
+    import itertools
+
+    import projrep.cli as cli
+    import projrep.irreducibility as irreducibility
+    from projrep.glmodules import dominant_gaps, weight_add, weight_from_labels, weyl_dimension
+    from projrep.irreducibility import q_coefficient
+    from projrep.linalg import format_rational
+
+    cases = []
+    for n in range(1, 4):
+        for dynkin in itertools.product(range(3), repeat=n - 1):
+            for b in (F(-2), F(-1), F(0), F(1, 3), F(-3, 2), F(7, 3)):
+                mu = weight_from_labels(DominantLabels(n, dynkin, b))
+                cases += [(mu, c) for k in range(5) for c in pieri_index_set(mu, k)]
+    expected = []
+    for mu, c in cases:
+        summand = weight_add(mu, c)
+        row = {
+            "c": list(c),
+            "summand": [format_rational(x) for x in summand],
+            "weyl_dim": weyl_dimension(summand),
+            "q": format_rational(q_coefficient(mu, c)),
+        }
+        line = f"  c={c}  summand {tuple(row['summand'])}  dim {row['weyl_dim']}  q = {row['q']}"
+        expected.append((row, line))
+    assert sum(row["q"] == "0" for row, _ in expected) > 0
+
+    calls = []
+    original = irreducibility.q_factors
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "q_factors", counting)
+    monkeypatch.setattr(irreducibility, "q_factors", counting)
+    for (mu, c), want in zip(cases, expected):
+        calls.clear()
+        assert cli._summand(mu, dominant_gaps(mu), c) == want, (mu, c)
+        assert calls == [c], (mu, c)
 
 
 def test_scalar_whose_printed_values_fit_the_int_str_limit(capsys):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from projrep.action import (
     weight_space,
 )
 from projrep.cli import main
-from projrep.errors import ConsistencyViolationError
+from projrep.errors import ConsistencyViolationError, MultiplicityAnomalyError
 from projrep.glmodules import (
     DominantLabels,
     GlModule,
@@ -211,7 +212,7 @@ def test_maximal_vector_normalization(monkeypatch):
 
 
 def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(monkeypatch):
-    # the chain vector of x^c (x) v_top, the maximal vector's lead, gains an
+    # the first p-step of x^c (x) v_top, the maximal vector's lead, gains an
     # entry off the maximal vector's weight space, so the image leaves its
     # span; the chain ranks read the same ratio and refuse it too
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
@@ -219,15 +220,15 @@ def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(mo
     assert q_coefficient_bruteforce(V, c) == q_coefficient(V.highest_weight, c)
     xi = irreducibility._maximal_coordinates(V, c, top_weight_space(V, c))
     off = next(pos for pos in range(graded_dimension(V, 1)) if pos not in xi)
-    original = irreducibility._chain_vector
+    original = irreducibility.p_step
 
-    def perturbed(W, chain, q):
-        den, vec = original(W, chain, q)
-        if (chain, q) != (c, W.highest_index):
-            return den, vec
-        return den, {**vec, off: vec.get(off, 0) + 1}
+    def perturbed(W, i, k, vec):
+        L, image = original(W, i, k, vec)
+        if (i, k) != (0, 0) or W.highest_index not in vec:
+            return L, image
+        return L, {**image, off: image.get(off, 0) + 1}
 
-    monkeypatch.setattr(irreducibility, "_chain_vector", perturbed)
+    monkeypatch.setattr(irreducibility, "p_step", perturbed)
     V = build_irreducible(DominantLabels(2, (1,), F(1)))
     with pytest.raises(ConsistencyViolationError, match="not proportional"):
         q_coefficient_bruteforce(V, c)
@@ -237,23 +238,57 @@ def test_bruteforce_q_rejects_an_image_not_proportional_to_the_maximal_vector(mo
 
 def test_analyze_refuses_a_corrupted_chain_vector_on_an_irreducible_module(capsys, monkeypatch):
     # n = 2, label 1, b = 1/2 is irreducible, so every chain span fills its
-    # degree; a chain vector of x_1^2 (x) v_0 with one extra entry still
-    # fills it, but the chain image of the maximal vector for (2, 0) is no
-    # longer proportional to it
-    original = irreducibility._chain_vector
+    # degree; a second p_1 step with one extra entry, as in the chain of
+    # x_1^2 (x) v_0, leaves the span as it is, but the chain image of the
+    # maximal vector for (2, 0) is no longer proportional to it
+    original = irreducibility.p_step
 
-    def corrupted(W, chain, q):
-        den, vec = original(W, chain, q)
-        if (chain, q) != ((2, 0), 0):
-            return den, vec
-        extra = next(r for r in itertools.count() if r not in vec)
-        return den, {**vec, extra: 1}
+    def corrupted(W, i, k, vec):
+        L, image = original(W, i, k, vec)
+        if (i, k) != (0, 1):
+            return L, image
+        extra = next(r for r in itertools.count() if r not in image)
+        return L, {**image, extra: 1}
 
-    monkeypatch.setattr(irreducibility, "_chain_vector", corrupted)
+    monkeypatch.setattr(irreducibility, "p_step", corrupted)
     assert main(["analyze", "-n", "2", "-a", "1", "-b", "1/2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "not proportional" in err
+
+
+def test_one_vector_weight_space_needs_no_elimination(monkeypatch):
+    """A top weight space of one vector holds the maximal vector exactly
+    when the vector's raiser column vanishes: no kernel is eliminated, and
+    a column that does not vanish leaves a space of dimension 0, as the
+    kernel would."""
+    from projrep.linalg import integer_kernel
+
+    V = build_irreducible(DominantLabels(4, (2, 0, 0), F(0)))
+    top = V.lattice_weights[V.highest_index]
+    singles = [
+        c for k in range(5) for c in pieri_index_set(top, k) if len(top_weight_space(V, c)) == 1
+    ]
+    assert (4, 0, 0, 0) in singles
+
+    def forbidden(*args):
+        raise AssertionError("a one-vector weight space went through integer_kernel")
+
+    monkeypatch.setattr(irreducibility, "integer_kernel", forbidden)
+    for c in singles:
+        support = top_weight_space(V, c)
+        assert irreducibility._maximal_coordinates(V, c, support) == {support[0][0]: 1}, c
+    original = irreducibility.gl_restriction
+
+    def raised(W, pairs, support):
+        den, columns = original(W, pairs, support)
+        return den, [{**col, 0: col.get(0, 0) + 1} for col in columns]
+
+    monkeypatch.setattr(irreducibility, "gl_restriction", raised)
+    c = singles[-1]
+    with pytest.raises(MultiplicityAnomalyError, match=f"for shift {re.escape(str(c))} has dimension 0"):
+        irreducibility._maximal_coordinates(V, c, top_weight_space(V, c))
+    assert integer_kernel([{0: 1}], graded_dimension(V, sum(c))) == []
 
 
 @pytest.mark.parametrize("point", [(2, (1,), F(1, 2)), (3, (1, 1), F(1, 2))])
@@ -393,27 +428,98 @@ def _count_maximal_vectors(monkeypatch, calls):
     ((3, (1, 0), F(-2)), 2, (1, 1, 0)),
 ])
 def test_chain_rank_sees_a_chain_vector_dropped_from_a_top_weight_space(monkeypatch, point, k, c):
-    """With the chain vector of a basis vector in the maximal vector's
-    support made empty, and q_c != 0, the chain image of the maximal vector
-    is no longer proportional to it, and the rank refuses it."""
+    """With a basis vector in the maximal vector's support dropped from the
+    chain image (its degree-0 entry removed before the first p-step), and
+    q_c != 0, the chain image of the maximal vector is no longer
+    proportional to it, and the rank refuses it."""
     sound = build_irreducible(DominantLabels(*point))
     support = top_weight_space(sound, c)
     pos, m, q = support[-1]
-    assert pos in irreducibility._maximal_coordinates(sound, c, support)
+    xi = irreducibility._maximal_coordinates(sound, c, support)
+    assert pos in xi
     assert q_coefficient_bruteforce(sound, c) != 0
+    # the degree-0 vector that carries x^m's coordinates into the pass
+    start = {r: xi[p] for p, mono, r in support if mono == m and p in xi}
     V = build_irreducible(DominantLabels(*point))
-    original = irreducibility._chain_vector
+    original = irreducibility.p_step
 
-    def dropped(W, chain, basis):
-        return (1, {}) if (chain, basis) == (m, q) else original(W, chain, basis)
+    def dropped(W, i, k, vec):
+        if k == 0 and vec == start:
+            vec = {r: x for r, x in vec.items() if r != q}
+        return original(W, i, k, vec)
 
-    monkeypatch.setattr(irreducibility, "_chain_vector", dropped)
+    monkeypatch.setattr(irreducibility, "p_step", dropped)
     built = []
     _count_maximal_vectors(monkeypatch, built)
     with pytest.raises(ConsistencyViolationError, match="not proportional"):
         up_submodule_rank(V, k)
     monkeypatch.undo()
     assert c in built
+
+
+def _summed_chain_ratio(V, c):
+    """q_c read off the memoized chain vectors: the maximal vector's
+    coordinates times the chain vectors of its basis vectors, summed over
+    the lcm of their denominators."""
+    support = top_weight_space(V, c)
+    xi = irreducibility._maximal_coordinates(V, c, support)
+    chains = [(xi[pos], _chain_vector(V, m, q)) for pos, m, q in support if pos in xi]
+    den = math.lcm(*(d for _, (d, _) in chains))
+    lead = graded_basis(V, sum(c))[c] + V.highest_index
+    hat = sum(x * (den // d) * vec.get(lead, 0) for x, (d, vec) in chains)
+    return F(hat, den * xi[lead])
+
+
+# n <= 3 with labels <= 2 and n = 4 with labels <= 1, at the six b of the
+# acceptance grid
+PASS_ORACLE_POINTS = [
+    (n, dynkin, b)
+    for n in range(1, 5)
+    for dynkin in itertools.product(range(3 if n < 4 else 2), repeat=n - 1)
+    for b in (F(-2), F(-1), F(0), F(1), F(2), F(1, 2))
+]
+
+
+def test_merged_pass_matches_the_chain_vectors(monkeypatch):
+    """The chain ranks push each maximal vector through one p-step pass and
+    build no chain vector; the ratio they read equals the one summed from
+    the chain vectors, through degree 4."""
+    calls = []
+    original = irreducibility._chain_vector
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    for point in PASS_ORACLE_POINTS:
+        V = build_irreducible(DominantLabels(*point))
+        monkeypatch.setattr(irreducibility, "_chain_vector", counting)
+        for k in range(5):
+            up_submodule_rank(V, k)
+        monkeypatch.undo()
+        assert calls == [], point
+        top = V.lattice_weights[V.highest_index]
+        for k in range(5):
+            for c in pieri_index_set(top, k):
+                assert irreducibility._chain_ratio(V, c) == _summed_chain_ratio(V, c), (point, c)
+
+
+def test_proportionality_check_sees_a_dropped_diagonal_twist(monkeypatch):
+    """With E_ii (i > 0) dropped from the twist of p_i, the chain image of
+    the maximal vector for (0, 1) on n = 2, label 1, b = 1/2 leaves its
+    line, and the rank refuses it."""
+    original = action._p_step_table
+
+    def without_diagonal(V, k):
+        L, move, starts, twists = original(V, k)
+        twists = [[[t for t in col if i == 0 or t[0] != i] for col in twist]
+                  for i, twist in enumerate(twists)]
+        return L, move, starts, twists
+
+    monkeypatch.setattr(action, "_p_step_table", without_diagonal)
+    V = build_irreducible(DominantLabels(2, (1,), F(1, 2)))
+    with pytest.raises(ConsistencyViolationError, match=r"for \(0, 1\) is not proportional"):
+        up_submodule_rank(V, 1)
 
 
 def test_chain_vectors_store_integers_as_int():
@@ -427,7 +533,7 @@ def test_chain_vectors_store_integers_as_int():
 
 
 def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
-    # once the chain vectors are memoized, the rank is integer work alone:
+    # the rank is integer work alone, whatever the chain vectors memoized:
     # weights, Weyl dimensions, the maximal vectors and their chain images,
     # one maximal vector per Pieri shift.  The weights of n = 4, labels
     # 1,1,1, b = 0 lie in -3/2 + Z^4; n = 2, label 1, b = -1 is reducible.
@@ -453,9 +559,9 @@ def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
 
 @pytest.mark.parametrize("b", [F(0), F(1, 2)])
 def test_elimination_leaves_its_input_vectors_unchanged(b):
-    # the chain ranks sum the memoized chain vectors into chain images, and
-    # rank and kernel_basis hand the columns to EchelonSpan, which combines
-    # vectors in place once it has copied them
+    # the chain matrix holds the memoized chain vectors, and rank and
+    # kernel_basis hand its columns to EchelonSpan, which combines vectors
+    # in place once it has copied them; the chain ranks read neither
     V = build_irreducible(DominantLabels(3, (1, 1), b))
     m = up_submodule_matrix(V, 3)
     columns, chains = copy.deepcopy(m.columns), copy.deepcopy(V.memo["chain"])
