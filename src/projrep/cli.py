@@ -232,7 +232,7 @@ def cmd_verify_identity(args):
 def cmd_selfcheck(args):
     from .selfcheck import run_selfcheck  # only this command loads the suites
 
-    records = run_selfcheck(n_max=args.n_max, degree_cap=args.degree_cap, seed=args.seed)
+    records = run_selfcheck(n_max=args.n_max, degree_cap=args.degree_cap)
     fails = [r for r in records if not r.ok]
     by_check = {}
     for r in records:
@@ -296,7 +296,6 @@ def _parser():
     p_sc = sub.add_parser("selfcheck", help="run the invariant sweep")
     p_sc.add_argument("--n-max", type=_at_least(1), default=2)
     p_sc.add_argument("--degree-cap", type=_at_least(0), default=4)
-    p_sc.add_argument("--seed", type=int, default=0)
     p_sc.add_argument("--json", action="store_true")
     p_sc.set_defaults(fn=cmd_selfcheck)
     return parser

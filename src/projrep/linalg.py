@@ -429,16 +429,16 @@ def rank(m):
 
 
 def integer_kernel(columns, rows):
-    """Primitive integer relations among sparse integer columns, one per
-    dependent column: {j: int} with sum_j rel[j] * columns[j] = 0.
+    """Primitive integer relations among sparse columns of nonzero ints, one
+    per dependent column: {j: int} with sum_j rel[j] * columns[j] = 0.
 
-    Column j enters an EchelonSpan from left to right, tagged with a 1 at
-    index rows + j; every row index of a column is below `rows`.  No tag is
-    ever a pivot, so the tags of a reduced column are the combination of
-    columns that it equals.  A column whose residual has an entry below rows
-    is independent and becomes a row; one whose residual is tags only is
-    dependent, and the residual is its relation: nonzero at that column, 0
-    at every other dependent column.
+    Column j enters an EchelonSpan from left to right, unscaled, as a fresh
+    copy tagged with a 1 at index rows + j; every row index of a column is
+    below `rows`.  No tag is ever a pivot, so the tags of a reduced column
+    are the combination of columns that it equals.  A column whose residual
+    has an entry below rows is independent and becomes a row; one whose
+    residual is tags only is dependent, and the residual is its relation:
+    nonzero at that column, 0 at every other dependent column.
     """
     span = EchelonSpan()
     relations = []
@@ -558,10 +558,9 @@ class EchelonSpan:
         self.dim = 0
 
     def _reduce(self, vec):
-        """The residual of vec: a primitive integer vector with no entry at a
-        pivot, zero exactly when vec lies in the span.  vec is not changed."""
-        den = _denominator(vec.values())
-        vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v != 0}
+        """The residual of vec, a sparse vector of nonzero ints that the call
+        may combine in place: a primitive integer vector with no entry at a
+        pivot, zero exactly when vec lies in the span."""
         pivots = self._pivots
         while True:
             g = math.gcd(*vec.values())
@@ -584,8 +583,10 @@ class EchelonSpan:
         return self.dim - 1
 
     def insert(self, vec):
-        """Insert a sparse vector; returns its basis id, or None if dependent."""
-        residual = self._reduce(vec)
+        """Insert a sparse exact vector, scaled to integers in a fresh dict, so
+        vec is not changed; returns its basis id, or None if dependent."""
+        den = _denominator(vec.values())
+        residual = self._reduce({c: v.numerator * (den // v.denominator) for c, v in vec.items() if v})
         return self._add(residual) if residual else None
 
 

@@ -1,10 +1,10 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cached_module
+from projrep import selfcheck
 from projrep.action import (
     GradedElement,
     WittElement,
@@ -42,6 +42,7 @@ from projrep.selfcheck import (
     check_chevalley_relations,
     check_derivative_chain_identity,
     check_derivative_surjectivity,
+    standard_sweep,
 )
 
 
@@ -471,12 +472,25 @@ def test_cartan_diagonal_eigenvalues():
     assert ok, detail
 
 
-def test_derivative_chain_identity_random():
-    rng = random.Random(11)
+def test_derivative_chain_identity_on_every_sorted_chain():
     for point in [(2, (1,), F(1)), (3, (1, 0), F(-2)), (2, (2,), F(1, 2))]:
-        V = cached_module(*point)
-        ok, detail = check_derivative_chain_identity(V, rng, cases=8)
+        ok, detail = check_derivative_chain_identity(cached_module(*point))
         assert ok, (point, detail)
+
+
+def test_derivative_chain_identity_refuses_a_dropped_shift_across_the_sweep(monkeypatch):
+    """Without the constant k - 1 on the diagonal of triangle_delta the suite
+    refuses every module of the n <= 3 sweep but the three trivial ones with
+    b = 0, where every chain vector vanishes and no check can see the fault."""
+
+    def without_shift(i, j, k, V):
+        m = triangle_delta(i, j, k, V)
+        return m + Matrix.identity(m.rows).scale(1 - k) if i == j and k != 1 else m
+
+    monkeypatch.setattr(selfcheck, "triangle_delta", without_shift)
+    passed = [point for point in standard_sweep(3)
+              if check_derivative_chain_identity(cached_module(*point))[0]]
+    assert passed == [(1, (), 0), (2, (0,), 0), (3, (0, 0), 0)]
 
 
 def test_sign_flip_in_twisted_action_breaks_bracket_consistency(monkeypatch):

@@ -558,18 +558,30 @@ def test_chain_rank_reads_dominance_off_integer_weights(monkeypatch):
 
 
 @pytest.mark.parametrize("b", [F(0), F(1, 2)])
-def test_elimination_leaves_its_input_vectors_unchanged(b):
+def test_elimination_leaves_its_input_vectors_unchanged(monkeypatch, b):
     # the chain matrix holds the memoized chain vectors, and rank and
     # kernel_basis hand its columns to EchelonSpan, which combines vectors
-    # in place once it has copied them; the chain ranks read neither
+    # in place once it has copied them; the chain ranks read neither, but
+    # their maximal vectors hand raiser columns to integer_kernel, which
+    # reduces them unscaled, each as a tagged copy
     V = build_irreducible(DominantLabels(3, (1, 1), b))
     m = up_submodule_matrix(V, 3)
     columns, chains = copy.deepcopy(m.columns), copy.deepcopy(V.memo["chain"])
+    original, kept = irreducibility.integer_kernel, []
+
+    def watched(cols, rows):
+        before = copy.deepcopy(cols)
+        relations = original(cols, rows)
+        kept.append(cols == before)
+        return relations
+
+    monkeypatch.setattr(irreducibility, "integer_kernel", watched)
     r = rank(m)
     kernel = kernel_basis(m)
     assert up_submodule_rank(V, 3) == r == m.cols - len(kernel)
     assert m.columns == columns
     assert V.memo["chain"] == chains
+    assert kept and all(kept)
 
 
 # b = 1/2 at n = 2, 3, 4, and n = 4, labels 1,1,1, b = 0, whose weights lie

@@ -44,6 +44,19 @@ def test_package_has_no_float_literal_or_float_call():
     assert found == []
 
 
+def test_package_imports_no_random_source():
+    # every verdict is exhaustive over its range, so none may rest on a draw
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for m in modules
+                      if m and m.split(".")[0] == "random"]
+    assert found == []
+
+
 def test_package_modules_use_every_name_they_import():
     # a deletion can leave an import behind; __init__ imports to re-export
     found = []
@@ -163,9 +176,9 @@ def test_process_wide_caches_are_allowlisted():
 
 
 # modules a command-line run never needs: numerical libraries, the import
-# cost of dataclasses (inspect, ast, dis) and of typing, the selfcheck
-# suites with their random source, which only `selfcheck` loads, and json,
-# which only a --json run loads
+# cost of dataclasses (inspect, ast, dis) and of typing, random (which no
+# package module imports, so no dependency may bring it either), the selfcheck
+# suites, which only `selfcheck` loads, and json, which only a --json run loads
 NOT_LOADED_BY_CLI = (
     "numpy", "scipy", "dataclasses", "inspect", "typing", "random", "projrep.selfcheck",
     "json",
